@@ -1,4 +1,4 @@
-"""Counting bounds for approximation by map families on finite sets.
+"""Counting bounds and the exact min-max for map families on finite sets.
 
 For functions M1 -> M2 and a family F of such maps, app_F(g) is the best
 agreement count of g with a member of F, and app_F(M1, M2) the minimum
@@ -7,6 +7,9 @@ general upper bound whenever |F| <= m2^fval, and families containing all
 constants admit a pigeonhole lower bound.  Specializing both to the
 endomorphism/affine families of a group of order n gives closed-form
 bounds in the order alone, since |End(G)| <= |G|^(log2 |G|).
+
+The exact value app_F(M1, M2) is found by one decision search, shared by
+``brute_force_app`` here and ``search.worst_case_value`` for groups.
 """
 
 from __future__ import annotations
@@ -136,9 +139,88 @@ def worst_case_upper_bounds(n: int) -> tuple[float, float]:
     return endo, affine
 
 
+class _Budget(Exception):
+    pass
+
+
+def _min_max(tables, m2, start, budget=math.inf, pinned=None):
+    """Least k such that some g: M1 -> M2 agrees with every family row on
+    at most k points, by iterative deepening on k from ``start``.
+
+    tables is the family as an (maps, m1) array of values in 0..m2-1, and
+    start must be a lower bound on the answer.  pinned maps positions to
+    fixed values of g; each pinned agreement is counted up front.  Each
+    threshold asks "is there a g keeping every family counter <= k?": the
+    free positions are assigned in order of decreasing discrimination
+    (number of distinct family values there, ties by position), values in
+    increasing order, with one agreement counter per family row and a prune
+    on the bucket of rows that take the value tried.
+
+    Returns (k, images, nodes, thresholds): images is a g reaching k, nodes
+    the search nodes over all thresholds and thresholds those tried in
+    order.  When more than ``budget`` nodes are needed, k is the threshold
+    the search stopped on and images is None.
+    """
+    maps, m1 = tables.shape
+    pinned = pinned or {}
+    taken = [np.unique(tables[:, x]) for x in range(m1)]
+    positions = [x for x in range(m1) if x not in pinned]
+    positions.sort(key=lambda x: (-len(taken[x]), x))
+    # values no row takes at a position share one empty bucket, so a large
+    # codomain costs a list slot per value, not an array
+    empty = np.empty(0, dtype=np.intp)
+    buckets = []
+    for x in positions:
+        buckets.append([empty] * m2)
+        for v in taken[x]:
+            buckets[-1][v] = np.flatnonzero(tables[:, x] == v)
+    base_counts = np.zeros(maps, dtype=np.int32)
+    for x, v in pinned.items():
+        base_counts[tables[:, x] == v] += 1
+    assignment = [0] * len(positions)
+    nodes = 0
+    k = start
+
+    def feasible(i: int, counts) -> bool:
+        nonlocal nodes
+        if i == len(positions):
+            return True
+        for v, bucket in enumerate(buckets[i]):
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            if bucket.size:
+                if counts[bucket].max() >= k:
+                    continue
+                counts[bucket] += 1
+            assignment[i] = v
+            if feasible(i + 1, counts):
+                return True
+            if bucket.size:
+                counts[bucket] -= 1
+        return False
+
+    thresholds = []
+    while True:
+        thresholds.append(k)
+        try:
+            if feasible(0, base_counts.copy()):
+                break
+        except _Budget:
+            return k, None, nodes, tuple(thresholds)
+        k += 1
+    images = [0] * m1
+    for x, v in pinned.items():
+        images[x] = v
+    for x, v in zip(positions, assignment):
+        images[x] = v
+    return k, tuple(images), nodes, tuple(thresholds)
+
+
 def brute_force_app(m1: int, m2: int, family) -> int:
     """Exact min over all m2^m1 functions of the max agreement with the
-    family; the tiny-instance oracle (m2^m1 <= 10^6)."""
+    family (m2^m1 <= 10^6).  The search starts at the pigeonhole bound
+    ceil(m1/m2) when the family holds all m2 constant maps, else at 0."""
     if m1 < 1 or m2 < 1:
         raise ParameterError("m1 and m2 must be positive")
     if m2**m1 > BRUTE_FORCE_LIMIT:
@@ -151,11 +233,6 @@ def brute_force_app(m1: int, m2: int, family) -> int:
         raise ParameterError("family must be a nonempty list of length-m1 maps")
     if fam.min() < 0 or fam.max() >= m2:
         raise ParameterError("family values must lie in 0..m2-1")
-    fam = fam.astype(np.int8 if m2 < 128 else np.int16)
-    nmaps = fam.shape[0]
-    counts = np.zeros((1, nmaps), dtype=np.int8)
-    values = np.arange(m2, dtype=fam.dtype)
-    for x in range(m1):
-        eq = (values[:, None] == fam[None, :, x]).astype(np.int8)
-        counts = (counts[:, None, :] + eq[None, :, :]).reshape(-1, nmaps)
-    return int(counts.max(axis=1).min())
+    constants = fam[(fam == fam[:, :1]).all(axis=1), 0]
+    start = -(-m1 // m2) if len(np.unique(constants)) == m2 else 0
+    return _min_max(fam, m2, start)[0]

@@ -14,7 +14,7 @@ import math
 import sys
 import time
 
-from .bounds import agreement_bounds, worst_case_upper_bounds
+from .bounds import agreement_bounds
 from .errors import (
     CapacityError,
     FormatError,
@@ -51,6 +51,7 @@ from .search import (
     DEFAULT_BUDGET,
     ApproxCertificate,
     SearchStats,
+    _formula_upper,
     approximability,
     lower_bound_certificates,
     worst_case_value,
@@ -148,16 +149,9 @@ def _emit(doc: dict, out: str | None, *, stdout: bool = True) -> None:
 def _bounds_only_cert(g, metric: str) -> ApproxCertificate:
     t0 = time.perf_counter()
     lb = lower_bound_certificates(g)[metric]
-    n = g.order
-    formula_upper = n
-    if n >= 2:
-        endo_bound, affine_bound = worst_case_upper_bounds(n)
-        bound = endo_bound if metric == "endo" else affine_bound
-        formula_upper = min(n, math.floor(bound + 1e-9))
+    upper = max(lb.value, _formula_upper(g.order, metric))
     stats = SearchStats(nodes=0, elapsed=time.perf_counter() - t0, thresholds=())
-    return ApproxCertificate(
-        g, metric, False, lb.value, max(lb.value, formula_upper), None, lb, stats
-    )
+    return ApproxCertificate(g, metric, False, lb.value, upper, None, lb, stats)
 
 
 def _cmd_compute(args) -> int:
@@ -298,19 +292,27 @@ def _cmd_partition_avoid(args) -> int:
     return EXIT_OK
 
 
+def _witness_args(name: str, count: int) -> list[int]:
+    """The comma-separated integers after the colon of a witness name."""
+    parts = name.split(":", 1)[1].split(",")
+    if len(parts) != count:
+        raise ParameterError(f"{name!r} needs {count} comma-separated integers")
+    try:
+        return [int(tok) for tok in parts]
+    except ValueError:
+        raise ParameterError(f"{name!r} needs integer arguments") from None
+
+
 def _cmd_witness(args) -> int:
     name = args.name
     if name.startswith("cyclic-enapp:"):
-        fn = cyclic_enapp_witness(int(name.split(":", 1)[1]))
+        fn = cyclic_enapp_witness(*_witness_args(name, 1))
         metric = "endo"
     elif name.startswith("prime-square:"):
-        fn = prime_square_witness(int(name.split(":", 1)[1]))
+        fn = prime_square_witness(*_witness_args(name, 1))
         metric = "affine"
     elif name.startswith("rem-quot:"):
-        parts = name.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise ParameterError(f"rem-quot takes P,K; got {name!r}")
-        fn = rem_quot_witness(int(parts[0]), int(parts[1]))
+        fn = rem_quot_witness(*_witness_args(name, 2))
         metric = "affine"
     elif name in ("z6-swap", "klein", "sym3"):
         fn = small_group_witnesses()[name]

@@ -40,8 +40,6 @@ __all__ = [
     "endo_reachable",
     "jk_enapp_zero_witness",
     "jk_group",
-    "jk_inverse",
-    "jk_multiply",
     "jk_pth_power",
     "make_sigma",
     "sample_check_classification",
@@ -205,14 +203,6 @@ def jk_group(p: int, lam1: int, lam2: int, *, allow_large: bool = False) -> JKGr
             "build it anyway"
         )
     return JKGroup(params)
-
-
-def jk_multiply(g: JKGroup, a: int, b: int) -> int:
-    return g.mul(a, b)
-
-
-def jk_inverse(g: JKGroup, a: int) -> int:
-    return g.inv(a)
 
 
 def jk_pth_power(g: JKGroup, x) -> np.ndarray | int:

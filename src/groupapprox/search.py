@@ -4,17 +4,8 @@ For a finite group G and a family F of self-maps (here: all endomorphisms,
 or all affine maps x -> c*phi(x)), the approximability of f: G -> G is the
 largest number of arguments on which f agrees with some member of F.  The
 worst-case value of G is the minimum of that quantity over all |G|^|G|
-functions f.
-
-The search runs iterative deepening on the threshold k, starting from a
-certified lower bound: "is there an f agreeing with every family member on
-at most k points?"  Positions are assigned in order of decreasing
-discrimination (number of distinct family values at the argument), one
-agreement counter per family member, with a per-map bucket prune.  For the
-affine family the first position is pinned to f(1) = 1, which is harmless
-because the affine worst case is invariant under translation; the endo
-metric has no such invariance (a forced f(1) = 1 would give every
-endomorphism a free agreement) and is searched unnormalized.
+functions f.  It is found by the min-max search in ``bounds``, started from
+a certified structural lower bound; what is group-specific lives here.
 """
 
 from __future__ import annotations
@@ -26,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import worst_case_upper_bounds
+from .bounds import _min_max, worst_case_upper_bounds
 from .errors import CapacityError, ParameterError
 from .groups import GroupCarrier
 from .morphisms import (
@@ -250,46 +241,13 @@ def lower_bound_certificates(
 # the min-max search
 # --------------------------------------------------------------------------
 
-class _Budget(Exception):
-    pass
-
-
-def _decide(n, positions, buckets, counts, k, budget, assignment):
-    """Is there an assignment keeping every family counter <= k?
-
-    counts is mutated in place (and restored on backtrack); raises _Budget
-    when the node allowance runs out.
-    """
-    nodes = 0
-
-    def rec(i: int) -> bool:
-        nonlocal nodes
-        if i == len(positions):
-            return True
-        for v in range(n):
-            nodes += 1
-            if nodes > budget:
-                raise _Budget
-            bucket = buckets[positions[i]][v]
-            if bucket.size:
-                if counts[bucket].max() >= k:
-                    continue
-                counts[bucket] += 1
-                assignment[i] = v
-                if rec(i + 1):
-                    return True
-                counts[bucket] -= 1
-            else:
-                assignment[i] = v
-                if rec(i + 1):
-                    return True
-        return False
-
-    try:
-        sat = rec(0)
-    finally:
-        _decide.last_nodes = nodes
-    return sat
+def _formula_upper(n: int, metric: str) -> int:
+    """The closed-form upper bound on the worst case, as an agreement count."""
+    if n < 2:
+        return n
+    endo_bound, affine_bound = worst_case_upper_bounds(n)
+    bound = endo_bound if metric == "endo" else affine_bound
+    return min(n, math.floor(bound + 1e-9))
 
 
 def worst_case_value(
@@ -300,64 +258,30 @@ def worst_case_value(
     limit: int = ENDO_LIMIT,
 ) -> ApproxCertificate:
     """Exact worst-case approximability by iterative deepening, or a
-    lower/upper bracket when the node budget runs out."""
+    lower/upper bracket when the node budget runs out.
+
+    For the affine family f(1) = 1 is pinned, which is harmless because the
+    affine worst case is invariant under translation; the endo metric has
+    no such invariance (a forced f(1) = 1 would give every endomorphism a
+    free agreement) and is searched unnormalized.
+    """
     _check_metric(metric)
     t0 = time.perf_counter()
     tables = family_tables(g, metric, limit)
     n = g.order
     lb = lower_bound_certificates(g, limit)[metric]
-
-    formula_upper = n
-    if n >= 2:
-        endo_bound, affine_bound = worst_case_upper_bounds(n)
-        bound = endo_bound if metric == "endo" else affine_bound
-        formula_upper = min(n, math.floor(bound + 1e-9))
-
-    fix_first = metric == "affine" and n > 1
-    m = tables.shape[0]
-    discrimination = [len(np.unique(tables[:, x])) for x in range(n)]
-    positions = [x for x in range(n) if not (fix_first and x == 0)]
-    positions.sort(key=lambda x: (-discrimination[x], x))
-    buckets = {
-        x: [np.flatnonzero(tables[:, x] == v) for v in range(n)] for x in positions
-    }
-    base_counts = np.zeros(m, dtype=np.int32)
-    if fix_first:
-        base_counts[tables[:, 0] == 0] += 1
-
-    nodes_total = 0
-    thresholds: list[int] = []
-    k = lb.value
-    witness = None
-    exact = False
-    while True:
-        thresholds.append(k)
-        assignment = [0] * len(positions)
-        counts = base_counts.copy()
-        try:
-            sat = _decide(n, positions, buckets, counts, k, budget - nodes_total, assignment)
-        except _Budget:
-            nodes_total += _decide.last_nodes
-            break
-        nodes_total += _decide.last_nodes
-        if sat:
-            images = [0] * n
-            for pos, val in zip(positions, assignment):
-                images[pos] = val
-            witness = GroupFunction(g, tuple(images))
-            exact = True
-            break
-        k += 1
-
-    stats = SearchStats(
-        nodes=nodes_total,
-        elapsed=time.perf_counter() - t0,
-        thresholds=tuple(thresholds),
+    pinned = {0: 0} if metric == "affine" and n > 1 else None
+    k, images, nodes, thresholds = _min_max(
+        tables, n, lb.value, budget=budget, pinned=pinned
     )
-    if exact:
+    stats = SearchStats(
+        nodes=nodes, elapsed=time.perf_counter() - t0, thresholds=thresholds
+    )
+    if images is not None:
+        witness = GroupFunction(g, images)
         return ApproxCertificate(g, metric, True, k, k, witness, lb, stats)
     return ApproxCertificate(
-        g, metric, False, k, max(k, formula_upper), None, lb, stats
+        g, metric, False, k, max(k, _formula_upper(n, metric)), None, lb, stats
     )
 
 

@@ -20,7 +20,7 @@ import itertools
 import math
 
 from .errors import ParameterError
-from .groups import GroupCarrier, cyclic, dihedral, direct_product, elemabelian
+from .groups import GroupCarrier, _is_prime, cyclic, dihedral, direct_product, elemabelian
 from .morphisms import automorphism_orbits
 from .search import GroupFunction
 
@@ -55,7 +55,7 @@ def cyclic_enapp_witness(n: int) -> GroupFunction:
 def prime_square_witness(p: int) -> GroupFunction:
     """x -> x^2 on Z/p (p prime): affine agreement at most 2, since
     x^2 = ax + b has at most two roots in the field."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not _is_prime(p):
         raise ParameterError(f"needs a prime, got {p}")
     g = cyclic(p)
     return GroupFunction(g, tuple((x * x) % p for x in range(p)))
@@ -63,7 +63,7 @@ def prime_square_witness(p: int) -> GroupFunction:
 
 def rem_quot_witness(p: int, k: int) -> GroupFunction:
     """x -> (x mod p) + (x div p) on Z/p^k: affine agreement at most p."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not _is_prime(p):
         raise ParameterError(f"needs a prime, got {p}")
     if k < 1:
         raise ParameterError(f"needs an exponent >= 1, got {k}")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from groupapprox import (
@@ -135,6 +135,27 @@ def test_brute_force_app_on_constant_families():
         constants = [[c] * m1 for c in range(m2)]
         assert brute_force_app(m1, m2, constants) == -(-m1 // m2)
     assert brute_force_app(3, 1, [[0, 0, 0]]) == 3
+
+
+@st.composite
+def _families_missing_a_constant(draw):
+    """Small shapes with a family lacking some constant map; for m2 = 1 the
+    only map is the constant, so that shape keeps it."""
+    m1 = draw(st.integers(min_value=1, max_value=5))
+    m2 = draw(st.integers(min_value=1, max_value=3))
+    row = st.lists(st.integers(0, m2 - 1), min_size=m1, max_size=m1)
+    family = draw(st.lists(row, min_size=1, max_size=6))
+    if m2 > 1:
+        missing = [draw(st.integers(0, m2 - 1))] * m1
+        family = [f for f in family if f != missing]
+        assume(family)
+    return m1, m2, family
+
+
+@given(_families_missing_a_constant())
+def test_brute_force_app_without_all_constants_matches_oracle(case):
+    m1, m2, family = case
+    assert brute_force_app(m1, m2, family) == brute_app_tiny(m1, m2, family)
 
 
 def test_brute_force_app_validation():

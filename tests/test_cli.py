@@ -342,6 +342,9 @@ def test_usage_errors_exit_2(capsys):
         ["witness", "--name", "unobtainium"],
         ["witness", "--name", "rem-quot:2"],
         ["witness", "--name", "rem-quot:4,2"],
+        ["witness", "--name", "cyclic-enapp:abc"],
+        ["witness", "--name", "prime-square:x"],
+        ["witness", "--name", "rem-quot:3,x"],
         ["bounds", "--m1", "1", "--m2", "2", "--f", "1"],
         ["bounds", "--m1", "8", "--m2", "2", "--f", "/no/such/file"],
         ["partition-avoid", "--classes", "0,2"],
