@@ -159,7 +159,7 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None):
     Returns (k, images, nodes, thresholds): images is a g reaching k, nodes
     the search nodes over all thresholds and thresholds those tried in
     order.  When more than ``budget`` nodes are needed, k is the threshold
-    the search stopped on and images is None.
+    the search stopped on, images is None and nodes is exactly ``budget``.
     """
     maps, m1 = tables.shape
     pinned = pinned or {}
@@ -186,9 +186,9 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None):
         if i == len(positions):
             return True
         for v, bucket in enumerate(buckets[i]):
-            nodes += 1
-            if nodes > budget:
+            if nodes >= budget:
                 raise _Budget
+            nodes += 1
             if bucket.size:
                 if counts[bucket].max() >= k:
                     continue

@@ -211,18 +211,13 @@ def jk_pth_power(g: JKGroup, x) -> np.ndarray | int:
 
     For odd p the binomial coefficient C(p, 2) kills the commutator
     contribution, so x^p is the product of the generators' p-th powers
-    weighted by the coset digits of x.  When lambda2 = 1 the map from
-    (k1, k2, l1, l2) to those central coordinates is a bijection.
+    (the rows of the carry table) weighted by the coset digits of x.  When
+    lambda2 = 1 the map from (k1, k2, l1, l2) to those central coordinates
+    is a bijection.
     """
-    p = g.p
     oct_ = g.decode(x)
-    k1, k2 = oct_[..., 0], oct_[..., 1]
-    l1, l2 = oct_[..., 2], oct_[..., 3]
     out = np.zeros(oct_.shape, dtype=np.int64)
-    out[..., 4] = (k1 + g.params.lam1 * k2) % p
-    out[..., 5] = (g.params.lam2 * k2) % p
-    out[..., 6] = l1
-    out[..., 7] = (l1 + l2) % p
+    out[..., 4:8] = (oct_[..., 0:4] @ g._carry) % g.p
     res = g.encode(out)
     return int(res) if np.isscalar(x) or np.asarray(x).ndim == 0 else res
 

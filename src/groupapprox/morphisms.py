@@ -1,14 +1,20 @@
 """Endomorphism, automorphism and affine-map enumeration.
 
-Enumeration assigns images to a greedy minimal generating sequence one
-generator at a time and propagates closure: whenever the image map is
-known on x and y it is forced on x*y and y*x, and any clash prunes the
-branch.  Surviving leaves are total homomorphisms by construction, so no
-post-hoc filtering is needed.  Image candidates are pruned by the order
-criterion ord(phi(x)) | ord(x).
+End(G) is computed once, as a table with one row of images per map, and
+everything else reads that table.  Enumeration extends a batch of partial
+image rows one generator of a greedy minimal generating sequence at a time:
+every row is copied once per candidate image of the new generator t
+(candidates are pruned by the order criterion ord(phi(t)) | ord(t)), the
+images of the newly reached elements are filled in along the right
+multiplications x -> x*s by the generators so far, and only the rows with
+img[x*s] = img[x]*img[s] on every such edge are kept.  Once the generators
+are exhausted every surviving row is an endomorphism, and every
+endomorphism survives.  The batch is held in memory, so its size is
+capped, as is the group order.
 
-Results are cached on the carrier and returned in lexicographic order of
-the image tuple, which downstream code relies on for determinism.
+The table is sorted lexicographically by image tuple, which downstream
+code relies on for determinism, and cached read-only on the carrier, as
+are the ``Morphism`` view of its rows and the affine-map table.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ __all__ = [
 ]
 
 ENDO_LIMIT = 64
+# the candidate batch of the enumeration is held in memory as one array
+_BATCH_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -87,9 +95,6 @@ def _pair_closure(g: GroupCarrier, base, extra) -> set[int]:
 def minimal_generating_sequence(g: GroupCarrier) -> tuple[int, ...]:
     """Greedy minimal generating sequence: repeatedly add the element that
     grows the generated subgroup the most (ties broken by smallest index)."""
-    cached = getattr(g, "_gen_seq", None)
-    if cached is not None:
-        return cached
     n = g.order
     seq: list[int] = []
     closure: set[int] = {0}
@@ -104,148 +109,111 @@ def minimal_generating_sequence(g: GroupCarrier) -> tuple[int, ...]:
                 best_size, best_x = size, x
         seq.append(best_x)
         closure = _pair_closure(g, closure, best_x)
-    result = tuple(seq)
-    g._gen_seq = result
-    return result
+    return tuple(seq)
 
 
-def _propagate(rows, img, known, start) -> bool:
-    """Force images on products of known elements; False on clash."""
-    i = start
-    while i < len(known):
-        x = known[i]
-        fx = img[x]
-        j = 0
-        while j < len(known):
-            y = known[j]
-            fy = img[y]
-            xy = rows[x][y]
-            v = rows[fx][fy]
-            if img[xy] < 0:
-                img[xy] = v
-                known.append(xy)
-            elif img[xy] != v:
-                return False
-            yx = rows[y][x]
-            w = rows[fy][fx]
-            if img[yx] < 0:
-                img[yx] = w
-                known.append(yx)
-            elif img[yx] != w:
-                return False
-            j += 1
-        i += 1
-    return True
+def _bijective(tables: np.ndarray) -> np.ndarray:
+    """Row mask: which image tables are permutations of the group."""
+    return (np.sort(tables, axis=1) == np.arange(tables.shape[1])).all(axis=1)
 
 
-def enumerate_endomorphisms(
-    g: GroupCarrier, limit: int = ENDO_LIMIT
-) -> tuple[Morphism, ...]:
-    """All endomorphisms of g, lexicographic by image tuple."""
-    if g.order > limit:
-        raise CapacityError(
-            f"endomorphism enumeration is limited to order {limit}, "
-            f"{g.name} has order {g.order}"
-        )
-    cached = getattr(g, "_endo_cache", None)
-    if cached is not None:
-        return cached
-
-    n = g.order
-    rows = [[g.mul(a, b) for b in range(n)] for a in range(n)]
-    orders = g.element_orders()
-    gens = minimal_generating_sequence(g)
-    found: list[tuple[int, ...]] = []
-
-    def dfs(gi: int, img: list[int], known: list[int]) -> None:
-        if gi == len(gens):
-            found.append(tuple(img))
-            return
-        x = gens[gi]
-        ox = orders[x]
-        for v in range(n):
-            if ox % orders[v]:
-                continue
-            img2 = img.copy()
-            known2 = known.copy()
-            img2[x] = v
-            known2.append(x)
-            if _propagate(rows, img2, known2, len(known2) - 1):
-                dfs(gi + 1, img2, known2)
-
-    start = [-1] * n
-    start[0] = 0
-    dfs(0, start, [0])
-    found.sort()
-    result = tuple(
-        Morphism(g, images, is_automorphism=len(set(images)) == n)
-        for images in found
-    )
-    g._endo_cache = result
-    return result
-
-
-def enumerate_automorphisms(
-    g: GroupCarrier, limit: int = ENDO_LIMIT
-) -> tuple[Morphism, ...]:
-    return tuple(m for m in enumerate_endomorphisms(g, limit) if m.is_automorphism)
-
-
-def enumerate_affine_maps(
-    g: GroupCarrier, limit: int = ENDO_LIMIT
-) -> tuple[AffineMap, ...]:
-    """All maps x -> c * phi(x), constant-major then endomorphism order.
-
-    Distinct (c, phi) give distinct maps since phi(1) = 1 forces A(1) = c.
-    """
-    cached = getattr(g, "_affine_cache", None)
-    if cached is not None:
-        return cached
-    endos = enumerate_endomorphisms(g, limit)
-    result = tuple(
-        AffineMap(g, c, e) for c in range(g.order) for e in endos
-    )
-    g._affine_cache = result
-    return result
-
-
-def automorphism_orbits(
-    g: GroupCarrier, limit: int = ENDO_LIMIT
-) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the automorphism action, ordered by least element
-    (so the first orbit is always the fixed identity)."""
-    auts = enumerate_automorphisms(g, limit)
-    n = g.order
-    seen = [False] * n
-    orbits: list[tuple[int, ...]] = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        orb = sorted({a.images[x] for a in auts})
-        for y in orb:
-            seen[y] = True
-        orbits.append(tuple(orb))
-    return tuple(orbits)
-
-
-def endomorphism_tables(g: GroupCarrier, limit: int = ENDO_LIMIT) -> np.ndarray:
-    """Image tables of all endomorphisms, one row per map (read-only)."""
+def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
+    """Image tables of all endomorphisms, one row per map, in lexicographic
+    order (read-only)."""
     cached = getattr(g, "_endo_tables", None)
     if cached is not None:
         return cached
-    endos = enumerate_endomorphisms(g, limit)
-    tables = np.array([m.images for m in endos], dtype=np.int32)
+    n = g.order
+    if n > ENDO_LIMIT:
+        raise CapacityError(
+            f"endomorphism enumeration is limited to order {ENDO_LIMIT}, "
+            f"{g.name} has order {g.order}"
+        )
+    idx = np.arange(n)
+    mul = g.mul_many(idx[:, None], idx[None, :]).astype(np.int32)
+    orders = np.array(g.element_orders())
+    rows = np.full((1, n), -1, dtype=np.int32)
+    rows[0, 0] = 0
+    known = [0]  # elements with an image, each reached from an earlier one
+    gens: list[int] = []
+    for t in minimal_generating_sequence(g):
+        images = np.flatnonzero(orders[t] % orders == 0).astype(np.int32)
+        if len(rows) * len(images) * n > _BATCH_CELLS:
+            raise CapacityError(
+                f"endomorphism enumeration of {g.name} would hold more than "
+                f"{_BATCH_CELLS} candidate images"
+            )
+        rows = np.repeat(rows, len(images), axis=0)
+        rows[:, t] = np.tile(images, len(rows) // len(images))
+        gens.append(t)
+        seen = set(known)
+        for x in known:  # grows while it is walked
+            for s in gens:
+                y = int(mul[x, s])
+                if y not in seen:
+                    seen.add(y)
+                    known.append(y)
+                    rows[:, y] = mul[rows[:, x], rows[:, s]]
+        xs = np.array(known)
+        ok = np.ones(len(rows), dtype=bool)
+        for s in gens:
+            ok &= (rows[:, mul[xs, s]] == mul[rows[:, xs], rows[:, [s]]]).all(axis=1)
+        rows = rows[ok]
+    tables = np.ascontiguousarray(rows[np.lexsort(rows.T[::-1])])
     tables.setflags(write=False)
     g._endo_tables = tables
     return tables
 
 
-def affine_tables(g: GroupCarrier, limit: int = ENDO_LIMIT) -> np.ndarray:
+def enumerate_endomorphisms(g: GroupCarrier) -> tuple[Morphism, ...]:
+    """All endomorphisms of g as ``Morphism`` objects, in table order."""
+    cached = getattr(g, "_endo_cache", None)
+    if cached is not None:
+        return cached
+    tables = endomorphism_tables(g)
+    result = tuple(
+        Morphism(g, tuple(row), bool(auto))
+        for row, auto in zip(tables.tolist(), _bijective(tables))
+    )
+    g._endo_cache = result
+    return result
+
+
+def enumerate_automorphisms(g: GroupCarrier) -> tuple[Morphism, ...]:
+    return tuple(m for m in enumerate_endomorphisms(g) if m.is_automorphism)
+
+
+def enumerate_affine_maps(g: GroupCarrier) -> tuple[AffineMap, ...]:
+    """All maps x -> c * phi(x), constant-major then endomorphism order.
+
+    Distinct (c, phi) give distinct maps since phi(1) = 1 forces A(1) = c.
+    """
+    endos = enumerate_endomorphisms(g)
+    return tuple(AffineMap(g, c, e) for c in range(g.order) for e in endos)
+
+
+def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
+    """Orbit partition of the automorphism action, ordered by least element
+    (so the first orbit is always the fixed identity)."""
+    tables = endomorphism_tables(g)
+    auts = tables[_bijective(tables)]
+    seen = np.zeros(g.order, dtype=bool)
+    orbits: list[tuple[int, ...]] = []
+    for x in range(g.order):
+        if seen[x]:
+            continue
+        orb = np.unique(auts[:, x])
+        seen[orb] = True
+        orbits.append(tuple(orb.tolist()))
+    return tuple(orbits)
+
+
+def affine_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all affine maps, constant-major (read-only)."""
     cached = getattr(g, "_affine_table_cache", None)
     if cached is not None:
         return cached
-    endo = endomorphism_tables(g, limit)
+    endo = endomorphism_tables(g)
     blocks = [g.mul_many(np.full(endo.shape, c), endo) for c in range(g.order)]
     tables = np.concatenate(blocks, axis=0).astype(np.int32)
     tables.setflags(write=False)

@@ -5,8 +5,9 @@ kind-tagged); human-readable tables printed to standard output are derived
 views of the same data.  Exact computation results are cached on disk,
 content-addressed by (tool version, group spec string, metric) — the spec
 string, not the canonicalized group, since isomorphism testing is out of
-scope.  Cache writes go through a temp file and an atomic rename; corrupt
-cache entries are reported on stderr and recomputed.
+scope — plus the bytes of every file a ``file(...)`` spec reads.  Cache
+writes go through a temp file and an atomic rename; corrupt cache entries
+are reported on stderr and recomputed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .bounds import BoundReport
+from .groups import _parse_node
 from .jk import JKVerification
 from .search import ApproxCertificate, GroupFunction
 
@@ -225,10 +227,25 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "groupapprox"
 
 
+def _file_digests(spec: str) -> list[str]:
+    """sha256 of each file a spec reads, so that rewriting the table behind
+    a ``file(...)`` spec changes its cache key.  An unreadable file gets a
+    marker no readable file can give, and ``build_group`` reports it."""
+    name, args = _parse_node(spec)
+    if name == "product":
+        return [d for arg in args for d in _file_digests(arg)]
+    if name != "file":
+        return []
+    try:
+        return [hashlib.sha256(Path(args[0]).read_bytes()).hexdigest()]
+    except OSError:
+        return ["unreadable"]
+
+
 def cache_key(spec: str, metric: str) -> str:
     label = metric_label(metric) if metric in _LABELS else metric
-    blob = f"{TOOL_VERSION}|{spec}|{label}".encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    blob = "|".join([TOOL_VERSION, spec, label] + _file_digests(spec))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def cache_get(spec: str, metric: str) -> dict | None:

@@ -21,9 +21,7 @@ from .bounds import _min_max, worst_case_upper_bounds
 from .errors import CapacityError, ParameterError
 from .groups import GroupCarrier
 from .morphisms import (
-    ENDO_LIMIT,
     AffineMap,
-    Morphism,
     affine_tables,
     automorphism_orbits,
     endomorphism_tables,
@@ -107,11 +105,11 @@ def _check_metric(metric: str) -> None:
         raise ParameterError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def family_tables(g: GroupCarrier, metric: str, limit: int = ENDO_LIMIT) -> np.ndarray:
+def family_tables(g: GroupCarrier, metric: str) -> np.ndarray:
     _check_metric(metric)
     if metric == "endo":
-        return endomorphism_tables(g, limit)
-    return affine_tables(g, limit)
+        return endomorphism_tables(g)
+    return affine_tables(g)
 
 
 def _family_member(g: GroupCarrier, metric: str, index: int):
@@ -135,16 +133,14 @@ def approximability(f: GroupFunction, metric: str):
 # lower-bound certificates
 # --------------------------------------------------------------------------
 
-def universal_elements(g: GroupCarrier, limit: int = ENDO_LIMIT) -> tuple[int, ...]:
+def universal_elements(g: GroupCarrier) -> tuple[int, ...]:
     """Elements u whose endomorphism images {phi(u)} cover the whole group."""
-    tables = endomorphism_tables(g, limit)
+    tables = endomorphism_tables(g)
     n = g.order
     return tuple(u for u in range(n) if len(np.unique(tables[:, u])) == n)
 
 
-def find_universal_tuple(
-    g: GroupCarrier, l: int, limit: int = ENDO_LIMIT
-) -> tuple[int, ...] | None:
+def find_universal_tuple(g: GroupCarrier, l: int) -> tuple[int, ...] | None:
     """A tuple (u1..ul) such that phi -> (phi(u1)..phi(ul)) maps End(G) onto
     G^l, or None.  Every coordinate of such a tuple must itself be universal,
     and the first coordinate may be normalized to an automorphism-orbit
@@ -152,16 +148,16 @@ def find_universal_tuple(
     search space is small; within it the lexicographically first hit wins."""
     if l < 1:
         raise ParameterError(f"tuple length must be >= 1, got {l}")
-    tables = endomorphism_tables(g, limit)
+    tables = endomorphism_tables(g)
     m, n = tables.shape
     if n**l > m:
         return None
-    univ = universal_elements(g, limit)
+    univ = universal_elements(g)
     if not univ:
         return None
     if n == 1:
         return (0,) * l
-    reps = {orb[0] for orb in automorphism_orbits(g, limit)}
+    reps = {orb[0] for orb in automorphism_orbits(g)}
     weights = n ** np.arange(l, dtype=np.int64)
     for u1 in (u for u in univ if u in reps):
         for rest in itertools.product(univ, repeat=l - 1):
@@ -172,19 +168,19 @@ def find_universal_tuple(
     return None
 
 
-_KIND_RANK = {"universal-tuple": 0, "dominating-orbit": 1, "abelian": 2, "constants": 3}
+_KIND_RANK = {"universal-tuple": 0, "dominating-orbit": 1, "abelian": 2,
+              "constants": 3, "none": 4}
 
 
-def lower_bound_certificates(
-    g: GroupCarrier, limit: int = ENDO_LIMIT
-) -> dict[str, LowerBound]:
+def lower_bound_certificates(g: GroupCarrier) -> dict[str, LowerBound]:
     """Best cheap lower bounds for both metrics, with evidence.
 
-    Uses, in order of strength: a universal l-tuple (endo >= l, and for
-    nontrivial groups affine >= l+1), a dominating automorphism orbit
-    (affine >= 2), abelianness (endo >= 1, affine >= 2), and the constants
-    contained in the affine family (affine >= 1).  When enumeration exceeds
-    capacity only the structural bounds remain.
+    The candidates are a universal l-tuple (endo >= l, and for nontrivial
+    groups affine >= l+1), a dominating automorphism orbit (affine >= 2),
+    abelianness (endo >= 1, affine >= 2), the constants contained in the
+    affine family (affine >= 1) and, for endo, the empty bound 0; the
+    largest value wins, ties going to the kind listed first.  When
+    enumeration exceeds capacity only the structural candidates remain.
     """
     n = g.order
     if n == 1:
@@ -192,49 +188,37 @@ def lower_bound_certificates(
             "endo": LowerBound("endo", 1, "trivial-group"),
             "affine": LowerBound("affine", 1, "trivial-group"),
         }
+    endo = [LowerBound("endo", 0, "none")]
+    affine = [LowerBound("affine", 1, "constants")]
+    if g.is_abelian():
+        endo.append(LowerBound("endo", 1, "abelian"))
+        affine.append(LowerBound("affine", 2, "abelian"))
     try:
-        m = endomorphism_tables(g, limit).shape[0]
-        best_l, best_tup = 0, None
+        m = endomorphism_tables(g).shape[0]
+    except CapacityError:
+        pass
+    else:
         l = 1
         while l <= n and n**l <= m:
-            tup = find_universal_tuple(g, l, limit)
+            tup = find_universal_tuple(g, l)
             if tup is None:
                 break
-            best_l, best_tup = l, tup
+            endo.append(LowerBound("endo", l, "universal-tuple", tup))
+            affine.append(LowerBound("affine", l + 1, "universal-tuple", tup))
             l += 1
-        if best_l:
-            endo_lb = LowerBound("endo", best_l, "universal-tuple", best_tup)
-        else:
-            endo_lb = LowerBound("endo", 0, "none")
-        candidates = [LowerBound("affine", 1, "constants")]
-        if best_l:
-            candidates.append(
-                LowerBound("affine", best_l + 1, "universal-tuple", best_tup)
-            )
         dominating = [
             orb
-            for orb in automorphism_orbits(g, limit)
+            for orb in automorphism_orbits(g)
             if orb != (0,) and 2 * len(orb) > n - 1
         ]
         if dominating:
             dominating.sort(key=lambda o: (-len(o), o[0]))
-            candidates.append(
-                LowerBound("affine", 2, "dominating-orbit", dominating[0])
-            )
-        if g.is_abelian():
-            candidates.append(LowerBound("affine", 2, "abelian"))
-        affine_lb = max(candidates, key=lambda c: (c.value, -_KIND_RANK[c.kind]))
-        return {"endo": endo_lb, "affine": affine_lb}
-    except CapacityError:
-        if g.is_abelian():
-            return {
-                "endo": LowerBound("endo", 1, "abelian"),
-                "affine": LowerBound("affine", 2, "abelian"),
-            }
-        return {
-            "endo": LowerBound("endo", 0, "none"),
-            "affine": LowerBound("affine", 1, "constants"),
-        }
+            affine.append(LowerBound("affine", 2, "dominating-orbit", dominating[0]))
+
+    def best(candidates):
+        return max(candidates, key=lambda c: (c.value, -_KIND_RANK[c.kind]))
+
+    return {"endo": best(endo), "affine": best(affine)}
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +239,6 @@ def worst_case_value(
     metric: str,
     *,
     budget: int = DEFAULT_BUDGET,
-    limit: int = ENDO_LIMIT,
 ) -> ApproxCertificate:
     """Exact worst-case approximability by iterative deepening, or a
     lower/upper bracket when the node budget runs out.
@@ -267,9 +250,9 @@ def worst_case_value(
     """
     _check_metric(metric)
     t0 = time.perf_counter()
-    tables = family_tables(g, metric, limit)
+    tables = family_tables(g, metric)
     n = g.order
-    lb = lower_bound_certificates(g, limit)[metric]
+    lb = lower_bound_certificates(g)[metric]
     pinned = {0: 0} if metric == "affine" and n > 1 else None
     k, images, nodes, thresholds = _min_max(
         tables, n, lb.value, budget=budget, pinned=pinned
@@ -305,21 +288,21 @@ def difference_criterion(f: GroupFunction, x_set) -> AffineMap | None:
         raise ParameterError("x_set entries must be element indices")
     x0 = xs[0]
     fx0 = f.images[x0]
-    for endo in enumerate_endomorphisms(g):
-        im = endo.images
-        if all(
-            im[g.mul(g.inv(y), x0)] == g.mul(g.inv(f.images[y]), fx0) for y in xs
-        ):
-            constant = g.mul(fx0, g.inv(im[x0]))
-            return AffineMap(g, constant, endo)
-    return None
+    cols = [g.mul(g.inv(y), x0) for y in xs]
+    want = [g.mul(g.inv(f.images[y]), fx0) for y in xs]
+    hits = np.flatnonzero((endomorphism_tables(g)[:, cols] == want).all(axis=1))
+    if not hits.size:
+        return None
+    endo = enumerate_endomorphisms(g)[hits[0]]
+    constant = g.mul(fx0, g.inv(endo.images[x0]))
+    return AffineMap(g, constant, endo)
 
 
-def enapp_zero_witness(g: GroupCarrier, limit: int = ENDO_LIMIT) -> GroupFunction | None:
+def enapp_zero_witness(g: GroupCarrier) -> GroupFunction | None:
     """A function agreeing with no endomorphism anywhere, which exists iff
     the group has no universal element; each argument x is sent to the
     smallest element outside {phi(x) : phi in End(G)}."""
-    tables = endomorphism_tables(g, limit)
+    tables = endomorphism_tables(g)
     n = g.order
     images = []
     for x in range(n):

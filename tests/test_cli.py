@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from groupapprox.cli import main
+from groupapprox.groups import cyclic, serialize_cayley, sym
 from groupapprox.reporting import (
     cache_dir,
     cache_get,
@@ -150,6 +151,27 @@ def test_compute_capacity_fallback(capsys):
     assert doc["exact"] is False and doc["value"] is None
     assert doc["lower_bound"]["kind"] == "abelian"
     assert doc["lower"] == 1 and doc["upper"] == 35
+    code, doc, err = run_json(
+        capsys, "compute", "--group", "elemabelian(2,5)", "--metric", "enapp"
+    )
+    assert code == 3
+    assert "bounds only" in err
+    assert doc["exact"] is False and doc["value"] is None
+    assert doc["lower_bound"]["kind"] == "abelian"
+
+
+def test_compute_cache_follows_file_content(tmp_path, capsys):
+    path = tmp_path / "g.cayley"
+    spec = f"file({path})"
+    path.write_text(serialize_cayley(cyclic(6)), encoding="utf-8")
+    code, doc, _ = run_json(capsys, "compute", "--group", spec, "--metric", "enapp")
+    assert code == 0 and doc["value"] == 1 and doc["cached"] is False
+    # same spec text, new table: the cached cyclic(6) value must not be used
+    path.write_text(serialize_cayley(sym(3)), encoding="utf-8")
+    code, doc, _ = run_json(capsys, "compute", "--group", spec, "--metric", "enapp")
+    assert code == 0 and doc["value"] == 0 and doc["cached"] is False
+    code, doc, _ = run_json(capsys, "compute", "--group", spec, "--metric", "enapp")
+    assert doc["value"] == 0 and doc["cached"] is True
 
 
 def test_compute_budget_exhausted(capsys):
@@ -334,6 +356,7 @@ def test_usage_errors_exit_2(capsys):
         ["compute", "--group", "frobnicate(3)", "--metric", "enapp"],
         ["compute", "--group", "cyclic(", "--metric", "affapp"],
         ["compute", "--group", "cyclic(6)", "--metric", "linear"],
+        ["compute", "--group", "file(/no/such/file)", "--metric", "enapp"],
         ["verify-jk", "--p", "4", "--lambda", "0,1"],
         ["verify-jk", "--p", "3", "--lambda", "0,2"],
         ["verify-jk", "--p", "3", "--lambda", "5,1"],

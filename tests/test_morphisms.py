@@ -148,6 +148,9 @@ def test_enumeration_capacity_limit():
     with pytest.raises(CapacityError):
         enumerate_endomorphisms(cyclic(65))
     assert len(enumerate_endomorphisms(cyclic(64))) == 64
+    # order 32 passes the order limit, but its 2^25 maps exceed the batch
+    with pytest.raises(CapacityError):
+        endomorphism_tables(elemabelian(2, 5))
 
 
 def test_automorphism_flags():

@@ -214,7 +214,7 @@ def test_budget_exhaustion_yields_bracket():
     assert cert.lower == 2
     assert cert.upper == 12
     assert cert.stats.thresholds == (2,)
-    assert cert.stats.nodes <= 101
+    assert cert.stats.nodes == 100
 
 
 def test_worst_case_search_statistics():
