@@ -156,6 +156,11 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None):
     increasing order, with one agreement counter per family row and a prune
     on the bucket of rows that take the value tried.
 
+    The buckets are built in one pass per position: ``np.bincount`` counts
+    each value's rows, and one stable argsort of the column, cut at the
+    running counts, lists each value's rows in ascending order.  Keys that
+    fit in 16 bits are sorted as ``uint16``, which numpy radix-sorts.
+
     Returns (k, images, nodes, thresholds): images is a g reaching k, nodes
     the search nodes over all thresholds and thresholds those tried in
     order.  When more than ``budget`` nodes are needed, k is the threshold
@@ -163,17 +168,24 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None):
     """
     maps, m1 = tables.shape
     pinned = pinned or {}
-    taken = [np.unique(tables[:, x]) for x in range(m1)]
-    positions = [x for x in range(m1) if x not in pinned]
-    positions.sort(key=lambda x: (-len(taken[x]), x))
+    freq = {
+        x: np.bincount(tables[:, x], minlength=m2)
+        for x in range(m1)
+        if x not in pinned
+    }
+    positions = sorted(freq, key=lambda x: (-np.count_nonzero(freq[x]), x))
     # values no row takes at a position share one empty bucket, so a large
     # codomain costs a list slot per value, not an array
     empty = np.empty(0, dtype=np.intp)
     buckets = []
     for x in positions:
+        col = tables[:, x]
+        rows = np.argsort(col.astype(np.uint16) if m2 <= 2**16 else col,
+                          kind="stable")
+        ends = np.cumsum(freq[x])
         buckets.append([empty] * m2)
-        for v in taken[x]:
-            buckets[-1][v] = np.flatnonzero(tables[:, x] == v)
+        for v in np.flatnonzero(freq[x]).tolist():
+            buckets[-1][v] = rows[ends[v] - freq[x][v]:ends[v]]
     base_counts = np.zeros(maps, dtype=np.int32)
     for x, v in pinned.items():
         base_counts[tables[:, x] == v] += 1

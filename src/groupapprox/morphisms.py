@@ -214,8 +214,10 @@ def affine_tables(g: GroupCarrier) -> np.ndarray:
     if cached is not None:
         return cached
     endo = endomorphism_tables(g)
-    blocks = [g.mul_many(np.full(endo.shape, c), endo) for c in range(g.order)]
-    tables = np.concatenate(blocks, axis=0).astype(np.int32)
+    m, n = endo.shape
+    tables = np.empty((n * m, n), dtype=np.int32)
+    for c in range(n):
+        tables[c * m:(c + 1) * m] = g.mul_many(c, endo)
     tables.setflags(write=False)
     g._affine_table_cache = tables
     return tables

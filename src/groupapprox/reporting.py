@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .bounds import BoundReport
+from .errors import ParameterError
 from .groups import _parse_node
 from .jk import JKVerification
 from .search import ApproxCertificate, GroupFunction
@@ -60,7 +61,9 @@ def parse_metric_label(label: str) -> str:
         return _TAGS[label]
     if label in _LABELS:  # already an internal tag
         return label
-    raise KeyError(label)
+    raise ParameterError(
+        f"metric must be one of {tuple(_TAGS)}, got {label!r}"
+    )
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,6 @@ a certified structural lower bound; what is group-specific lives here.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -137,35 +136,52 @@ def universal_elements(g: GroupCarrier) -> tuple[int, ...]:
     """Elements u whose endomorphism images {phi(u)} cover the whole group."""
     tables = endomorphism_tables(g)
     n = g.order
-    return tuple(u for u in range(n) if len(np.unique(tables[:, u])) == n)
+    return tuple(
+        u for u in range(n) if np.bincount(tables[:, u], minlength=n).all()
+    )
+
+
+def _universal_tuple(tables, l, univ, orbits):
+    """The prefix search of ``find_universal_tuple`` over precomputed
+    universal elements and automorphism orbits."""
+    m, n = tables.shape
+    firsts = [orb[0] for orb in orbits if orb[0] in univ]
+
+    def extend(prefix, codes):
+        j = len(prefix)
+        if j == l:
+            return prefix
+        for u in firsts if j == 0 else univ:
+            longer = codes + n**j * tables[:, u].astype(np.int64)
+            if np.bincount(longer, minlength=n ** (j + 1)).all():
+                hit = extend(prefix + (u,), longer)
+                if hit is not None:
+                    return hit
+        return None
+
+    return extend((), np.zeros(m, dtype=np.int64))
 
 
 def find_universal_tuple(g: GroupCarrier, l: int) -> tuple[int, ...] | None:
     """A tuple (u1..ul) such that phi -> (phi(u1)..phi(ul)) maps End(G) onto
     G^l, or None.  Every coordinate of such a tuple must itself be universal,
     and the first coordinate may be normalized to an automorphism-orbit
-    representative (composing with an automorphism permutes End(G)), so the
-    search space is small; within it the lexicographically first hit wins."""
+    representative (composing with an automorphism permutes End(G)).
+
+    Every prefix of a universal tuple is universal, so the tuples are grown
+    one coordinate at a time in lexicographic order, carrying the codes
+    sum_j n^j * phi(u_j) of the prefix, and a prefix is dropped as soon as
+    some code in 0..n^j - 1 is missing.  The first full-length hit is the
+    lexicographically first universal tuple of the normalized space."""
     if l < 1:
         raise ParameterError(f"tuple length must be >= 1, got {l}")
     tables = endomorphism_tables(g)
     m, n = tables.shape
     if n**l > m:
         return None
-    univ = universal_elements(g)
-    if not univ:
-        return None
-    if n == 1:
-        return (0,) * l
-    reps = {orb[0] for orb in automorphism_orbits(g)}
-    weights = n ** np.arange(l, dtype=np.int64)
-    for u1 in (u for u in univ if u in reps):
-        for rest in itertools.product(univ, repeat=l - 1):
-            tup = (u1,) + rest
-            codes = tables[:, tup].astype(np.int64) @ weights
-            if len(np.unique(codes)) == n**l:
-                return tup
-    return None
+    return _universal_tuple(
+        tables, l, universal_elements(g), automorphism_orbits(g)
+    )
 
 
 _KIND_RANK = {"universal-tuple": 0, "dominating-orbit": 1, "abelian": 2,
@@ -194,13 +210,16 @@ def lower_bound_certificates(g: GroupCarrier) -> dict[str, LowerBound]:
         endo.append(LowerBound("endo", 1, "abelian"))
         affine.append(LowerBound("affine", 2, "abelian"))
     try:
-        m = endomorphism_tables(g).shape[0]
+        tables = endomorphism_tables(g)
     except CapacityError:
         pass
     else:
+        m = tables.shape[0]
+        univ = universal_elements(g)
+        orbits = automorphism_orbits(g)
         l = 1
         while l <= n and n**l <= m:
-            tup = find_universal_tuple(g, l)
+            tup = _universal_tuple(tables, l, univ, orbits)
             if tup is None:
                 break
             endo.append(LowerBound("endo", l, "universal-tuple", tup))
@@ -208,7 +227,7 @@ def lower_bound_certificates(g: GroupCarrier) -> dict[str, LowerBound]:
             l += 1
         dominating = [
             orb
-            for orb in automorphism_orbits(g)
+            for orb in orbits
             if orb != (0,) and 2 * len(orb) > n - 1
         ]
         if dominating:

@@ -18,7 +18,7 @@ from groupapprox import (
     enumerate_endomorphisms,
     worst_case_upper_bounds,
 )
-from groupapprox.bounds import ball_size, circle_size
+from groupapprox.bounds import _min_max, ball_size, circle_size
 
 from _oracles import brute_app_tiny
 
@@ -156,6 +156,20 @@ def _families_missing_a_constant(draw):
 def test_brute_force_app_without_all_constants_matches_oracle(case):
     m1, m2, family = case
     assert brute_force_app(m1, m2, family) == brute_app_tiny(m1, m2, family)
+
+
+def test_brute_force_app_wide_codomain():
+    # m2 > 2^16: the bucket keys do not fit in 16 bits
+    m2 = 70_000
+    constants = [[c] for c in range(m2)]
+    assert brute_force_app(1, m2, constants) == 1
+    assert brute_force_app(1, m2, constants[:65_536] + constants[65_537:]) == 0
+    # with two positions the bucket contents decide the witness: the rows
+    # (c, c) and (c, c+1) block 0 and 1 at the second position once the
+    # first is 0, and a bucket holding the rows of another value would not
+    family = [[c, c] for c in range(m2)] + [[c, (c + 1) % m2] for c in range(m2)]
+    k, images, _, thresholds = _min_max(np.array(family), m2, 0)
+    assert (k, images, thresholds) == (1, (0, 2), (0, 1))
 
 
 def test_brute_force_app_validation():

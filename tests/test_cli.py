@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from groupapprox.cli import main
+from groupapprox.errors import ParameterError
 from groupapprox.groups import cyclic, serialize_cayley, sym
 from groupapprox.reporting import (
     cache_dir,
@@ -46,7 +47,7 @@ def test_metric_labels_round_trip():
     assert parse_metric_label("enapp") == "endo"
     assert parse_metric_label("affapp") == "affine"
     assert parse_metric_label("endo") == "endo"
-    with pytest.raises(KeyError):
+    with pytest.raises(ParameterError):
         parse_metric_label("linear")
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from groupapprox import (
     GroupFunction,
     ParameterError,
     approximability,
+    automorphism_orbits,
+    catalog_up_to,
     cyclic,
     difference_criterion,
     dihedral,
@@ -16,7 +20,7 @@ from groupapprox import (
     universal_elements,
     worst_case_value,
 )
-from groupapprox.morphisms import affine_tables
+from groupapprox.morphisms import affine_tables, endomorphism_tables
 from groupapprox.search import family_tables
 
 from _oracles import (
@@ -97,6 +101,42 @@ def test_find_universal_tuple_pins():
     assert find_universal_tuple(cached_group("cyclic(1)"), 2) == (0, 0)
     with pytest.raises(ParameterError):
         find_universal_tuple(cached_group("cyclic(4)"), 0)
+
+
+def _universal_tuple_by_scan(g, l):
+    """Every candidate tuple in lexicographic order: an orbit representative
+    first, universal elements after it, one full code count per tuple."""
+    tables = endomorphism_tables(g)
+    m, n = tables.shape
+    if n**l > m:
+        return None
+    univ = universal_elements(g)
+    reps = {orb[0] for orb in automorphism_orbits(g)}
+    weights = n ** np.arange(l, dtype=np.int64)
+    for u1 in (u for u in univ if u in reps):
+        for rest in itertools.product(univ, repeat=l - 1):
+            tup = (u1,) + rest
+            codes = tables[:, tup].astype(np.int64) @ weights
+            if len(np.unique(codes)) == n**l:
+                return tup
+    return None
+
+
+def test_find_universal_tuple_matches_exhaustive_scan():
+    for g in catalog_up_to(15):
+        m, n = endomorphism_tables(g).shape
+        l = 1
+        while n**l <= m and l <= n:
+            assert find_universal_tuple(g, l) == _universal_tuple_by_scan(g, l), (
+                g.name,
+                l,
+            )
+            l += 1
+
+
+def test_find_universal_tuple_large_pins():
+    assert find_universal_tuple(cached_group("elemabelian(2,4)"), 4) == (1, 2, 4, 8)
+    assert find_universal_tuple(cached_group("elemabelian(3,3)"), 3) == (1, 3, 9)
 
 
 def test_universal_tuple_really_is_onto():
@@ -215,6 +255,21 @@ def test_budget_exhaustion_yields_bracket():
     assert cert.upper == 12
     assert cert.stats.thresholds == (2,)
     assert cert.stats.nodes == 100
+
+
+def test_branching_order_pins():
+    # node counts and thresholds follow from the branching order alone
+    cert = worst_case_value(cached_group("product(cyclic(6),cyclic(2))"), "affine")
+    assert cert.value == 3
+    assert cert.stats.nodes == 121_162
+    assert cert.stats.thresholds == (2, 3)
+    for spec, lower, upper in (("elemabelian(2,4)", 5, 16),
+                               ("elemabelian(3,3)", 4, 22)):
+        cert = worst_case_value(cached_group(spec), "affine", budget=2_000)
+        assert not cert.exact
+        assert (cert.lower, cert.upper) == (lower, upper)
+        assert cert.stats.thresholds == (lower,)
+        assert cert.stats.nodes == 2_000
 
 
 def test_worst_case_search_statistics():
