@@ -66,8 +66,6 @@ from .morphisms import (
     AffineMap,
     Morphism,
     automorphism_orbits,
-    enumerate_affine_maps,
-    enumerate_automorphisms,
     enumerate_endomorphisms,
 )
 from .reporting import TOOL_VERSION

@@ -90,7 +90,7 @@ class GroupCarrier:
         self.name = name
         self.generators = generators
 
-    # -- scalar operations (subclasses must provide these two) --
+    # -- operations (subclasses must provide these four) --
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -98,23 +98,11 @@ class GroupCarrier:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
-    # -- vectorized operations (generic fallbacks; subclasses override) --
-
     def mul_many(self, a, b):
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.empty(a.shape, dtype=np.int64)
-        flat_a, flat_b, flat_o = a.ravel(), b.ravel(), out.ravel()
-        for i in range(flat_a.size):
-            flat_o[i] = self.mul(int(flat_a[i]), int(flat_b[i]))
-        return out
+        raise NotImplementedError
 
     def inv_many(self, a):
-        a = np.asarray(a)
-        out = np.empty(a.shape, dtype=np.int64)
-        flat_a, flat_o = a.ravel(), out.ravel()
-        for i in range(flat_a.size):
-            flat_o[i] = self.inv(int(flat_a[i]))
-        return out
+        raise NotImplementedError
 
     # -- derived helpers --
 

@@ -13,8 +13,10 @@ endomorphism survives.  The batch is held in memory, so its size is
 capped, as is the group order.
 
 The table is sorted lexicographically by image tuple, which downstream
-code relies on for determinism, and cached read-only on the carrier, as
-are the ``Morphism`` view of its rows and the affine-map table.
+code relies on for determinism, and cached read-only on the carrier, as is
+the affine-map table.  The rows are the only stored form of a map: a
+``Morphism`` or ``AffineMap`` object is built per row, for the row a caller
+asks for, and is never cached.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ __all__ = [
     "affine_tables",
     "automorphism_orbits",
     "endomorphism_tables",
-    "enumerate_affine_maps",
-    "enumerate_automorphisms",
     "enumerate_endomorphisms",
     "minimal_generating_sequence",
 ]
@@ -44,13 +44,16 @@ ENDO_LIMIT = 64
 _BATCH_CELLS = 2**24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Morphism:
     """A (total) endomorphism given by its image table."""
 
     group: GroupCarrier = field(compare=False, repr=False)
     images: tuple[int, ...]
-    is_automorphism: bool
+
+    @property
+    def is_automorphism(self) -> bool:
+        return len(set(self.images)) == len(self.images)
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -67,7 +70,8 @@ class AffineMap:
     def __call__(self, x: int) -> int:
         return self.group.mul(self.constant, self.endo.images[x])
 
-    def table(self) -> tuple[int, ...]:
+    @property
+    def images(self) -> tuple[int, ...]:
         g = self.group
         c = self.constant
         return tuple(g.mul(c, v) for v in self.endo.images)
@@ -166,30 +170,9 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
 
 
 def enumerate_endomorphisms(g: GroupCarrier) -> tuple[Morphism, ...]:
-    """All endomorphisms of g as ``Morphism`` objects, in table order."""
-    cached = getattr(g, "_endo_cache", None)
-    if cached is not None:
-        return cached
-    tables = endomorphism_tables(g)
-    result = tuple(
-        Morphism(g, tuple(row), bool(auto))
-        for row, auto in zip(tables.tolist(), _bijective(tables))
-    )
-    g._endo_cache = result
-    return result
-
-
-def enumerate_automorphisms(g: GroupCarrier) -> tuple[Morphism, ...]:
-    return tuple(m for m in enumerate_endomorphisms(g) if m.is_automorphism)
-
-
-def enumerate_affine_maps(g: GroupCarrier) -> tuple[AffineMap, ...]:
-    """All maps x -> c * phi(x), constant-major then endomorphism order.
-
-    Distinct (c, phi) give distinct maps since phi(1) = 1 forces A(1) = c.
-    """
-    endos = enumerate_endomorphisms(g)
-    return tuple(AffineMap(g, c, e) for c in range(g.order) for e in endos)
+    """All endomorphisms of g as ``Morphism`` objects, in table order; the
+    objects are built anew on every call."""
+    return tuple(Morphism(g, tuple(row)) for row in endomorphism_tables(g).tolist())
 
 
 def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
@@ -209,7 +192,10 @@ def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
 
 
 def affine_tables(g: GroupCarrier) -> np.ndarray:
-    """Image tables of all affine maps, constant-major (read-only)."""
+    """Image tables of all affine maps x -> c * phi(x), constant-major:
+    row c * |End| + i is c times endomorphism row i (read-only).  Distinct
+    (c, phi) give distinct rows since phi(1) = 1 forces the map's value
+    at 1 to be c."""
     cached = getattr(g, "_affine_table_cache", None)
     if cached is not None:
         return cached

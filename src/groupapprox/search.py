@@ -21,10 +21,10 @@ from .errors import CapacityError, ParameterError
 from .groups import GroupCarrier
 from .morphisms import (
     AffineMap,
+    Morphism,
     affine_tables,
     automorphism_orbits,
     endomorphism_tables,
-    enumerate_endomorphisms,
 )
 
 __all__ = [
@@ -112,10 +112,12 @@ def family_tables(g: GroupCarrier, metric: str) -> np.ndarray:
 
 
 def _family_member(g: GroupCarrier, metric: str, index: int):
-    endos = enumerate_endomorphisms(g)
+    """The map of row ``index`` of ``family_tables(g, metric)``."""
+    endos = endomorphism_tables(g)
+    endo = Morphism(g, tuple(endos[index % len(endos)].tolist()))
     if metric == "endo":
-        return endos[index]
-    return AffineMap(g, index // len(endos), endos[index % len(endos)])
+        return endo
+    return AffineMap(g, index // len(endos), endo)
 
 
 def approximability(f: GroupFunction, metric: str):
@@ -309,10 +311,11 @@ def difference_criterion(f: GroupFunction, x_set) -> AffineMap | None:
     fx0 = f.images[x0]
     cols = [g.mul(g.inv(y), x0) for y in xs]
     want = [g.mul(g.inv(f.images[y]), fx0) for y in xs]
-    hits = np.flatnonzero((endomorphism_tables(g)[:, cols] == want).all(axis=1))
+    tables = endomorphism_tables(g)
+    hits = np.flatnonzero((tables[:, cols] == want).all(axis=1))
     if not hits.size:
         return None
-    endo = enumerate_endomorphisms(g)[hits[0]]
+    endo = Morphism(g, tuple(tables[hits[0]].tolist()))
     constant = g.mul(fx0, g.inv(endo.images[x0]))
     return AffineMap(g, constant, endo)
 
@@ -321,12 +324,11 @@ def enapp_zero_witness(g: GroupCarrier) -> GroupFunction | None:
     """A function agreeing with no endomorphism anywhere, which exists iff
     the group has no universal element; each argument x is sent to the
     smallest element outside {phi(x) : phi in End(G)}."""
+    if universal_elements(g):
+        return None
     tables = endomorphism_tables(g)
     n = g.order
-    images = []
-    for x in range(n):
-        reach = {int(v) for v in np.unique(tables[:, x])}
-        if len(reach) == n:
-            return None
-        images.append(min(set(range(n)) - reach))
-    return GroupFunction(g, tuple(images))
+    # every column misses some value, so its first zero count is the least
+    return GroupFunction(g, tuple(
+        int(np.argmin(np.bincount(tables[:, x], minlength=n))) for x in range(n)
+    ))

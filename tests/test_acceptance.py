@@ -316,7 +316,7 @@ def test_criterion_7_affine_invariance_and_difference(capsys):
             if (amap is not None) != scan:
                 difference_bad += 1
             elif amap is not None and not np.array_equal(
-                np.asarray(amap.table())[xs], f[xs]
+                np.asarray(amap.images)[xs], f[xs]
             ):
                 difference_bad += 1
     if invariance_bad:

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from groupapprox import (
     CapacityError,
     FormatError,
     GroupAxiomError,
-    GroupCarrier,
     ParameterError,
     TableGroup,
     alt,
@@ -173,20 +171,6 @@ def test_power_and_element_order():
     assert g.power(5, 0) == 0
     assert g.power(2, -1) == 10
     assert g.power(7, 25) == (7 * 25) % 12
-
-
-def test_generic_vector_fallbacks_match_scalar_ops():
-    class ModCarrier(GroupCarrier):
-        def mul(self, a, b):
-            return (a + b) % self.order
-
-        def inv(self, a):
-            return (-a) % self.order
-
-    g = ModCarrier(7, "mod7", (1,))
-    a = np.arange(7)
-    assert (g.mul_many(a[:, None], a[None, :]) == (a[:, None] + a[None, :]) % 7).all()
-    assert (g.inv_many(a) == (-a) % 7).all()
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -56,10 +58,7 @@ def test_approximability_matches_oracle_on_random_functions():
                 f = GroupFunction(g, images)
                 value, member = approximability(f, metric)
                 assert value == max_agreement(images, fam)
-                member_table = (
-                    member.images if metric == "endo" else member.table()
-                )
-                assert sum(a == b for a, b in zip(member_table, images)) == value
+                assert sum(a == b for a, b in zip(member.images, images)) == value
 
 
 def test_family_tables_rejects_unknown_metric():
@@ -301,8 +300,7 @@ def test_difference_criterion_matches_full_scan():
             )
             assert (amap is not None) == bool(scan)
             if amap is not None:
-                table = amap.table()
-                assert all(table[x] == images[x] for x in xs)
+                assert all(amap.images[x] == images[x] for x in xs)
 
 
 def test_difference_criterion_recovers_affine_maps():
@@ -311,7 +309,23 @@ def test_difference_criterion_recovers_affine_maps():
     f = GroupFunction(g, images)
     amap = difference_criterion(f, range(4))
     assert amap is not None
-    assert amap.table() == images
+    assert amap.images == images
+
+
+def test_maps_built_for_a_caller_do_not_keep_the_carrier_alive():
+    # without the cycle collector, a map object cached on the carrier (and
+    # pointing back to it) would keep the carrier alive after its last use
+    gc.disable()
+    try:
+        g = cyclic(6)
+        ref = weakref.ref(g)
+        f = GroupFunction(g, (3, 1, 4, 1, 5, 0))
+        approximability(f, "affine")
+        difference_criterion(f, [0, 2, 4])
+        del f, g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_difference_criterion_input_validation():
@@ -330,7 +344,7 @@ def test_difference_criterion_input_validation():
 def test_enapp_zero_witness_exists_iff_no_universal_element():
     from groupapprox import catalog_up_to
 
-    for g in catalog_up_to(12):
+    for g in catalog_up_to(15):
         witness = enapp_zero_witness(g)
         if universal_elements(g):
             assert witness is None, g.name
@@ -338,6 +352,13 @@ def test_enapp_zero_witness_exists_iff_no_universal_element():
             assert witness is not None, g.name
             value, _ = approximability(witness, "endo")
             assert value == 0, g.name
+            # each argument goes to the least value no endomorphism reaches
+            tables = endomorphism_tables(g)
+            least = tuple(
+                min(set(range(g.order)) - set(tables[:, x].tolist()))
+                for x in range(g.order)
+            )
+            assert witness.images == least, g.name
 
 
 def test_enapp_zero_witness_pins():
