@@ -298,14 +298,28 @@ def test_sampled_affine_scan_passes(g01):
     assert report.sigma == singer_sigma(3).matrix
 
 
+IDENTITY_SIGMA = SigmaMap(
+    3, tuple(tuple(int(v) for v in row) for row in np.eye(4, dtype=int))
+)
+
+
 def test_sampled_scan_with_degenerate_sigma_reports_violations(g01):
-    identity = SigmaMap(3, tuple(tuple(int(v) for v in row) for row in np.eye(4, dtype=int)))
-    report = verify_affapp_one(g01, identity, mode="sampled", samples=5_000, seed=2)
+    # the identity twist makes f the identity, which every pair agrees with
+    report = verify_affapp_one(g01, IDENTITY_SIGMA, mode="sampled", samples=5_000, seed=2)
     assert not report.passed
-    assert report.violations_total > 0
-    assert 0 < len(report.violations) <= 20
-    y, x = report.violations[0]
-    assert x != y
+    assert report.pairs_checked == report.violations_total == 5_000
+    assert report.violations == (
+        (5495, 682), (1716, 5307), (717, 3558), (1958, 3804), (2715, 5379),
+        (5342, 1205), (2960, 3419), (603, 4402), (2197, 3831), (3937, 1861),
+        (5335, 4479), (4780, 4941), (6514, 3768), (1232, 1882), (5775, 3344),
+        (361, 5683), (3662, 262), (1804, 4303), (1321, 2868), (4313, 4534),
+    )
+
+
+def test_full_scan_with_degenerate_sigma_records_pairs_in_order(g01):
+    report = verify_affapp_one(g01, IDENTITY_SIGMA, mode="full")
+    assert report.pairs_checked == report.violations_total == 6561 * 6560
+    assert report.violations == tuple((0, x) for x in range(1, 21))
 
 
 def test_full_scan_is_gated_to_small_primes():

@@ -234,6 +234,53 @@ def test_minimal_generating_sequence_lengths():
     assert len(minimal_generating_sequence(cached_group("sym(3)"))) == 2
 
 
+# the greedy sequences fix the order in which endomorphism_tables extends
+# its rows; the catalog up to order 15, then the large-family groups
+MGS_PINS = {
+    "cyclic(1)": (),
+    "cyclic(2)": (1,),
+    "cyclic(3)": (1,),
+    "cyclic(4)": (1,),
+    "elemabelian(2,2)": (1, 2),
+    "cyclic(5)": (1,),
+    "cyclic(6)": (1,),
+    "sym(3)": (3, 1),
+    "cyclic(7)": (1,),
+    "cyclic(8)": (1,),
+    "product(cyclic(4),cyclic(2))": (2, 1),
+    "elemabelian(2,3)": (1, 2, 4),
+    "dihedral(8)": (1, 4),
+    "dicyclic(8)": (1, 4),
+    "cyclic(9)": (1,),
+    "elemabelian(3,2)": (1, 3),
+    "cyclic(10)": (1,),
+    "dihedral(10)": (1, 5),
+    "cyclic(11)": (1,),
+    "cyclic(12)": (1,),
+    "product(cyclic(6),cyclic(2))": (2, 1),
+    "dihedral(12)": (1, 6),
+    "alt(4)": (1, 3),
+    "dicyclic(12)": (1, 6),
+    "cyclic(13)": (1,),
+    "cyclic(14)": (1,),
+    "dihedral(14)": (1, 7),
+    "cyclic(15)": (1,),
+    "elemabelian(2,4)": (1, 2, 4, 8),
+    "elemabelian(3,3)": (1, 3, 9),
+    "heis(3)": (1, 3, 9),
+    "elemabelian(5,2)": (1, 5),
+    "product(dihedral(8),cyclic(2))": (2, 1, 8),
+    "dihedral(32)": (1, 16),
+    "cyclic(64)": (1,),
+    "sym(4)": (9, 1),
+}
+
+
+def test_minimal_generating_sequence_pins():
+    for spec, seq in MGS_PINS.items():
+        assert minimal_generating_sequence(cached_group(spec)) == seq, spec
+
+
 def test_affine_map_objects():
     g = cached_group("cyclic(4)")
     endo = enumerate_endomorphisms(g)[1]
