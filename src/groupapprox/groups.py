@@ -90,13 +90,13 @@ class GroupCarrier:
         self.name = name
         self.generators = generators
 
-    # -- operations (subclasses must provide these four) --
+    # -- operations (subclasses must provide the two vector forms) --
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self.mul_many(a, b))
 
     def inv(self, a: int) -> int:
-        raise NotImplementedError
+        return int(self.inv_many(a))
 
     def mul_many(self, a, b):
         raise NotImplementedError
@@ -310,7 +310,7 @@ def dicyclic(order: int) -> TableGroup:
     return TableGroup(f"dicyclic({order})", table, (1, m))
 
 
-def _perm_table(perms: list[tuple[int, ...]], name: str) -> tuple[TableGroup, dict]:
+def _perm_table(perms: list[tuple[int, ...]], name: str) -> tuple[np.ndarray, dict]:
     n = len(perms[0])
     m = len(perms)
     if m > DENSE_LIMIT:
@@ -646,18 +646,19 @@ class ValidationReport:
         return not self.failures
 
 
-def _closure_ok(g: GroupCarrier) -> bool:
-    n = g.order
-    gens = np.array(sorted(set(g.generators)), dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        prod = np.unique(g.mul_many(frontier[:, None], gens[None, :]))
-        fresh = prod[~seen[prod]]
-        seen[fresh] = True
-        frontier = fresh
-    return bool(seen.all())
+def _generated(g: GroupCarrier, gens) -> set[int]:
+    """The subgroup generated by gens: a breadth-first search from the
+    identity along right multiplication by gens."""
+    gens = set(gens)
+    seen = {0}
+    reached = [0]
+    for x in reached:  # grows while it is walked
+        for s in gens:
+            y = g.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    return seen
 
 
 def validate(
@@ -717,7 +718,7 @@ def validate(
     if not associativity_ok:
         failures.append("associativity fails")
 
-    generation_ok = _closure_ok(g)
+    generation_ok = len(_generated(g, g.generators)) == n
     if not generation_ok:
         failures.append("listed generators do not generate")
 

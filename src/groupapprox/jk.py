@@ -2,13 +2,18 @@
 
 Elements are octuples (k1, k2, l1, l2, r1, r2, r3, r4) of residues mod p,
 encoded as base-p digits of the element index (k1 most significant).  The
-subgroup {k = l = 0} is the center, isomorphic to (Z/p)^4; the quotient by
-the center is again (Z/p)^4, with coset coordinates (k1, k2, l1, l2).
-Products collect the k/l digits with carries: each digit overflow feeds a
-fixed central vector (the p-th powers of the four generators, where the
-parameter pair lambda = (lambda1, lambda2) enters), and moving the second
-factor's k-part past the first factor's l-part feeds the bilinear
-commutator correction.
+subgroup {k = l = 0} is the center Z, isomorphic to (Z/p)^4, and the
+quotient G/Z is again (Z/p)^4, with coset coordinates (k1, k2, l1, l2).
+So an index reads q*p^4 + z, where q codes the coset and z the central
+part, both as four base-p digits, and the group is the central extension
+
+    (q, z)(q', z') = (q + q', z + z' + c(q, q'))
+
+with + the digit-wise addition of (Z/p)^4.  The cocycle c collects two
+terms: each coset digit that overflows p in q + q' feeds a fixed central
+vector (the p-th power of that generator, where the parameter pair
+lambda = (lambda1, lambda2) enters), and moving the k-part of q' past the
+l-part of q feeds the bilinear commutator correction.
 
 The point of the family: granting the classification of its endomorphisms
 (every endomorphism is either central-valued or identity-times-central,
@@ -53,6 +58,8 @@ __all__ = [
 FULL_SCAN_PRIME = 3
 DEFAULT_SAMPLES = 1_000_000
 MAX_RECORDED_VIOLATIONS = 20
+# pairs per chunk of a scan (sampled mode draws its pairs chunk by chunk)
+SCAN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,14 +93,34 @@ class JKParams:
             )
 
 
+def _digits(x, p: int, width: int) -> np.ndarray:
+    """Index array -> (..., width) array of its base-p digits, most
+    significant first."""
+    x = np.asarray(x, dtype=np.int64)
+    out = np.empty(x.shape + (width,), dtype=np.int64)
+    for i in range(width - 1, -1, -1):
+        x, out[..., i] = np.divmod(x, p)
+    return out
+
+
 class JKGroup(GroupCarrier):
-    """Rule-based carrier for J(p, lambda), order p^8."""
+    """Rule-based carrier for J(p, lambda), order p^8, held as the central
+    extension (q, z)(q', z') = (q + q', z + z' + c(q, q')).
+
+    Two p^4 x p^4 tables on base-p codes, stored flat with entry
+    u*p^4 + v for the pair (u, v), hold the whole product: ``_add`` is the
+    digit-wise addition (the coset and the central halves share the
+    encoding, so it serves both) and ``_cocycle`` is c(q, q') as a central
+    code.  ``_neg`` negates a code.  All three use the narrowest signed
+    integer type that holds every code.
+    """
 
     def __init__(self, params: JKParams):
         p = params.p
+        p4 = p**4
         self.params = params
         self.p = p
-        self._p4 = p**4
+        self._p4 = p4
         self._weights = p ** np.arange(7, -1, -1, dtype=np.int64)
         # central vectors added when a k/l digit overflows p: the p-th
         # powers of the generators a1, a2, b1, b2 in that order
@@ -106,6 +133,25 @@ class JKGroup(GroupCarrier):
             ],
             dtype=np.int64,
         )
+        digit = _digits(np.arange(p4), p, 4).T  # k1, k2, l1, l2 of each code
+        weight = self._weights[4:]
+        add = cocycle = 0
+        overflow = []
+        for i in range(4):
+            s = np.add.outer(digit[i], digit[i])
+            overflow.append(s >= p)
+            add = add + s % p * weight[i]
+        for j in range(4):
+            # commutator correction: the second factor's k collected past
+            # the first factor's l
+            r = -np.multiply.outer(digit[2 + j % 2], digit[j // 2])
+            for i in range(4):
+                r += self._carry[i, j] * overflow[i]
+            cocycle = cocycle + r % p * weight[j]
+        dtype = np.min_scalar_type(-p4)
+        self._add = add.ravel().astype(dtype)
+        self._cocycle = cocycle.ravel().astype(dtype)
+        self._neg = (-digit.T % p @ weight).astype(dtype)
         gens = (p**7, p**6, p**5, p**4)
         super().__init__(
             p**8, f"jk({p},{params.lam1},{params.lam2})", gens
@@ -115,75 +161,29 @@ class JKGroup(GroupCarrier):
 
     def decode(self, x) -> np.ndarray:
         """Index array -> (..., 8) digit array, k1 first."""
-        x = np.asarray(x, dtype=np.int64)
-        out = np.empty(x.shape + (8,), dtype=np.int64)
-        for i in range(7, -1, -1):
-            out[..., i] = x % self.p
-            x = x // self.p
-        return out
+        return _digits(x, self.p, 8)
 
     def encode(self, oct_) -> np.ndarray:
         return np.asarray(oct_, dtype=np.int64) @ self._weights
 
-    def octuples(self) -> np.ndarray:
-        return self.decode(np.arange(self.order, dtype=np.int64))
-
-    # -- collected multiplication on digit arrays --
-
-    def _mul_oct(self, a, b) -> np.ndarray:
-        p = self.p
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        ksum = a[..., 0:2] + b[..., 0:2]
-        lsum = a[..., 2:4] + b[..., 2:4]
-        kcarry = ksum >= p
-        lcarry = lsum >= p
-        r = a[..., 4:8] + b[..., 4:8]
-        # commutator correction: second factor's k collected past first
-        # factor's l
-        la, kb = a[..., 2:4], b[..., 0:2]
-        r[..., 0] -= la[..., 0] * kb[..., 0]
-        r[..., 1] -= la[..., 1] * kb[..., 0]
-        r[..., 2] -= la[..., 0] * kb[..., 1]
-        r[..., 3] -= la[..., 1] * kb[..., 1]
-        # digit overflows contribute the generators' p-th powers
-        carries = np.concatenate([kcarry, lcarry], axis=-1)
-        r += carries.astype(np.int64) @ self._carry
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        out[..., 0:2] = ksum - p * kcarry
-        out[..., 2:4] = lsum - p * lcarry
-        out[..., 4:8] = r % p
-        return out
-
-    def _inv_oct(self, a) -> np.ndarray:
-        p = self.p
-        a = np.asarray(a, dtype=np.int64)
-        out = np.empty(a.shape, dtype=np.int64)
-        out[..., 0:4] = (-a[..., 0:4]) % p
-        # the central part must cancel the correction terms picked up when
-        # multiplying (k, l | 0) by (-k, -l | 0)
-        bare = a.copy()
-        bare[..., 4:8] = 0
-        neg = out.copy()
-        neg[..., 4:8] = 0
-        drift = self._mul_oct(bare, neg)[..., 4:8]
-        out[..., 4:8] = (-a[..., 4:8] - drift) % p
-        return out
-
     # -- carrier interface --
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.encode(self._mul_oct(self.decode(a), self.decode(b))))
-
-    def inv(self, a: int) -> int:
-        return int(self.encode(self._inv_oct(self.decode(a))))
-
     def mul_many(self, a, b):
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        return self.encode(self._mul_oct(self.decode(a), self.decode(b)))
+        # (qa, za)(qb, zb) = (qa + qb, za + zb + c(qa, qb))
+        p4, add = self._p4, self._add
+        qa, za = np.divmod(a, p4)
+        qb, zb = np.divmod(b, p4)
+        q = qa * p4 + qb
+        z = np.multiply(add[za * p4 + zb], p4, dtype=np.int64) + self._cocycle[q]
+        return np.multiply(add[q], p4, dtype=np.int64) + add[z]
 
     def inv_many(self, a):
-        return self.encode(self._inv_oct(self.decode(np.asarray(a))))
+        # (q, z)^-1 = (-q, -z - c(q, -q))
+        p4, neg = self._p4, self._neg
+        q, z = np.divmod(a, p4)
+        nq = neg[q]
+        z = neg[self._add[z * p4 + self._cocycle[q * p4 + nq]]]
+        return np.multiply(nq, p4, dtype=np.int64) + z
 
     def center(self) -> tuple[int, ...]:
         return tuple(range(self._p4))
@@ -215,11 +215,9 @@ def jk_pth_power(g: JKGroup, x) -> np.ndarray | int:
     lambda2 = 1 the map from (k1, k2, l1, l2) to those central coordinates
     is a bijection.
     """
-    oct_ = g.decode(x)
-    out = np.zeros(oct_.shape, dtype=np.int64)
-    out[..., 4:8] = (oct_[..., 0:4] @ g._carry) % g.p
-    res = g.encode(out)
-    return int(res) if np.isscalar(x) or np.asarray(x).ndim == 0 else res
+    x = np.asarray(x, dtype=np.int64)
+    res = _digits(x // g._p4, g.p, 4) @ g._carry % g.p @ g._weights[4:]
+    return int(res) if res.ndim == 0 else res
 
 
 # --------------------------------------------------------------------------
@@ -337,16 +335,22 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
         sigma = singer_sigma(g.p)
     if sigma.p != g.p:
         raise ParameterError(f"sigma is mod {sigma.p}, group needs mod {g.p}")
-    oct_ = g.octuples()
-    out = np.empty_like(oct_)
-    out[:, 0:4] = sigma.apply(oct_[:, 0:4])
-    out[:, 4:8] = sigma.apply(oct_[:, 4:8])
-    return GroupFunction(g, tuple(int(v) for v in g.encode(out)))
+    p4 = g._p4
+    table = sigma.apply(_digits(np.arange(p4), g.p, 4)) @ g._weights[4:]
+    q, z = np.divmod(np.arange(g.order, dtype=np.int64), p4)
+    return GroupFunction(g, tuple((table[q] * p4 + table[z]).tolist()))
 
 
 # --------------------------------------------------------------------------
 # reachability under the classified endomorphisms
 # --------------------------------------------------------------------------
+
+def _reachable_mask(p4: int, d, e) -> np.ndarray:
+    """endo_reachable on index arrays (or scalars) d and e."""
+    noncentral = (e < p4) | (e // p4 == d // p4)
+    central = (e == 0) | (e == d)
+    return np.where(d == 0, e == 0, np.where(d < p4, central, noncentral))
+
 
 def endo_reachable(g: JKGroup, d: int, e: int) -> bool:
     """Whether some classified endomorphism maps d to e.
@@ -357,12 +361,7 @@ def endo_reachable(g: JKGroup, d: int, e: int) -> bool:
     d = 0, {0, d} for central d, and (center union coset of d) otherwise.
     """
     g.params.require_classified()
-    p4 = g._p4
-    if d == 0:
-        return e == 0
-    if d < p4:
-        return e == 0 or e == d
-    return e < p4 or e // p4 == d // p4
+    return bool(_reachable_mask(g._p4, d, e))
 
 
 @dataclass(frozen=True)
@@ -383,11 +382,23 @@ class JKVerification:
         return self.violations_total == 0
 
 
-def _reachable_mask(p4: int, d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Vectorized endo_reachable on index arrays."""
-    noncentral = (e < p4) | (e // p4 == d // p4)
-    central = (e == 0) | (e == d)
-    return np.where(d == 0, e == 0, np.where(d < p4, central, noncentral))
+def _pair_chunks(n: int, mode: str, samples: int, seed: int):
+    """The ordered pairs (y, x) of a scan, as chunks of two index arrays:
+    full mode pairs y-major blocks of rows with every x (the diagonal
+    included), sampled mode draws y and an offset x - y != 0 per pair."""
+    if mode == "full":
+        xs = np.arange(n, dtype=np.int64)
+        rows = max(1, SCAN_CHUNK // n)
+        for lo in range(0, n, rows):
+            ys = np.arange(lo, min(lo + rows, n), dtype=np.int64)
+            yield np.repeat(ys, n), np.tile(xs, len(ys))
+        return
+    rng = np.random.default_rng(seed)
+    for done in range(0, samples, SCAN_CHUNK):
+        m = min(SCAN_CHUNK, samples - done)
+        ys = rng.integers(0, n, size=m, dtype=np.int64)
+        offs = rng.integers(1, n, size=m, dtype=np.int64)
+        yield ys, (ys + offs) % n
 
 
 def verify_affapp_one(
@@ -403,9 +414,11 @@ def verify_affapp_one(
 
     An affine map agreeing with f at two points x != y forces an
     endomorphism to carry y^-1 x to f(y)^-1 f(x), so the scan checks that
-    endo_reachable fails on every ordered pair.  Full mode walks all
-    n(n-1) pairs (p = 3 only: about 4.3e7 pairs); sampled mode draws
-    random pairs.
+    endo_reachable fails on every ordered pair.  One loop takes the pairs
+    in chunks, forms both quotients with the carrier's mul_many/inv_many
+    and drops the diagonal x = y.  Full mode walks all n(n-1) pairs,
+    y-major (p = 3 only: about 4.3e7 pairs); sampled mode draws random
+    pairs.  The first violations are recorded in scan order.
     """
     g.params.require_classified()
     if mode not in ("full", "sampled"):
@@ -420,47 +433,19 @@ def verify_affapp_one(
     if function is None:
         function = twist_function(g, sigma)
     start = time.perf_counter()
-    n = g.order
-    p4 = g._p4
     f_img = np.asarray(function.images, dtype=np.int64)
     bad: list[tuple[int, int]] = []
     total_bad = 0
     pairs = 0
-    if mode == "full":
-        all_oct = g.octuples()
-        inv_oct = g._inv_oct(all_oct)
-        f_oct = g.decode(f_img)
-        f_inv_oct = g._inv_oct(f_oct)
-        for y in range(n):
-            d = g.encode(g._mul_oct(inv_oct[y], all_oct))
-            e = g.encode(g._mul_oct(f_inv_oct[y], f_oct))
-            ok = _reachable_mask(p4, d, e)
-            ok[y] = False  # the diagonal pair is not an agreement pair
-            hits = np.flatnonzero(ok)
-            pairs += n - 1
-            if hits.size:
-                total_bad += int(hits.size)
-                for x in hits[: max(0, MAX_RECORDED_VIOLATIONS - len(bad))]:
-                    bad.append((y, int(x)))
-    else:
-        rng = np.random.default_rng(seed)
-        chunk = 1 << 16
-        done = 0
-        while done < samples:
-            m = min(chunk, samples - done)
-            ys = rng.integers(0, n, size=m, dtype=np.int64)
-            offs = rng.integers(1, n, size=m, dtype=np.int64)
-            xs = (ys + offs) % n
-            d = g.mul_many(g.inv_many(ys), xs)
-            e = g.mul_many(g.inv_many(f_img[ys]), f_img[xs])
-            ok = _reachable_mask(p4, d, e)
-            hits = np.flatnonzero(ok)
-            if hits.size:
-                total_bad += int(hits.size)
-                for i in hits[: max(0, MAX_RECORDED_VIOLATIONS - len(bad))]:
-                    bad.append((int(ys[i]), int(xs[i])))
-            done += m
-            pairs += m
+    for ys, xs in _pair_chunks(g.order, mode, samples, seed):
+        d = g.mul_many(g.inv_many(ys), xs)
+        e = g.mul_many(g.inv_many(f_img[ys]), f_img[xs])
+        off_diagonal = ys != xs
+        hits = np.flatnonzero(_reachable_mask(g._p4, d, e) & off_diagonal)
+        pairs += int(np.count_nonzero(off_diagonal))
+        total_bad += int(hits.size)
+        for i in hits[: max(0, MAX_RECORDED_VIOLATIONS - len(bad))]:
+            bad.append((int(ys[i]), int(xs[i])))
     elapsed = time.perf_counter() - start
     return JKVerification(
         params=g.params,

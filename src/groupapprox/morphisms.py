@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .groups import GroupCarrier
+from .groups import GroupCarrier, _generated
 
 __all__ = [
     "ENDO_LIMIT",
@@ -77,42 +77,26 @@ class AffineMap:
         return tuple(g.mul(c, v) for v in self.endo.images)
 
 
-def _pair_closure(g: GroupCarrier, base, extra) -> set[int]:
-    """The subgroup generated by base (already closed) plus one element."""
-    known = sorted(base) + [extra]
-    seen = set(known)
-    i = 0
-    while i < len(known):
-        a = known[i]
-        j = 0
-        while j < len(known):
-            b = known[j]
-            for prod in (g.mul(a, b), g.mul(b, a)):
-                if prod not in seen:
-                    seen.add(prod)
-                    known.append(prod)
-            j += 1
-        i += 1
-    return seen
-
-
 def minimal_generating_sequence(g: GroupCarrier) -> tuple[int, ...]:
     """Greedy minimal generating sequence: repeatedly add the element that
     grows the generated subgroup the most (ties broken by smallest index)."""
-    n = g.order
     seq: list[int] = []
-    closure: set[int] = {0}
-    while len(closure) < n:
+    closure = _generated(g, seq)
+    while len(closure) < g.order:
         best_size = 0
         best_x = -1
-        for x in range(n):
-            if x in closure:
+        # an element y of <seq, x> has <seq, y> inside it, so it cannot
+        # grow the subgroup more than x does and need not be tried
+        covered = set(closure)
+        for x in range(g.order):
+            if x in covered:
                 continue
-            size = len(_pair_closure(g, closure, x))
-            if size > best_size:
-                best_size, best_x = size, x
+            reach = _generated(g, seq + [x])
+            covered |= reach
+            if len(reach) > best_size:
+                best_size, best_x = len(reach), x
         seq.append(best_x)
-        closure = _pair_closure(g, closure, best_x)
+        closure = _generated(g, seq)
     return tuple(seq)
 
 

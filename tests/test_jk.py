@@ -97,7 +97,7 @@ def test_codec_round_trip(g01):
     rng = np.random.default_rng(0)
     xs = rng.integers(0, g01.order, size=500)
     assert (g01.encode(g01.decode(xs)) == xs).all()
-    octs = g01.octuples()
+    octs = g01.decode(np.arange(g01.order))
     assert octs.shape == (6561, 8)
     assert (octs >= 0).all() and (octs < 3).all()
 
@@ -305,7 +305,9 @@ IDENTITY_SIGMA = SigmaMap(
 
 def test_sampled_scan_with_degenerate_sigma_reports_violations(g01):
     # the identity twist makes f the identity, which every pair agrees with
-    report = verify_affapp_one(g01, IDENTITY_SIGMA, mode="sampled", samples=5_000, seed=2)
+    report = verify_affapp_one(
+        g01, IDENTITY_SIGMA, mode="sampled", samples=5_000, seed=2
+    )
     assert not report.passed
     assert report.pairs_checked == report.violations_total == 5_000
     assert report.violations == (
