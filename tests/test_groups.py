@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from groupapprox import (
@@ -27,6 +31,7 @@ from groupapprox import (
 from groupapprox.groups import DENSE_LIMIT
 
 from _oracles import table_of
+from make_golden import LARGE_FAMILY_GROUPS
 
 
 # --------------------------------------------------------------------------
@@ -165,12 +170,87 @@ def test_dense_capacity_limit():
         cyclic(DENSE_LIMIT + 1)
 
 
+@pytest.mark.parametrize(
+    "ctor,args",
+    [
+        pytest.param(cyclic, (10**9,), id="cyclic"),
+        pytest.param(elemabelian, (2, 40), id="elemabelian"),
+        pytest.param(dihedral, (10**9,), id="dihedral"),
+        pytest.param(dicyclic, (4 * 10**8,), id="dicyclic"),
+        pytest.param(sym, (13,), id="sym"),
+        pytest.param(alt, (13,), id="alt"),
+        pytest.param(heis, (10007,), id="heis"),
+        pytest.param(modmax, (10007,), id="modmax"),
+        pytest.param(direct_product, ("cyclic(2048)", "sym(6)"), id="direct_product"),
+    ],
+)
+def test_oversize_requests_are_refused_before_allocating(ctor, args):
+    # factors given as specs are built before tracing starts
+    args = tuple(build_group(a) if isinstance(a, str) else a for a in args)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            ctor(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_power_and_element_order():
     g = cyclic(12)
     assert g.element_order(2) == 6
     assert g.power(5, 0) == 0
     assert g.power(2, -1) == 10
     assert g.power(7, 25) == (7 * 25) % 12
+
+
+# --------------------------------------------------------------------------
+# derived facts against the Cayley table
+# --------------------------------------------------------------------------
+
+ELEMABELIAN_SHAPES = [(2, r) for r in range(1, 6)] + [(3, r) for r in range(1, 4)]
+ELEMABELIAN_SHAPES += [(5, 1), (5, 2), (7, 2)]
+JK_SPECS = ("jk(3,0,1)", "jk(3,1,0)")
+FACT_SPECS = list(
+    dict.fromkeys(
+        [g.name for g in catalog_up_to(15)]
+        + list(LARGE_FAMILY_GROUPS)
+        + ["heis(5)", "modmax(5)", "alt(5)"]
+        + [f"elemabelian({p},{r})" for p, r in ELEMABELIAN_SHAPES]
+        + list(JK_SPECS)
+    )
+)
+
+
+@pytest.mark.parametrize("spec", FACT_SPECS)
+def test_derived_facts_match_the_table(spec):
+    g = build_group(spec)
+    if spec in JK_SPECS:
+        assert g.center() == tuple(range(81))
+        assert not g.is_abelian()
+        assert g.exponent() == 9
+        return
+    T = np.asarray(g.mul_table)
+    rows = T.tolist()
+    orders = []
+    for x in range(g.order):
+        acc, k = x, 1
+        while acc:
+            acc, k = rows[acc][x], k + 1
+        orders.append(k)
+    assert g.element_orders() == orders
+    assert g.exponent() == math.lcm(*orders)
+    assert g.is_abelian() == bool((T == T.T).all())
+    assert g.center() == tuple(z for z in range(g.order) if (T[z] == T[:, z]).all())
+    if spec.startswith("elemabelian("):
+        p, r = (int(a) for a in spec[len("elemabelian(") : -1].split(","))
+        x = np.arange(g.order)
+        digit_sum = sum(
+            (x[:, None] // p**k + x // p**k) % p * p**k for k in range(r)
+        )
+        assert (T == digit_sum).all()
+        assert g.generators == tuple(p**k for k in range(r))
 
 
 # --------------------------------------------------------------------------
