@@ -3,7 +3,11 @@
 A group of order n lives on the index set 0..n-1 with the identity at
 index 0.  Dense carriers hold an explicit Cayley table (mandatory up to
 :data:`DENSE_LIMIT`); rule-based carriers compute products by formula and
-are used for families too large to tabulate.
+are used for families too large to tabulate.  Derived facts (element
+orders, the exponent, commutation and the centre) are computed once in
+:class:`GroupCarrier` over the vector product ``mul_many`` that every
+carrier provides, and one gate, ``_dense``, refuses every dense table
+over the limit before it is allocated.
 
 The module provides constructors for the classical small families
 (cyclic, elementary abelian, dihedral, dicyclic, symmetric, alternating,
@@ -50,6 +54,12 @@ DENSE_LIMIT = 2048
 # exhaustive associativity audit up to this order, sampled above it
 EXHAUSTIVE_ASSOC_LIMIT = 512
 SAMPLE_TRIPLES = 1_000_000
+
+
+def _dense(name: str, order: int) -> None:
+    """Refuse a dense carrier of this order before its table is allocated."""
+    if order > DENSE_LIMIT:
+        raise CapacityError(f"{name} has order {order} > {DENSE_LIMIT}")
 
 
 def _is_prime(n: int) -> bool:
@@ -106,9 +116,6 @@ class GroupCarrier:
 
     # -- derived helpers --
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def power(self, x: int, e: int) -> int:
         if e < 0:
             x, e = self.inv(x), -e
@@ -128,27 +135,32 @@ class GroupCarrier:
         return k
 
     def element_orders(self) -> list[int]:
-        return [self.element_order(x) for x in self.elements()]
+        # walk every power sequence x, x^2, ... at once until all hit 1
+        ar = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        orders[0] = 1
+        cur = ar
+        k = 1
+        while (orders == 0).any():
+            k += 1
+            cur = self.mul_many(cur, ar)
+            orders[(cur == 0) & (orders == 0)] = k
+        return orders.tolist()
 
     def exponent(self) -> int:
         return math.lcm(*self.element_orders())
 
+    def _central_mask(self) -> np.ndarray:
+        # central <=> commutes with every listed generator (they generate)
+        x = np.arange(self.order)[:, None]
+        s = np.array(self.generators)[None, :]
+        return (self.mul_many(x, s) == self.mul_many(s, x)).all(axis=1)
+
     def is_abelian(self) -> bool:
-        # commuting generators generate a commuting group
-        return all(
-            self.mul(a, b) == self.mul(b, a)
-            for a in self.generators
-            for b in self.generators
-        )
+        return bool(self._central_mask().all())
 
     def center(self) -> tuple[int, ...]:
-        # central <=> commutes with every generator
-        gens = self.generators
-        return tuple(
-            z
-            for z in self.elements()
-            if all(self.mul(z, g) == self.mul(g, z) for g in gens)
-        )
+        return tuple(np.flatnonzero(self._central_mask()).tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} order={self.order}>"
@@ -166,10 +178,7 @@ class TableGroup(GroupCarrier):
         n = int(table.shape[0])
         if n < 1:
             raise GroupAxiomError("empty multiplication table")
-        if n > DENSE_LIMIT:
-            raise CapacityError(
-                f"dense carriers are limited to order {DENSE_LIMIT}, got {n}"
-            )
+        _dense(name, n)
         if int(table.min()) < 0 or int(table.max()) >= n:
             raise GroupAxiomError("table entries must be element indices")
         ar = np.arange(n, dtype=np.int32)
@@ -210,27 +219,6 @@ class TableGroup(GroupCarrier):
     def inv_many(self, a):
         return self._inv[np.asarray(a)]
 
-    def element_orders(self) -> list[int]:
-        n = self.order
-        ar = np.arange(n)
-        orders = np.zeros(n, dtype=np.int64)
-        orders[0] = 1
-        cur = ar.copy()
-        k = 1
-        while (orders == 0).any():
-            k += 1
-            cur = self._table[cur, ar]
-            hit = (cur == 0) & (orders == 0)
-            orders[hit] = k
-        return [int(o) for o in orders]
-
-    def is_abelian(self) -> bool:
-        return bool((self._table == self._table.T).all())
-
-    def center(self) -> tuple[int, ...]:
-        T = self._table
-        return tuple(int(z) for z in np.where((T == T.T).all(axis=1))[0])
-
 
 # --------------------------------------------------------------------------
 # constructors
@@ -240,8 +228,7 @@ def cyclic(n: int) -> TableGroup:
     """Z/nZ under addition, generator 1 (element indices are the residues)."""
     if n < 1:
         raise ParameterError(f"cyclic group order must be >= 1, got {n}")
-    if n > DENSE_LIMIT:
-        raise CapacityError(f"cyclic({n}) exceeds the dense capacity {DENSE_LIMIT}")
+    _dense(f"cyclic({n})", n)
     ar = np.arange(n)
     table = (ar[:, None] + ar[None, :]) % n
     gens = (1,) if n > 1 else (0,)
@@ -249,23 +236,20 @@ def cyclic(n: int) -> TableGroup:
 
 
 def elemabelian(p: int, r: int) -> TableGroup:
-    """(Z/pZ)^r; index i encodes the vector of base-p digits of i (little-endian)."""
+    """(Z/pZ)^r; index i encodes the vector of base-p digits of i (little-endian).
+
+    The table is that of the product of r copies of Z/p: each new factor
+    of :func:`direct_product` is the low base-p digit."""
     if not _is_prime(p):
         raise ParameterError(f"elemabelian needs a prime, got p={p}")
     if r < 1:
         raise ParameterError(f"elemabelian rank must be >= 1, got {r}")
-    n = p**r
-    if n > DENSE_LIMIT:
-        raise CapacityError(f"elemabelian({p},{r}) has order {n} > {DENSE_LIMIT}")
-    idx = np.arange(n)
-    table = np.zeros((n, n), dtype=np.int64)
-    t = idx.copy()
-    for k in range(r):
-        digit = t % p
-        table += ((digit[:, None] + digit[None, :]) % p) * p**k
-        t //= p
-    gens = tuple(p**k for k in range(r))
-    return TableGroup(f"elemabelian({p},{r})", table, gens)
+    name = f"elemabelian({p},{r})"
+    _dense(name, p**r)
+    g = cyclic(p)
+    for _ in range(r - 1):
+        g = direct_product(g, cyclic(p))
+    return TableGroup(name, g.mul_table, tuple(p**k for k in range(r)))
 
 
 def dihedral(order: int) -> TableGroup:
@@ -273,8 +257,7 @@ def dihedral(order: int) -> TableGroup:
     rotations r^i, indices n..2n-1 are the reflections s r^i."""
     if order < 2 or order % 2:
         raise ParameterError(f"dihedral order must be even and >= 2, got {order}")
-    if order > DENSE_LIMIT:
-        raise CapacityError(f"dihedral({order}) exceeds the dense capacity")
+    _dense(f"dihedral({order})", order)
     n = order // 2
     i = np.arange(n)
     rot = (i[:, None] + i[None, :]) % n          # r^i r^j
@@ -295,8 +278,7 @@ def dicyclic(order: int) -> TableGroup:
         raise ParameterError(
             f"dicyclic order must be a multiple of 4 and >= 8, got {order}"
         )
-    if order > DENSE_LIMIT:
-        raise CapacityError(f"dicyclic({order}) exceeds the dense capacity")
+    _dense(f"dicyclic({order})", order)
     m = order // 2
     n = order // 4
     i = np.arange(m)
@@ -310,11 +292,8 @@ def dicyclic(order: int) -> TableGroup:
     return TableGroup(f"dicyclic({order})", table, (1, m))
 
 
-def _perm_table(perms: list[tuple[int, ...]], name: str) -> tuple[np.ndarray, dict]:
+def _perm_table(perms: list[tuple[int, ...]]) -> tuple[np.ndarray, dict]:
     n = len(perms[0])
-    m = len(perms)
-    if m > DENSE_LIMIT:
-        raise CapacityError(f"{name} has order {m} > {DENSE_LIMIT}")
     P = np.array(perms, dtype=np.int16)
     weights = np.array([n ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     codes = P @ weights                          # lex-sorted perms => ascending codes
@@ -331,14 +310,11 @@ def sym(n: int) -> TableGroup:
     p[q[i]])."""
     if n < 1:
         raise ParameterError(f"sym needs n >= 1, got {n}")
-    if math.factorial(n) > DENSE_LIMIT:
-        raise CapacityError(
-            f"sym({n}) has order {math.factorial(n)} > {DENSE_LIMIT}"
-        )
+    _dense(f"sym({n})", math.factorial(n))
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     if n == 1:
         return TableGroup("sym(1)", [[0]], (0,))
-    table, index = _perm_table(perms, f"sym({n})")
+    table, index = _perm_table(perms)
     transposition = tuple([1, 0] + list(range(2, n)))
     cycle = tuple(list(range(1, n)) + [0])
     gens = (index[transposition],) if n == 2 else (index[transposition], index[cycle])
@@ -358,9 +334,7 @@ def alt(n: int) -> TableGroup:
     """The alternating group on {0..n-1} (even permutations, lex order)."""
     if n < 1:
         raise ParameterError(f"alt needs n >= 1, got {n}")
-    order = 1 if n < 3 else math.factorial(n) // 2
-    if order > DENSE_LIMIT:
-        raise CapacityError(f"alt({n}) has order {order} > {DENSE_LIMIT}")
+    _dense(f"alt({n})", 1 if n < 3 else math.factorial(n) // 2)
     if n < 3:
         return TableGroup(f"alt({n})", [[0]], (0,))
     perms = [
@@ -368,7 +342,7 @@ def alt(n: int) -> TableGroup:
         for p in itertools.permutations(range(n))
         if _parity(tuple(p)) == 0
     ]
-    table, index = _perm_table(perms, f"alt({n})")
+    table, index = _perm_table(perms)
     three_cycle = tuple([1, 2, 0] + list(range(3, n)))
     if n == 3:
         gens = (index[three_cycle],)
@@ -388,8 +362,7 @@ def heis(p: int) -> TableGroup:
     if not _is_prime(p) or p == 2:
         raise ParameterError(f"heis needs an odd prime, got {p}")
     n = p**3
-    if n > DENSE_LIMIT:
-        raise CapacityError(f"heis({p}) has order {n} > {DENSE_LIMIT}")
+    _dense(f"heis({p})", n)
     idx = np.arange(n)
     a, b, c = idx // (p * p), (idx // p) % p, idx % p
     table = (
@@ -407,8 +380,7 @@ def modmax(p: int) -> TableGroup:
     if not _is_prime(p) or p == 2:
         raise ParameterError(f"modmax needs an odd prime, got {p}")
     n = p**3
-    if n > DENSE_LIMIT:
-        raise CapacityError(f"modmax({p}) has order {n} > {DENSE_LIMIT}")
+    _dense(f"modmax({p})", n)
     p2 = p * p
     idx = np.arange(n)
     i, j = idx // p, idx % p
@@ -424,10 +396,8 @@ def direct_product(g1: GroupCarrier, g2: GroupCarrier) -> TableGroup:
     if not (g1.is_dense and g2.is_dense):
         raise CapacityError("direct products require dense factors")
     n1, n2 = g1.order, g2.order
-    if n1 * n2 > DENSE_LIMIT:
-        raise CapacityError(
-            f"product order {n1 * n2} exceeds the dense capacity {DENSE_LIMIT}"
-        )
+    name = f"product({g1.name},{g2.name})"
+    _dense(name, n1 * n2)
     T1 = np.asarray(g1.mul_table, dtype=np.int64)
     T2 = np.asarray(g2.mul_table, dtype=np.int64)
     ones1 = np.ones((n1, n1), dtype=np.int64)
@@ -435,7 +405,7 @@ def direct_product(g1: GroupCarrier, g2: GroupCarrier) -> TableGroup:
     table = np.kron(T1, ones2) * n2 + np.kron(ones1, T2)
     gens = tuple(g * n2 for g in g1.generators) + tuple(g2.generators)
     gens = tuple(dict.fromkeys(gens)) or (0,)
-    return TableGroup(f"product({g1.name},{g2.name})", table, gens)
+    return TableGroup(name, table, gens)
 
 
 # --------------------------------------------------------------------------
@@ -461,6 +431,7 @@ def parse_cayley(text: str, name: str = "cayley") -> TableGroup:
         raise FormatError(f"invalid order {toks[0]!r}", line=1) from None
     if n < 1:
         raise FormatError(f"order must be positive, got {n}", line=1)
+    _dense(name, n)
     pos = 1
     generators = None
     if pos < len(lines) and lines[pos].split()[:1] == ["g"]:

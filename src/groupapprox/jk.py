@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ScopeError
-from .groups import GroupCarrier, _is_prime
+from .groups import GroupCarrier, _is_prime, _parity
 from .search import GroupFunction
 
 __all__ = [
@@ -185,9 +185,6 @@ class JKGroup(GroupCarrier):
         z = neg[self._add[z * p4 + self._cocycle[q * p4 + nq]]]
         return np.multiply(nq, p4, dtype=np.int64) + z
 
-    def center(self) -> tuple[int, ...]:
-        return tuple(range(self._p4))
-
     def coset(self, x: int) -> int:
         """Index of the central coset of x, i.e. its (k1,k2,l1,l2) digits."""
         return int(x) // self._p4
@@ -229,12 +226,7 @@ def _det_mod(matrix: np.ndarray, p: int) -> int:
     n = matrix.shape[0]
     total = 0
     for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = sign
+        term = -1 if _parity(perm) else 1
         for i in range(n):
             term = term * int(matrix[i, perm[i]]) % p
         total = (total + term) % p

@@ -16,7 +16,6 @@ iff no class holds more than half the points.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import ParameterError
@@ -115,52 +114,30 @@ def _validate_partition(classes) -> tuple[list[list[int]], int]:
     return cleaned, m
 
 
-def _solve_small(classes: list[list[int]]) -> dict[int, int]:
-    points = sorted(p for cls in classes for p in cls)
-    cls_of = {p: i for i, cls in enumerate(classes) for p in cls}
-    for perm in itertools.permutations(points):
-        if all(cls_of[points[i]] != cls_of[perm[i]] for i in range(len(points))):
-            return {points[i]: perm[i] for i in range(len(points))}
-    raise AssertionError("feasible instance had no avoiding permutation")
-
-
-def _solve(classes: list[list[int]]) -> dict[int, int]:
-    m = sum(len(c) for c in classes)
-    if m <= 5:
-        return _solve_small(classes)
-    # take the two largest classes (ties by class index), remove their
-    # smallest points, swap those two points, and recurse on the rest
-    order = sorted(range(len(classes)), key=lambda i: (-len(classes[i]), i))
-    i1, i2 = order[0], order[1]
-    p1, p2 = classes[i1][0], classes[i2][0]
-    rest = []
-    for i, cls in enumerate(classes):
-        trimmed = [x for x in cls if x not in (p1, p2)]
-        if trimmed:
-            rest.append(trimmed)
-    mapping = _solve(rest)
-    mapping[p1] = p2
-    mapping[p2] = p1
-    return mapping
-
-
 def build_avoiding_permutation(classes) -> tuple[int, ...] | None:
     """A permutation of the partitioned ground set mapping every point into
     a different class, or None when some class exceeds half the points.
 
-    Ground sets of at most 5 points are solved exhaustively (first valid
-    permutation in lexicographic order); larger instances peel two points
-    off the two largest classes, transpose them, and recurse — removing
-    points from the largest classes keeps every class at no more than half
-    of the remaining points, so the recursion stays feasible.
+    The classes are laid end to end in one cyclic list of the m points,
+    each class in consecutive slots, and every point is sent b slots on,
+    where b is the size of the largest class.  This never lands in the
+    point's own class: a class of size s fills slots i..i+s-1, and its
+    point in slot i+t (0 <= t < s) goes to slot i+t+b.  Since s <= b and
+    2b <= m, the offset t+b from the class's first slot satisfies
+    s <= t+b < 2b <= m: it passes the class's s slots and stops short of
+    a full turn, so it cannot wrap back into them.
     """
     cleaned, m = _validate_partition(classes)
     if m == 0:
         return ()
-    if max(len(c) for c in cleaned) * 2 > m:
+    b = max(len(c) for c in cleaned)
+    if b * 2 > m:
         return None
-    mapping = _solve(cleaned)
-    return tuple(mapping[x] for x in range(m))
+    cycle = [x for cls in cleaned for x in cls]
+    perm = [0] * m
+    for i, x in enumerate(cycle):
+        perm[x] = cycle[(i + b) % m]
+    return tuple(perm)
 
 
 def find_aoa_permutation(g: GroupCarrier) -> GroupFunction | None:

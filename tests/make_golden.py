@@ -1,8 +1,11 @@
 """Write tests/data/golden.json, the reference results of the search.
 
-Run from the repository root:
+Run from anywhere inside a source checkout:
 
-    PYTHONPATH=src python tests/make_golden.py
+    python tests/make_golden.py
+
+The package is imported from the checkout's ``src`` directory, never from
+an installed copy.
 
 The file records, for the catalog of order <= 15 under both metrics (default
 budget) and for sixteen budget-capped searches on large families (budget
@@ -18,6 +21,8 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from groupapprox import build_group, catalog_up_to, worst_case_value
 from groupapprox.search import DEFAULT_BUDGET, METRICS

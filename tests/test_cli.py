@@ -8,7 +8,7 @@ import pytest
 
 from groupapprox.cli import main
 from groupapprox.errors import ParameterError
-from groupapprox.groups import cyclic, serialize_cayley, sym
+from groupapprox.groups import DENSE_LIMIT, cyclic, serialize_cayley, sym
 from groupapprox.reporting import (
     cache_dir,
     cache_get,
@@ -173,6 +173,24 @@ def test_compute_cache_follows_file_content(tmp_path, capsys):
     assert code == 0 and doc["value"] == 0 and doc["cached"] is False
     code, doc, _ = run_json(capsys, "compute", "--group", spec, "--metric", "enapp")
     assert doc["value"] == 0 and doc["cached"] is True
+
+
+def test_compute_refuses_oversize_table_file(tmp_path, capsys):
+    # a well-formed 2100 x 2100 table and a truncated one both exit 3
+    # from the order on line 1, before any row is parsed
+    n = DENSE_LIMIT + 52
+    nums = [str(v) for v in range(n)]
+    rows = [" ".join(nums[r:] + nums[:r]) for r in range(n)]
+    well = tmp_path / "well.cayley"
+    well.write_text(f"{n}\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    truncated = tmp_path / "truncated.cayley"
+    truncated.write_text(f"{n}\n{rows[0]}\n", encoding="utf-8")
+    for path in (well, truncated):
+        code, _, err = run(
+            capsys, "compute", "--group", f"file({path})", "--metric", "enapp"
+        )
+        assert code == 3, path.name
+        assert f"has order {n} > {DENSE_LIMIT}" in err, path.name
 
 
 def test_compute_budget_exhausted(capsys):

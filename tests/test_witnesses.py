@@ -139,7 +139,7 @@ def test_avoiding_permutation_on_random_size_profiles(sizes):
 
 
 def test_recursive_peeling_path_on_larger_ground_sets():
-    # ground sets beyond five points take the peel-and-transpose route
+    # ground sets beyond five points, with ties among the largest classes
     for sizes in ((3, 3), (2, 2, 2), (4, 4), (3, 3, 2), (1,) * 7, (5, 5, 4)):
         classes = []
         start = 0
