@@ -52,6 +52,7 @@ from .jk import (
     JKParams,
     JKVerification,
     SigmaMap,
+    check_classified_maps,
     endo_reachable,
     jk_enapp_zero_witness,
     jk_group,

@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     ScopeError,
 )
-from .groups import build_group, canonical_spec, catalog_up_to
+from .groups import _int_arg, build_group, canonical_spec, catalog_up_to
 from .jk import (
     DEFAULT_SAMPLES,
     SigmaMap,
@@ -85,12 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="e.g. cyclic(6), product(cyclic(2),cyclic(3)), "
                         "sym(3), jk(3,0,1), file(PATH)")
     p.add_argument("--metric", required=True, choices=("enapp", "affapp"))
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="bounds_only", action="store_false",
-                      help="search for the exact value (default)")
-    mode.add_argument("--bounds-only", dest="bounds_only", action="store_true",
-                      help="emit certificate bounds without searching")
-    p.set_defaults(bounds_only=False)
+    p.add_argument("--bounds-only", action="store_true",
+                   help="emit certificate bounds without searching")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search node budget (default %(default)s)")
     p.add_argument("--no-cache", action="store_true")
@@ -294,13 +290,11 @@ def _cmd_partition_avoid(args) -> int:
 
 def _witness_args(name: str, count: int) -> list[int]:
     """The comma-separated integers after the colon of a witness name."""
-    parts = name.split(":", 1)[1].split(",")
+    head, _, rest = name.partition(":")
+    parts = rest.split(",")
     if len(parts) != count:
-        raise ParameterError(f"{name!r} needs {count} comma-separated integers")
-    try:
-        return [int(tok) for tok in parts]
-    except ValueError:
-        raise ParameterError(f"{name!r} needs integer arguments") from None
+        raise ParameterError(f"{head} needs {count} comma-separated integers")
+    return [_int_arg(head, tok.strip()) for tok in parts]
 
 
 def _cmd_witness(args) -> int:

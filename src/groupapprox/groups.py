@@ -54,12 +54,23 @@ DENSE_LIMIT = 2048
 # exhaustive associativity audit up to this order, sampled above it
 EXHAUSTIVE_ASSOC_LIMIT = 512
 SAMPLE_TRIPLES = 1_000_000
+# longest integer a spec argument may spell out
+MAX_ARG_DIGITS = 30
 
 
-def _dense(name: str, order: int) -> None:
-    """Refuse a dense carrier of this order before its table is allocated."""
-    if order > DENSE_LIMIT:
-        raise CapacityError(f"{name} has order {order} > {DENSE_LIMIT}")
+def _dense(name: str, order: int | None) -> None:
+    """Refuse a dense carrier of this order before its table is allocated.
+    None stands for an order known to be over the limit that may be too
+    large to compute or print (n! for n >= 7, _prime_power)."""
+    if order is None or order > DENSE_LIMIT:
+        shown = "" if order is None else f" {order}"
+        raise CapacityError(f"{name} has order{shown} > {DENSE_LIMIT}")
+
+
+def _prime_power(p: int, r: int) -> int | None:
+    """p**r, or None when |p| > 1 and r is so large that p**r is over
+    DENSE_LIMIT (2**12 > 2048); callers check p for primality after."""
+    return None if abs(p) > 1 and r >= DENSE_LIMIT.bit_length() else p**r
 
 
 def _is_prime(n: int) -> bool:
@@ -240,12 +251,12 @@ def elemabelian(p: int, r: int) -> TableGroup:
 
     The table is that of the product of r copies of Z/p: each new factor
     of :func:`direct_product` is the low base-p digit."""
-    if not _is_prime(p):
-        raise ParameterError(f"elemabelian needs a prime, got p={p}")
     if r < 1:
         raise ParameterError(f"elemabelian rank must be >= 1, got {r}")
     name = f"elemabelian({p},{r})"
-    _dense(name, p**r)
+    _dense(name, _prime_power(p, r))
+    if not _is_prime(p):
+        raise ParameterError(f"elemabelian needs a prime, got p={p}")
     g = cyclic(p)
     for _ in range(r - 1):
         g = direct_product(g, cyclic(p))
@@ -310,7 +321,7 @@ def sym(n: int) -> TableGroup:
     p[q[i]])."""
     if n < 1:
         raise ParameterError(f"sym needs n >= 1, got {n}")
-    _dense(f"sym({n})", math.factorial(n))
+    _dense(f"sym({n})", math.factorial(n) if n < 7 else None)  # 7! = 5040
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     if n == 1:
         return TableGroup("sym(1)", [[0]], (0,))
@@ -334,7 +345,8 @@ def alt(n: int) -> TableGroup:
     """The alternating group on {0..n-1} (even permutations, lex order)."""
     if n < 1:
         raise ParameterError(f"alt needs n >= 1, got {n}")
-    _dense(f"alt({n})", 1 if n < 3 else math.factorial(n) // 2)
+    # 7!/2 = 2520 is over the limit: never compute a larger factorial
+    _dense(f"alt({n})", None if n >= 7 else 1 if n < 3 else math.factorial(n) // 2)
     if n < 3:
         return TableGroup(f"alt({n})", [[0]], (0,))
     perms = [
@@ -359,10 +371,10 @@ def heis(p: int) -> TableGroup:
     """The nonabelian group of order p^3 and exponent p (p an odd prime),
     realized as unitriangular 3x3 matrices: (a,b,c)*(a',b',c') =
     (a+a', b+b', c+c'+a*b') with index a*p^2 + b*p + c."""
-    if not _is_prime(p) or p == 2:
-        raise ParameterError(f"heis needs an odd prime, got {p}")
     n = p**3
     _dense(f"heis({p})", n)
+    if not _is_prime(p) or p == 2:
+        raise ParameterError(f"heis needs an odd prime, got {p}")
     idx = np.arange(n)
     a, b, c = idx // (p * p), (idx // p) % p, idx % p
     table = (
@@ -377,10 +389,10 @@ def modmax(p: int) -> TableGroup:
     """The nonabelian group of order p^3 and exponent p^2 (p an odd prime):
     <x, t | x^{p^2} = t^p = 1, t x t^{-1} = x^{1+p}>, index of x^i t^j being
     i*p + j."""
-    if not _is_prime(p) or p == 2:
-        raise ParameterError(f"modmax needs an odd prime, got {p}")
     n = p**3
     _dense(f"modmax({p})", n)
+    if not _is_prime(p) or p == 2:
+        raise ParameterError(f"modmax needs an odd prime, got {p}")
     p2 = p * p
     idx = np.arange(n)
     i, j = idx // p, idx % p
@@ -535,8 +547,11 @@ def _parse_node(spec: str):
 
 
 def _int_arg(name: str, raw: str) -> int:
-    if not re.fullmatch(r"-?\d+", raw):
-        raise FormatError(f"{name} expects integer arguments, got {raw!r}")
+    if not re.fullmatch(rf"-?\d{{1,{MAX_ARG_DIGITS}}}", raw):
+        raise FormatError(
+            f"{name} expects integer arguments of at most {MAX_ARG_DIGITS} "
+            f"digits, got {raw[:MAX_ARG_DIGITS + 2]!r}"
+        )
     return int(raw)
 
 

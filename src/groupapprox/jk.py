@@ -16,20 +16,21 @@ lambda = (lambda1, lambda2) enters), and moving the k-part of q' past the
 l-part of q feeds the bilinear commutator correction.
 
 The point of the family: granting the classification of its endomorphisms
-(every endomorphism is either central-valued or identity-times-central,
-trusted here and spot-checked by sampling), an element can only be mapped
-into a set of size at most 2p^4 out of p^8.  Twisting both coordinate
-blocks by a fixed-point-free linear map sigma then produces a function no
-affine map can match twice (worst-case affine value 1), and dodging the
-reachable sets pointwise produces a function no endomorphism matches at
-all (worst-case endomorphism value 0).
+(every endomorphism is either central-valued or identity-times-central;
+that each such map is an endomorphism is proved by the exhaustive
+:func:`check_classified_maps`, that there are no others is trusted here),
+an element can only be mapped into a set of size at most 2p^4 out of p^8.
+Twisting both coordinate blocks by a fixed-point-free linear map sigma
+then produces a function no affine map can match twice (worst-case affine
+value 1), and dodging the reachable sets pointwise produces a function no
+endomorphism matches at all (worst-case endomorphism value 0).
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +43,12 @@ __all__ = [
     "JKParams",
     "JKVerification",
     "SigmaMap",
+    "check_classified_maps",
     "endo_reachable",
     "jk_enapp_zero_witness",
     "jk_group",
     "jk_pth_power",
     "make_sigma",
-    "sample_check_classification",
     "singer_sigma",
     "twist_function",
     "verify_affapp_one",
@@ -60,6 +61,8 @@ DEFAULT_SAMPLES = 1_000_000
 MAX_RECORDED_VIOLATIONS = 20
 # pairs per chunk of a scan (sampled mode draws its pairs chunk by chunk)
 SCAN_CHUNK = 1 << 16
+# the two p^4 x p^4 tables of a carrier hold p^8 cells each: p = 7 fits
+MAX_TABLE_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -192,12 +195,16 @@ class JKGroup(GroupCarrier):
 
 def jk_group(p: int, lam1: int, lam2: int, *, allow_large: bool = False) -> JKGroup:
     """Build J(p, lambda).  Primes beyond 3 are gated behind allow_large
-    since the order p^8 makes even linear scans expensive."""
-    params = JKParams(int(p), int(lam1), int(lam2))
-    if params.p > FULL_SCAN_PRIME and not allow_large:
+    since the order p^8 makes even linear scans expensive; from p = 11 on
+    the tables would exceed MAX_TABLE_CELLS and p is refused before its
+    primality test (trial division) or any allocation."""
+    p = int(p)
+    if p > 0 and p**8 > MAX_TABLE_CELLS:
+        raise CapacityError(f"jk needs {p}**8 table cells > {MAX_TABLE_CELLS}")
+    params = JKParams(p, int(lam1), int(lam2))
+    if p > FULL_SCAN_PRIME and not allow_large:
         raise CapacityError(
-            f"order {params.p}**8 = {params.p**8}; pass allow_large=True to "
-            "build it anyway"
+            f"order {p}**8 = {p**8}; pass allow_large=True to build it anyway"
         )
     return JKGroup(params)
 
@@ -239,16 +246,11 @@ class SigmaMap:
 
     p: int
     matrix: tuple[tuple[int, ...], ...]
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arr = np.array(self.matrix, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "_array", arr)
 
     def apply(self, vecs) -> np.ndarray:
         """Apply to row vectors of digits: sigma(v) = M v."""
-        return (np.asarray(vecs, dtype=np.int64) @ self._array.T) % self.p
+        m = np.array(self.matrix, dtype=np.int64)
+        return (np.asarray(vecs, dtype=np.int64) @ m.T) % self.p
 
 
 def make_sigma(p: int, matrix) -> SigmaMap:
@@ -375,15 +377,16 @@ class JKVerification:
 
 
 def _pair_chunks(n: int, mode: str, samples: int, seed: int):
-    """The ordered pairs (y, x) of a scan, as chunks of two index arrays:
-    full mode pairs y-major blocks of rows with every x (the diagonal
-    included), sampled mode draws y and an offset x - y != 0 per pair."""
+    """The ordered pairs (y, x), x != y, of a scan, as chunks of two index
+    arrays: full mode pairs y-major blocks of rows with every other x in
+    ascending order, sampled mode draws y and an offset x - y != 0."""
     if mode == "full":
-        xs = np.arange(n, dtype=np.int64)
+        others = np.arange(n - 1, dtype=np.int64)
         rows = max(1, SCAN_CHUNK // n)
         for lo in range(0, n, rows):
             ys = np.arange(lo, min(lo + rows, n), dtype=np.int64)
-            yield np.repeat(ys, n), np.tile(xs, len(ys))
+            xs = others + (others >= ys[:, None])  # skip x = y
+            yield np.repeat(ys, n - 1), xs.ravel()
         return
     rng = np.random.default_rng(seed)
     for done in range(0, samples, SCAN_CHUNK):
@@ -391,6 +394,25 @@ def _pair_chunks(n: int, mode: str, samples: int, seed: int):
         ys = rng.integers(0, n, size=m, dtype=np.int64)
         offs = rng.integers(1, n, size=m, dtype=np.int64)
         yield ys, (ys + offs) % n
+
+
+def _tally(g: JKGroup, check: str, mode: str, sigma, chunks) -> JKVerification:
+    """Time a scan over chunks (a, b, d, e) of index arrays: count the
+    entries and the hits, where a classified endomorphism maps d to e, and
+    record the first MAX_RECORDED_VIOLATIONS hits as (a, b) in scan order."""
+    start = time.perf_counter()
+    bad: list[tuple[int, int]] = []
+    checked = total = 0
+    for a, b, d, e in chunks:
+        hits = np.flatnonzero(_reachable_mask(g._p4, d, e))
+        checked += a.size
+        total += hits.size
+        keep = hits[: MAX_RECORDED_VIOLATIONS - len(bad)]
+        bad += zip(a[keep].tolist(), b[keep].tolist())
+    elapsed = time.perf_counter() - start
+    return JKVerification(
+        g.params, check, mode, sigma, checked, tuple(bad), total, elapsed
+    )
 
 
 def verify_affapp_one(
@@ -406,11 +428,8 @@ def verify_affapp_one(
 
     An affine map agreeing with f at two points x != y forces an
     endomorphism to carry y^-1 x to f(y)^-1 f(x), so the scan checks that
-    endo_reachable fails on every ordered pair.  One loop takes the pairs
-    in chunks, forms both quotients with the carrier's mul_many/inv_many
-    and drops the diagonal x = y.  Full mode walks all n(n-1) pairs,
-    y-major (p = 3 only: about 4.3e7 pairs); sampled mode draws random
-    pairs.  The first violations are recorded in scan order.
+    endo_reachable fails on ordered pairs: all n(n-1) in full mode (p = 3
+    only: about 4.3e7), random ones in sampled mode.
     """
     g.params.require_classified()
     if mode not in ("full", "sampled"):
@@ -420,35 +439,19 @@ def verify_affapp_one(
             f"full verification is limited to p = {FULL_SCAN_PRIME}; use "
             "mode='sampled'"
         )
+    if mode == "sampled" and samples < 1:
+        raise ParameterError(f"a sampled scan needs samples >= 1, got {samples}")
     if sigma is None:
         sigma = singer_sigma(g.p)
     if function is None:
         function = twist_function(g, sigma)
-    start = time.perf_counter()
-    f_img = np.asarray(function.images, dtype=np.int64)
-    bad: list[tuple[int, int]] = []
-    total_bad = 0
-    pairs = 0
-    for ys, xs in _pair_chunks(g.order, mode, samples, seed):
-        d = g.mul_many(g.inv_many(ys), xs)
-        e = g.mul_many(g.inv_many(f_img[ys]), f_img[xs])
-        off_diagonal = ys != xs
-        hits = np.flatnonzero(_reachable_mask(g._p4, d, e) & off_diagonal)
-        pairs += int(np.count_nonzero(off_diagonal))
-        total_bad += int(hits.size)
-        for i in hits[: max(0, MAX_RECORDED_VIOLATIONS - len(bad))]:
-            bad.append((int(ys[i]), int(xs[i])))
-    elapsed = time.perf_counter() - start
-    return JKVerification(
-        params=g.params,
-        check="affine-agreement",
-        mode=mode,
-        sigma=sigma.matrix,
-        pairs_checked=pairs,
-        violations=tuple(bad),
-        violations_total=total_bad,
-        elapsed=elapsed,
+    f = np.asarray(function.images, dtype=np.int64)
+    chunks = (
+        (ys, xs, g.mul_many(g.inv_many(ys), xs),
+         g.mul_many(g.inv_many(f[ys]), f[xs]))
+        for ys, xs in _pair_chunks(g.order, mode, samples, seed)
     )
+    return _tally(g, "affine-agreement", mode, sigma.matrix, chunks)
 
 
 def jk_enapp_zero_witness(g: JKGroup) -> GroupFunction:
@@ -456,9 +459,8 @@ def jk_enapp_zero_witness(g: JKGroup) -> GroupFunction:
     argument is sent outside its reachable set (worst-case endomorphism
     value 0)."""
     g.params.require_classified()
-    n = g.order
     p4 = g._p4
-    idx = np.arange(n, dtype=np.int64)
+    idx = np.arange(g.order, dtype=np.int64)
     central_img = np.where(idx == 1, 2, 1)
     noncentral_img = np.where(idx // p4 == 1, 2 * p4, p4)
     images = np.where(idx < p4, central_img, noncentral_img)
@@ -473,59 +475,39 @@ def verify_enapp_zero(
     g.params.require_classified()
     if function is None:
         function = jk_enapp_zero_witness(g)
-    start = time.perf_counter()
     idx = np.arange(g.order, dtype=np.int64)
     img = np.asarray(function.images, dtype=np.int64)
-    ok = _reachable_mask(g._p4, idx, img)
-    hits = np.flatnonzero(ok)
-    bad = tuple((int(v), int(img[v])) for v in hits[:MAX_RECORDED_VIOLATIONS])
-    elapsed = time.perf_counter() - start
-    return JKVerification(
-        params=g.params,
-        check="endo-agreement",
-        mode="full",
-        sigma=None,
-        pairs_checked=int(g.order),
-        violations=bad,
-        violations_total=int(hits.size),
-        elapsed=elapsed,
-    )
+    return _tally(g, "endo-agreement", "full", None, [(idx, img, idx, img)])
 
 
-def sample_check_classification(
-    g: JKGroup, *, samples: int = 2000, seed: int = 0
-) -> int:
-    """Spot-check that the classified maps really are endomorphisms.
-
-    Draws random linear maps L on the coset space and random pairs (x, y),
-    and checks the homomorphism law for both phi(x) = L(coset(x)) embedded
-    centrally and x -> x * phi(x).  Returns the number of violations
-    (expected 0; the trusted direction — that no other endomorphisms
-    exist — is not checkable by sampling).
+def check_classified_maps(g: JKGroup) -> int:
+    """Count the failures of an exhaustive proof that the classified maps,
+    phi_L = iota o L o c and x -> x * phi_L(x) for every linear L on the
+    coset space, are endomorphisms (c: coset digits, iota: a digit vector
+    as a central code).  They are once c adds digit-wise along every
+    generator edge (x, x*s), hence on every product; central codes multiply
+    digit-wise, so iota is additive; and central codes commute with every
+    generator, hence with all of G.  Each fact is checked on every element
+    with mul_many on decoded digits, given that G is a group generated by
+    its listed generators (as ``validate`` audits).
     """
     g.params.require_classified()
-    rng = np.random.default_rng(seed)
     p = g.p
-    p4 = g._p4
-    bad = 0
-    mats = rng.integers(0, p, size=(samples, 4, 4))
-    xs = rng.integers(0, g.order, size=samples, dtype=np.int64)
-    ys = rng.integers(0, g.order, size=samples, dtype=np.int64)
-    weights4 = p ** np.arange(3, -1, -1, dtype=np.int64)
-    for i in range(samples):
-        L = mats[i]
-        x, y = int(xs[i]), int(ys[i])
-        xy = g.mul(x, y)
 
-        def phi(v: int) -> int:
-            cos_digits = g.decode(v)[0:4]
-            return int(((cos_digits @ L.T) % p) @ weights4)
+    def not_digitwise(a, b, positions) -> int:
+        # products a*b whose digits at positions (0 = k1) are not a + b's
+        prod = g.mul_many(a, b)
+        off = np.zeros(np.shape(prod), dtype=bool)
+        for i in positions:
+            w = p ** (7 - i)
+            off |= prod // w % p != (a // w + b // w) % p
+        return int(np.count_nonzero(off))
 
-        def psi(v: int) -> int:
-            return g.mul(v, phi(v))
-
-        if phi(xy) != g.mul(phi(x), phi(y)):
-            bad += 1
-        elif psi(xy) != g.mul(psi(x), psi(y)):
-            bad += 1
+    xs = np.arange(g.order, dtype=np.int64)
+    central = xs[: g._p4]
+    # every pair of central codes, as the two halves of an index
+    bad = not_digitwise(xs // g._p4, xs % g._p4, range(8))
+    for s in g.generators:
+        bad += not_digitwise(xs, s, range(4))
+        bad += int(np.count_nonzero(g.mul_many(central, s) != g.mul_many(s, central)))
     return bad

@@ -37,8 +37,9 @@ __all__ = [
     "parse_metric_label",
     "partition_document",
     "table_document",
-    "verify_document",
+    "table_row",
     "table_text",
+    "verify_document",
     "witness_document",
     "write_document",
 ]

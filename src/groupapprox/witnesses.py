@@ -19,7 +19,10 @@ from __future__ import annotations
 import math
 
 from .errors import ParameterError
-from .groups import GroupCarrier, _is_prime, cyclic, dihedral, direct_product, elemabelian
+from .groups import (
+    GroupCarrier, _dense, _is_prime, _prime_power, cyclic, dihedral, direct_product,
+    elemabelian,
+)
 from .morphisms import automorphism_orbits
 from .search import GroupFunction
 
@@ -54,6 +57,7 @@ def cyclic_enapp_witness(n: int) -> GroupFunction:
 def prime_square_witness(p: int) -> GroupFunction:
     """x -> x^2 on Z/p (p prime): affine agreement at most 2, since
     x^2 = ax + b has at most two roots in the field."""
+    _dense(f"cyclic({p})", p)
     if not _is_prime(p):
         raise ParameterError(f"needs a prime, got {p}")
     g = cyclic(p)
@@ -62,10 +66,11 @@ def prime_square_witness(p: int) -> GroupFunction:
 
 def rem_quot_witness(p: int, k: int) -> GroupFunction:
     """x -> (x mod p) + (x div p) on Z/p^k: affine agreement at most p."""
-    if not _is_prime(p):
-        raise ParameterError(f"needs a prime, got {p}")
     if k < 1:
         raise ParameterError(f"needs an exponent >= 1, got {k}")
+    _dense(f"cyclic({p}**{k})", _prime_power(p, k))
+    if not _is_prime(p):
+        raise ParameterError(f"needs a prime, got {p}")
     n = p**k
     g = cyclic(n)
     return GroupFunction(g, tuple((x % p + x // p) % n for x in range(n)))

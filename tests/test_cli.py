@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -19,9 +22,9 @@ from groupapprox.reporting import (
     parse_metric_label,
 )
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
 
 
 def run(capsys, *argv):
@@ -310,6 +313,55 @@ def test_verify_jk_large_prime_gates(capsys):
     assert doc["p"] == 5 and doc["pairs_checked"] == 1500 and doc["passed"] is True
 
 
+MERSENNE_61 = str(2**61 - 1)  # a prime: trial division up to 1.5e9 never ends
+OVERSIZE_REQUESTS = [
+    (3, ["compute", "--group", f"heis({MERSENNE_61})"]),
+    (3, ["compute", "--group", f"elemabelian({MERSENNE_61},2)"]),
+    (3, ["compute", "--group", "elemabelian(2,1000000000)"]),
+    (3, ["compute", "--group", "sym(3000000)"]),
+    (3, ["compute", "--group", "sym(100000)"]),
+    (3, ["compute", "--group", "alt(100000)"]),
+    (2, ["compute", "--group", f"cyclic({'9' * 5001})"]),
+    (3, ["witness", "--name", f"prime-square:{MERSENNE_61}"]),
+    (3, ["witness", "--name", "rem-quot:2,1000000000"]),
+    (3, ["verify-jk", "--p", MERSENNE_61, "--lambda", "0,1"]),
+    (3, ["verify-jk", "--p", "101", "--lambda", "0,1", "--allow-large",
+         "--mode", "sampled"]),
+]
+# runs each request through main() in a child process, so that a hang is
+# cut by the timeout and an escaping exception shows as a traceback
+TIMED_MAIN = """
+import contextlib, io, json, sys, time
+from groupapprox.cli import main
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(json.dumps([code, time.perf_counter() - start, err.getvalue()]))
+"""
+
+
+def test_oversize_requests_exit_at_once():
+    argvs = [
+        argv + ["--metric", "enapp"] if argv[0] == "compute" else argv
+        for _, argv in OVERSIZE_REQUESTS
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(OVERSIZE_REQUESTS)
+    for (want, argv), (code, elapsed, err) in zip(OVERSIZE_REQUESTS, results):
+        label = " ".join(argv)[:80]
+        assert code == want, label
+        assert elapsed < 1.0, (label, elapsed)
+        assert err.startswith("error: ") and len(err) < 500, (label, err[:200])
+
+
 # --------------------------------------------------------------------------
 # bounds / partition-avoid / witness
 # --------------------------------------------------------------------------
@@ -381,6 +433,10 @@ def test_usage_errors_exit_2(capsys):
         ["verify-jk", "--p", "3", "--lambda", "5,1"],
         ["verify-jk", "--p", "3", "--lambda", "0"],
         ["verify-jk", "--p", "3", "--lambda", "0,1", "--sigma", "/no/such/file"],
+        ["verify-jk", "--p", "3", "--lambda", "0,1", "--mode", "sampled",
+         "--samples", "0"],
+        ["verify-jk", "--p", "3", "--lambda", "0,1", "--mode", "sampled",
+         "--samples", "-7"],
         ["witness", "--name", "unobtainium"],
         ["witness", "--name", "rem-quot:2"],
         ["witness", "--name", "rem-quot:4,2"],

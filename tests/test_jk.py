@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from groupapprox import (
     verify_affapp_one,
     verify_enapp_zero,
 )
-from groupapprox.jk import _reachable_mask, sample_check_classification
+from groupapprox.jk import _reachable_mask, check_classified_maps
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,8 @@ def test_unclassified_parameters_are_scope_gated():
         verify_enapp_zero(g)
     with pytest.raises(ScopeError):
         endo_reachable(g, 1, 1)
+    with pytest.raises(ScopeError):
+        check_classified_maps(g)
 
 
 def test_large_prime_gate():
@@ -80,6 +84,19 @@ def test_large_prime_gate():
     for _ in range(5):
         acc = g.mul(acc, x)
     assert jk_pth_power(g, x) == acc
+
+
+def test_primes_past_the_table_cell_limit_are_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        for p in (11, 101, 2**61 - 1):  # the last one would stall trial division
+            with pytest.raises(CapacityError):
+                jk_group(p, 0, 1, allow_large=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert jk_group(7, 0, 1, allow_large=True).order == 7**8
 
 
 def test_build_group_spec_integration(g11):
@@ -280,8 +297,18 @@ def test_reachability_is_witnessed_by_constructed_endomorphisms(g01):
         assert coset_hits == set(range((d // 81) * 81, (d // 81 + 1) * 81))
 
 
-def test_classified_maps_satisfy_homomorphism_law(g01):
-    assert sample_check_classification(g01, samples=300, seed=5) == 0
+def test_classified_maps_satisfy_homomorphism_law(g01, g11):
+    assert check_classified_maps(g01) == 0
+    assert check_classified_maps(g11) == 0
+    assert check_classified_maps(jk_group(3, 2, 1)) == 0
+    assert check_classified_maps(jk_group(5, 0, 1, allow_large=True)) == 0
+
+
+def test_classified_maps_check_catches_a_tampered_product():
+    g = jk_group(3, 0, 1)  # a fresh carrier: the module fixtures stay intact
+    assert check_classified_maps(g) == 0
+    g._add[1] = 2  # the digit-wise sum 0 + 1 of the last digit now reads 2
+    assert check_classified_maps(g) > 0
 
 
 # --------------------------------------------------------------------------
@@ -332,6 +359,9 @@ def test_full_scan_is_gated_to_small_primes():
     assert report.passed
     with pytest.raises(ParameterError):
         verify_affapp_one(jk_group(3, 0, 1), mode="quick")
+    for samples in (0, -7):  # an empty scan would pass vacuously
+        with pytest.raises(ParameterError):
+            verify_affapp_one(jk_group(3, 0, 1), mode="sampled", samples=samples)
 
 
 def test_enapp_zero_scan(g01):
