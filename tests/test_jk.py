@@ -351,6 +351,33 @@ def test_full_scan_with_degenerate_sigma_records_pairs_in_order(g01):
     assert report.violations == tuple((0, x) for x in range(1, 21))
 
 
+@pytest.fixture(scope="module")
+def tampered_twist(g01):
+    # one value copied inside its coset: four ordered pairs off row 0, next
+    # to the diagonal, now agree with an affine map
+    images = list(twist_function(g01).images)
+    images[4000] = images[3976]
+    return GroupFunction(g01, tuple(images))
+
+
+def test_full_scan_records_scattered_violations_in_order(g01, tampered_twist):
+    report = verify_affapp_one(g01, mode="full", function=tampered_twist)
+    assert report.pairs_checked == 6561 * 6560
+    assert report.violations_total == 4
+    assert report.violations == (
+        (3976, 4000), (4000, 3976), (4000, 4012), (4012, 4000),
+    )
+
+
+def test_sampled_scan_records_scattered_violations(g01, tampered_twist):
+    report = verify_affapp_one(
+        g01, mode="sampled", samples=10**6, seed=6, function=tampered_twist
+    )
+    assert report.pairs_checked == 10**6
+    assert report.violations_total == 1
+    assert report.violations == ((3976, 4000),)
+
+
 def test_full_scan_is_gated_to_small_primes():
     g = jk_group(5, 0, 1, allow_large=True)
     with pytest.raises(CapacityError):
