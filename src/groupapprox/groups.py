@@ -54,8 +54,9 @@ DENSE_LIMIT = 2048
 # exhaustive associativity audit up to this order, sampled above it
 EXHAUSTIVE_ASSOC_LIMIT = 512
 SAMPLE_TRIPLES = 1_000_000
-# longest integer a spec argument may spell out
+# longest integer a spec argument or a Cayley order line may spell out
 MAX_ARG_DIGITS = 30
+_INT_TOKEN = re.compile(rf"-?\d{{1,{MAX_ARG_DIGITS}}}")
 
 
 def _dense(name: str, order: int | None) -> None:
@@ -437,10 +438,13 @@ def parse_cayley(text: str, name: str = "cayley") -> TableGroup:
     toks = lines[0].split()
     if len(toks) != 1:
         raise FormatError("the first line must hold a single integer order", line=1)
-    try:
-        n = int(toks[0])
-    except ValueError:
-        raise FormatError(f"invalid order {toks[0]!r}", line=1) from None
+    if not _INT_TOKEN.fullmatch(toks[0]):
+        raise FormatError(
+            f"the order must be an integer of at most {MAX_ARG_DIGITS} digits, "
+            f"got {toks[0][:MAX_ARG_DIGITS + 2]!r}",
+            line=1,
+        )
+    n = int(toks[0])
     if n < 1:
         raise FormatError(f"order must be positive, got {n}", line=1)
     _dense(name, n)
@@ -547,7 +551,7 @@ def _parse_node(spec: str):
 
 
 def _int_arg(name: str, raw: str) -> int:
-    if not re.fullmatch(rf"-?\d{{1,{MAX_ARG_DIGITS}}}", raw):
+    if not _INT_TOKEN.fullmatch(raw):
         raise FormatError(
             f"{name} expects integer arguments of at most {MAX_ARG_DIGITS} "
             f"digits, got {raw[:MAX_ARG_DIGITS + 2]!r}"

@@ -59,8 +59,11 @@ __all__ = [
 FULL_SCAN_PRIME = 3
 DEFAULT_SAMPLES = 1_000_000
 MAX_RECORDED_VIOLATIONS = 20
-# pairs per chunk of a scan (sampled mode draws its pairs chunk by chunk)
+# pairs per draw of a sampled scan (the draws fix its pair sequence)
 SCAN_CHUNK = 1 << 16
+# cells per block of a pass over all elements or pairs: its int64 temporaries
+# (128 KiB) are reused, where 2^16 cells took fresh pages every time
+SCAN_BLOCK = 1 << 14
 # the two p^4 x p^4 tables of a carrier hold p^8 cells each: p = 7 fits
 MAX_TABLE_CELLS = 1 << 24
 
@@ -171,22 +174,29 @@ class JKGroup(GroupCarrier):
 
     # -- carrier interface --
 
-    def mul_many(self, a, b):
-        # (qa, za)(qb, zb) = (qa + qb, za + zb + c(qa, qb))
+    def _mul_halves(self, qa, za, qb, zb):
+        """(qa, za)(qb, zb) = (qa + qb, za + zb + c(qa, qb)) on broadcasting
+        coset and central codes: the one place the product is written."""
         p4, add = self._p4, self._add
-        qa, za = np.divmod(a, p4)
-        qb, zb = np.divmod(b, p4)
-        q = qa * p4 + qb
-        z = np.multiply(add[za * p4 + zb], p4, dtype=np.int64) + self._cocycle[q]
-        return np.multiply(add[q], p4, dtype=np.int64) + add[z]
+        # widen before scaling: the tables' type (int8 at p = 3) is too narrow
+        q = np.multiply(qa, p4, dtype=np.int64) + qb
+        z = add[np.multiply(za, p4, dtype=np.int64) + zb]
+        return add[q], add[np.multiply(z, p4, dtype=np.int64) + self._cocycle[q]]
+
+    def _inv_halves(self, q, z):
+        """(q, z)^-1 = (-q, -z - c(q, -q)) on coset and central codes."""
+        p4, neg = self._p4, self._neg
+        nq = neg[q]
+        c = self._cocycle[np.multiply(q, p4, dtype=np.int64) + nq]
+        return nq, neg[self._add[np.multiply(z, p4, dtype=np.int64) + c]]
+
+    def mul_many(self, a, b):
+        q, z = self._mul_halves(*np.divmod(a, self._p4), *np.divmod(b, self._p4))
+        return np.multiply(q, self._p4, dtype=np.int64) + z
 
     def inv_many(self, a):
-        # (q, z)^-1 = (-q, -z - c(q, -q))
-        p4, neg = self._p4, self._neg
-        q, z = np.divmod(a, p4)
-        nq = neg[q]
-        z = neg[self._add[z * p4 + self._cocycle[q * p4 + nq]]]
-        return np.multiply(nq, p4, dtype=np.int64) + z
+        q, z = self._inv_halves(*np.divmod(a, self._p4))
+        return np.multiply(q, self._p4, dtype=np.int64) + z
 
     def coset(self, x: int) -> int:
         """Index of the central coset of x, i.e. its (k1,k2,l1,l2) digits."""
@@ -301,13 +311,8 @@ def singer_sigma(p: int) -> SigmaMap:
     eye = np.eye(4, dtype=np.int64)
     for coeffs in itertools.product(range(p), repeat=4):
         # companion matrix of x^4 + a3 x^3 + a2 x^2 + a1 x + a0
-        a0, a1, a2, a3 = coeffs
-        comp = np.zeros((4, 4), dtype=np.int64)
-        comp[1, 0] = comp[2, 1] = comp[3, 2] = 1
-        comp[0, 3] = (-a0) % p
-        comp[1, 3] = (-a1) % p
-        comp[2, 3] = (-a2) % p
-        comp[3, 3] = (-a3) % p
+        comp = np.eye(4, k=-1, dtype=np.int64)
+        comp[:, 3] = -np.array(coeffs) % p
         if not (_mat_pow(comp, full, p) == eye).all():
             continue
         if any((_mat_pow(comp, full // q, p) == eye).all() for q in factors):
@@ -331,19 +336,19 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
         raise ParameterError(f"sigma is mod {sigma.p}, group needs mod {g.p}")
     p4 = g._p4
     table = sigma.apply(_digits(np.arange(p4), g.p, 4)) @ g._weights[4:]
-    q, z = np.divmod(np.arange(g.order, dtype=np.int64), p4)
-    return GroupFunction(g, tuple((table[q] * p4 + table[z]).tolist()))
+    return GroupFunction(g, tuple(np.add.outer(table * p4, table).ravel().tolist()))
 
 
 # --------------------------------------------------------------------------
 # reachability under the classified endomorphisms
 # --------------------------------------------------------------------------
 
-def _reachable_mask(p4: int, d, e) -> np.ndarray:
-    """endo_reachable on index arrays (or scalars) d and e."""
-    noncentral = (e < p4) | (e // p4 == d // p4)
-    central = (e == 0) | (e == d)
-    return np.where(d == 0, e == 0, np.where(d < p4, central, noncentral))
+def _reachable_mask(qd, zd, qe, ze) -> np.ndarray:
+    """endo_reachable on the (coset, centre) halves of index arrays (or
+    scalars) d and e: e is 0, or e is central and equals d or d is
+    noncentral, or d is noncentral and e lies in its coset."""
+    moved = qd != 0
+    return ((qe == 0) & (moved | (ze == 0) | (ze == zd))) | (moved & (qe == qd))
 
 
 def endo_reachable(g: JKGroup, d: int, e: int) -> bool:
@@ -355,7 +360,7 @@ def endo_reachable(g: JKGroup, d: int, e: int) -> bool:
     d = 0, {0, d} for central d, and (center union coset of d) otherwise.
     """
     g.params.require_classified()
-    return bool(_reachable_mask(g._p4, d, e))
+    return bool(_reachable_mask(*np.divmod(d, g._p4), *np.divmod(e, g._p4)))
 
 
 @dataclass(frozen=True)
@@ -376,39 +381,58 @@ class JKVerification:
         return self.violations_total == 0
 
 
-def _pair_chunks(n: int, mode: str, samples: int, seed: int):
-    """The ordered pairs (y, x), x != y, of a scan, as chunks of two index
-    arrays: full mode pairs y-major blocks of rows with every other x in
-    ascending order, sampled mode draws y and an offset x - y != 0."""
+def _affine_chunks(g: JKGroup, f: np.ndarray, mode: str, samples: int, seed: int):
+    """The chunks (ys, xs, hit, pairs) of the affine scan for _tally, hit
+    marking the pairs (y, x) for which an endomorphism carries y^-1 x to
+    f(y)^-1 f(x).  The halves of x, f(x) and their inverses are tabled for
+    every x once per scan, the inverses on the grid of all (q, z).  Full
+    mode takes blocks of rows y against every x as one 2-D broadcast with
+    the diagonal x = y cleared, sampled mode draws y and an offset x - y."""
+    n, p4 = g.order, g._p4
+    codes = np.arange(p4, dtype=g._add.dtype)
+    xq, xz = np.repeat(codes, p4), np.tile(codes, p4)
+    nq, nz = g._inv_halves(codes[:, None], codes)
+    iq, iz = np.repeat(nq, p4), nz.ravel()
+    fq, fz, jq, jz = xq[f], xz[f], iq[f], iz[f]
+
+    def hits(ys, xs):
+        d = g._mul_halves(iq[ys], iz[ys], xq[xs], xz[xs])
+        e = g._mul_halves(jq[ys], jz[ys], fq[xs], fz[xs])
+        return _reachable_mask(*d, *e)
+
     if mode == "full":
-        others = np.arange(n - 1, dtype=np.int64)
-        rows = max(1, SCAN_CHUNK // n)
+        xs, rows = np.arange(n), max(1, SCAN_BLOCK // n)
         for lo in range(0, n, rows):
-            ys = np.arange(lo, min(lo + rows, n), dtype=np.int64)
-            xs = others + (others >= ys[:, None])  # skip x = y
-            yield np.repeat(ys, n - 1), xs.ravel()
+            ys = xs[lo : lo + rows, None]
+            hit = hits(ys, slice(None))
+            hit[np.arange(ys.size), ys[:, 0]] = False
+            yield ys, xs, hit, hit.size - ys.size
         return
     rng = np.random.default_rng(seed)
     for done in range(0, samples, SCAN_CHUNK):
         m = min(SCAN_CHUNK, samples - done)
         ys = rng.integers(0, n, size=m, dtype=np.int64)
-        offs = rng.integers(1, n, size=m, dtype=np.int64)
-        yield ys, (ys + offs) % n
+        xs = (ys + rng.integers(1, n, size=m, dtype=np.int64)) % n
+        for lo in range(0, m, SCAN_BLOCK):
+            y, x = ys[lo : lo + SCAN_BLOCK], xs[lo : lo + SCAN_BLOCK]
+            yield y, x, hits(y, x), y.size
 
 
 def _tally(g: JKGroup, check: str, mode: str, sigma, chunks) -> JKVerification:
-    """Time a scan over chunks (a, b, d, e) of index arrays: count the
-    entries and the hits, where a classified endomorphism maps d to e, and
-    record the first MAX_RECORDED_VIOLATIONS hits as (a, b) in scan order."""
+    """Time a scan over chunks (a, b, hit, pairs): hit marks where a
+    classified endomorphism maps d to e, a and b broadcast to its shape and
+    name each entry's pair, and the chunk covers pairs of them.  Record the
+    first MAX_RECORDED_VIOLATIONS hits as (a, b) in row-major order."""
     start = time.perf_counter()
     bad: list[tuple[int, int]] = []
     checked = total = 0
-    for a, b, d, e in chunks:
-        hits = np.flatnonzero(_reachable_mask(g._p4, d, e))
-        checked += a.size
+    for a, b, hit, pairs in chunks:
+        hits = np.flatnonzero(hit)
+        checked += pairs
         total += hits.size
-        keep = hits[: MAX_RECORDED_VIOLATIONS - len(bad)]
-        bad += zip(a[keep].tolist(), b[keep].tolist())
+        keep = np.unravel_index(hits[: MAX_RECORDED_VIOLATIONS - len(bad)], hit.shape)
+        bad += zip(np.broadcast_to(a, hit.shape)[keep].tolist(),
+                   np.broadcast_to(b, hit.shape)[keep].tolist())
     elapsed = time.perf_counter() - start
     return JKVerification(
         g.params, check, mode, sigma, checked, tuple(bad), total, elapsed
@@ -446,11 +470,7 @@ def verify_affapp_one(
     if function is None:
         function = twist_function(g, sigma)
     f = np.asarray(function.images, dtype=np.int64)
-    chunks = (
-        (ys, xs, g.mul_many(g.inv_many(ys), xs),
-         g.mul_many(g.inv_many(f[ys]), f[xs]))
-        for ys, xs in _pair_chunks(g.order, mode, samples, seed)
-    )
+    chunks = _affine_chunks(g, f, mode, samples, seed)
     return _tally(g, "affine-agreement", mode, sigma.matrix, chunks)
 
 
@@ -477,7 +497,9 @@ def verify_enapp_zero(
         function = jk_enapp_zero_witness(g)
     idx = np.arange(g.order, dtype=np.int64)
     img = np.asarray(function.images, dtype=np.int64)
-    return _tally(g, "endo-agreement", "full", None, [(idx, img, idx, img)])
+    halves = (*np.divmod(idx, g._p4), *np.divmod(img, g._p4))
+    chunks = ((idx, img, _reachable_mask(*h), idx.size) for h in [halves])
+    return _tally(g, "endo-agreement", "full", None, chunks)
 
 
 def check_classified_maps(g: JKGroup) -> int:
@@ -487,9 +509,9 @@ def check_classified_maps(g: JKGroup) -> int:
     as a central code).  They are once c adds digit-wise along every
     generator edge (x, x*s), hence on every product; central codes multiply
     digit-wise, so iota is additive; and central codes commute with every
-    generator, hence with all of G.  Each fact is checked on every element
-    with mul_many on decoded digits, given that G is a group generated by
-    its listed generators (as ``validate`` audits).
+    generator, hence with all of G.  Each fact is checked on every element,
+    in SCAN_BLOCK pieces, with mul_many on decoded digits, given that G is
+    a group generated by its listed generators (as ``validate`` audits).
     """
     g.params.require_classified()
     p = g.p
@@ -503,11 +525,13 @@ def check_classified_maps(g: JKGroup) -> int:
             off |= prod // w % p != (a // w + b // w) % p
         return int(np.count_nonzero(off))
 
-    xs = np.arange(g.order, dtype=np.int64)
-    central = xs[: g._p4]
-    # every pair of central codes, as the two halves of an index
-    bad = not_digitwise(xs // g._p4, xs % g._p4, range(8))
-    for s in g.generators:
-        bad += not_digitwise(xs, s, range(4))
-        bad += int(np.count_nonzero(g.mul_many(central, s) != g.mul_many(s, central)))
+    bad = 0
+    for lo in range(0, g.order, SCAN_BLOCK):  # bounded temporaries
+        xs = np.arange(lo, min(lo + SCAN_BLOCK, g.order), dtype=np.int64)
+        central = xs[xs < g._p4]
+        # every pair of central codes, as the two halves of an index
+        bad += not_digitwise(xs // g._p4, xs % g._p4, range(8))
+        for s in g.generators:
+            bad += not_digitwise(xs, s, range(4))
+            bad += int(np.count_nonzero(g.mul_many(central, s) != g.mul_many(s, central)))
     return bad

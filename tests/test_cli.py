@@ -196,6 +196,20 @@ def test_compute_refuses_oversize_table_file(tmp_path, capsys):
         assert f"has order {n} > {DENSE_LIMIT}" in err, path.name
 
 
+def test_compute_refuses_overlong_order_line(tmp_path, capsys):
+    # thousands of digits on line 1 are refused by their count, with the
+    # token cut short in one error line (a spec argument has the same cap)
+    for digits in (4000, 5001):
+        path = tmp_path / f"order{digits}.cayley"
+        path.write_text("9" * digits + "\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "compute", "--group", f"file({path})", "--metric", "enapp"
+        )
+        assert code == 2, digits
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+        assert len(err) < 500, (digits, len(err))
+
+
 def test_compute_budget_exhausted(capsys):
     code, doc, _ = run_json(
         capsys, "compute", "--group", "alt(4)", "--metric", "affapp",

@@ -253,14 +253,30 @@ def test_reachable_set_sizes(g01):
     es = np.arange(g.order)
     assert endo_reachable(g, 0, 0) and not endo_reachable(g, 0, 1)
     for d in (1, 5, 80):  # central arguments reach {0, d}
-        mask = _reachable_mask(81, np.full(g.order, d), es)
+        mask = _reachable_mask(*divmod(d, 81), *np.divmod(es, 81))
         assert int(mask.sum()) == 2
         assert endo_reachable(g, d, 0) and endo_reachable(g, d, d)
     for d in (81, 4000, 6560):  # noncentral arguments reach center + coset
-        mask = _reachable_mask(81, np.full(g.order, d), es)
+        mask = _reachable_mask(*divmod(d, 81), *np.divmod(es, 81))
         assert int(mask.sum()) == 162
         scalar = np.array([endo_reachable(g, d, int(e)) for e in range(0, 6561, 37)])
         assert (scalar == mask[::37]).all()
+
+
+def test_reachable_mask_on_halves_matches_the_reachable_sets(g01):
+    es = np.arange(g01.order)
+    center = set(range(81))
+    rng = np.random.default_rng(4)
+    noncentral = rng.choice(np.arange(81, g01.order), size=160, replace=False)
+    for d in [0, *range(1, 81, 2), *noncentral.tolist()]:
+        if d == 0:
+            want = {0}
+        elif d in center:
+            want = {0, d}
+        else:
+            want = center | {x for x in range(g01.order) if x // 81 == d // 81}
+        mask = _reachable_mask(*np.divmod(np.full(es.size, d), 81), *np.divmod(es, 81))
+        assert set(np.flatnonzero(mask).tolist()) == want, d
 
 
 def test_reachability_is_witnessed_by_constructed_endomorphisms(g01):
@@ -308,7 +324,19 @@ def test_classified_maps_check_catches_a_tampered_product():
     g = jk_group(3, 0, 1)  # a fresh carrier: the module fixtures stay intact
     assert check_classified_maps(g) == 0
     g._add[1] = 2  # the digit-wise sum 0 + 1 of the last digit now reads 2
-    assert check_classified_maps(g) > 0
+    assert check_classified_maps(g) == 166
+
+
+def test_classified_maps_check_runs_in_bounded_memory():
+    g = jk_group(5, 0, 1, allow_large=True)
+    tracemalloc.start()
+    try:
+        assert check_classified_maps(g) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of the element range, not order-length (5^8) arrays
+    assert peak < 4 << 20, peak
 
 
 # --------------------------------------------------------------------------
