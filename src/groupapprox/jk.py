@@ -404,9 +404,7 @@ def _affine_chunks(g: JKGroup, f: np.ndarray, mode: str, samples: int, seed: int
         xs, rows = np.arange(n), max(1, SCAN_BLOCK // n)
         for lo in range(0, n, rows):
             ys = xs[lo : lo + rows, None]
-            hit = hits(ys, slice(None))
-            hit[np.arange(ys.size), ys[:, 0]] = False
-            yield ys, xs, hit, hit.size - ys.size
+            yield ys, xs, hits(ys, slice(None)) & (ys != xs), ys.size * (n - 1)
         return
     rng = np.random.default_rng(seed)
     for done in range(0, samples, SCAN_CHUNK):
@@ -467,9 +465,11 @@ def verify_affapp_one(
         raise ParameterError(f"a sampled scan needs samples >= 1, got {samples}")
     if sigma is None:
         sigma = singer_sigma(g.p)
-    if function is None:
-        function = twist_function(g, sigma)
-    f = np.asarray(function.images, dtype=np.int64)
+    # a twist built here is dropped once its images are read
+    f = np.asarray(
+        (twist_function(g, sigma) if function is None else function).images,
+        dtype=np.int64,
+    )
     chunks = _affine_chunks(g, f, mode, samples, seed)
     return _tally(g, "affine-agreement", mode, sigma.matrix, chunks)
 
