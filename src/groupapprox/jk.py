@@ -498,6 +498,7 @@ def verify_enapp_zero(
     idx = np.arange(g.order, dtype=np.int64)
     img = np.asarray(function.images, dtype=np.int64)
     halves = (*np.divmod(idx, g._p4), *np.divmod(img, g._p4))
+    # one chunk, its mask evaluated inside the tally's timing
     chunks = ((idx, img, _reachable_mask(*h), idx.size) for h in [halves])
     return _tally(g, "endo-agreement", "full", None, chunks)
 
@@ -533,5 +534,6 @@ def check_classified_maps(g: JKGroup) -> int:
         bad += not_digitwise(xs // g._p4, xs % g._p4, range(8))
         for s in g.generators:
             bad += not_digitwise(xs, s, range(4))
-            bad += int(np.count_nonzero(g.mul_many(central, s) != g.mul_many(s, central)))
+            moved = g.mul_many(central, s) != g.mul_many(s, central)
+            bad += int(np.count_nonzero(moved))
     return bad
