@@ -64,15 +64,13 @@ from .jk import (
     verify_enapp_zero,
 )
 from .morphisms import (
-    AffineMap,
-    Morphism,
+    GroupFunction,
     automorphism_orbits,
     enumerate_endomorphisms,
 )
 from .reporting import TOOL_VERSION
 from .search import (
     ApproxCertificate,
-    GroupFunction,
     LowerBound,
     approximability,
     difference_criterion,

@@ -139,13 +139,6 @@ class GroupCarrier:
             e >>= 1
         return acc
 
-    def element_order(self, x: int) -> int:
-        acc, k = x, 1
-        while acc != 0:
-            acc = self.mul(acc, x)
-            k += 1
-        return k
-
     def element_orders(self) -> list[int]:
         # walk every power sequence x, x^2, ... at once until all hit 1
         ar = np.arange(self.order)

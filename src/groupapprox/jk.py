@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, ScopeError
 from .groups import GroupCarrier, _is_prime, _parity
-from .search import GroupFunction
+from .morphisms import GroupFunction
 
 __all__ = [
     "JKGroup",
@@ -336,7 +336,7 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
         raise ParameterError(f"sigma is mod {sigma.p}, group needs mod {g.p}")
     p4 = g._p4
     table = sigma.apply(_digits(np.arange(p4), g.p, 4)) @ g._weights[4:]
-    return GroupFunction(g, tuple(np.add.outer(table * p4, table).ravel().tolist()))
+    return GroupFunction(g, np.add.outer(table * p4, table).ravel())
 
 
 # --------------------------------------------------------------------------
@@ -466,10 +466,7 @@ def verify_affapp_one(
     if sigma is None:
         sigma = singer_sigma(g.p)
     # a twist built here is dropped once its images are read
-    f = np.asarray(
-        (twist_function(g, sigma) if function is None else function).images,
-        dtype=np.int64,
-    )
+    f = (twist_function(g, sigma) if function is None else function).images
     chunks = _affine_chunks(g, f, mode, samples, seed)
     return _tally(g, "affine-agreement", mode, sigma.matrix, chunks)
 
@@ -483,8 +480,7 @@ def jk_enapp_zero_witness(g: JKGroup) -> GroupFunction:
     idx = np.arange(g.order, dtype=np.int64)
     central_img = np.where(idx == 1, 2, 1)
     noncentral_img = np.where(idx // p4 == 1, 2 * p4, p4)
-    images = np.where(idx < p4, central_img, noncentral_img)
-    return GroupFunction(g, tuple(int(v) for v in images))
+    return GroupFunction(g, np.where(idx < p4, central_img, noncentral_img))
 
 
 def verify_enapp_zero(
@@ -496,7 +492,7 @@ def verify_enapp_zero(
     if function is None:
         function = jk_enapp_zero_witness(g)
     idx = np.arange(g.order, dtype=np.int64)
-    img = np.asarray(function.images, dtype=np.int64)
+    img = function.images
     halves = (*np.divmod(idx, g._p4), *np.divmod(img, g._p4))
     # one chunk, its mask evaluated inside the tally's timing
     chunks = ((idx, img, _reachable_mask(*h), idx.size) for h in [halves])

@@ -22,7 +22,8 @@ from .bounds import BoundReport
 from .errors import ParameterError
 from .groups import _parse_node
 from .jk import JKVerification
-from .search import ApproxCertificate, GroupFunction
+from .morphisms import GroupFunction
+from .search import ApproxCertificate
 
 __all__ = [
     "TOOL_VERSION",
@@ -90,7 +91,7 @@ def compute_document(
             "kind": lb.kind,
             "evidence": None if lb.evidence is None else list(lb.evidence),
         },
-        "witness": None if cert.witness is None else list(cert.witness.images),
+        "witness": None if cert.witness is None else cert.witness.images.tolist(),
         "stats": {
             "nodes": cert.stats.nodes,
             "elapsed_s": round(cert.stats.elapsed, 6),
@@ -206,7 +207,7 @@ def witness_document(name: str, spec: str, fn: GroupFunction,
         "name": name,
         "group": spec,
         "order": fn.group.order,
-        "images": list(fn.images),
+        "images": fn.images.tolist(),
         "metric": metric_label(metric),
         "agreement": agreement,
     }

@@ -20,8 +20,7 @@ from .bounds import _min_max, worst_case_upper_bounds
 from .errors import CapacityError, ParameterError
 from .groups import GroupCarrier
 from .morphisms import (
-    AffineMap,
-    Morphism,
+    GroupFunction,
     affine_tables,
     automorphism_orbits,
     endomorphism_tables,
@@ -31,7 +30,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "METRICS",
     "ApproxCertificate",
-    "GroupFunction",
     "LowerBound",
     "SearchStats",
     "approximability",
@@ -46,26 +44,6 @@ __all__ = [
 
 METRICS = ("endo", "affine")
 DEFAULT_BUDGET = 10**9
-
-
-@dataclass(frozen=True)
-class GroupFunction:
-    """An arbitrary self-map of a group, by image table."""
-
-    group: GroupCarrier = field(compare=False, repr=False)
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.group.order
-        if len(self.images) != n:
-            raise ParameterError(
-                f"function table has {len(self.images)} entries for order {n}"
-            )
-        if any(not 0 <= v < n for v in self.images):
-            raise ParameterError("function values must be element indices")
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
 
 
 @dataclass(frozen=True)
@@ -111,23 +89,14 @@ def family_tables(g: GroupCarrier, metric: str) -> np.ndarray:
     return affine_tables(g)
 
 
-def _family_member(g: GroupCarrier, metric: str, index: int):
-    """The map of row ``index`` of ``family_tables(g, metric)``."""
-    endos = endomorphism_tables(g)
-    endo = Morphism(g, tuple(endos[index % len(endos)].tolist()))
-    if metric == "endo":
-        return endo
-    return AffineMap(g, index // len(endos), endo)
-
-
 def approximability(f: GroupFunction, metric: str):
     """Best agreement count of f with the family, plus a map achieving it
     (the first such map in canonical family order)."""
     g = f.group
     tables = family_tables(g, metric)
-    agree = (tables == np.array(f.images, dtype=tables.dtype)[None, :]).sum(axis=1)
+    agree = (tables == f.images).sum(axis=1)
     j = int(np.argmax(agree))
-    return int(agree[j]), _family_member(g, metric, j)
+    return int(agree[j]), GroupFunction(g, tables[j])
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +262,7 @@ def worst_case_value(
 # agreement with affine maps on a subset, and zero-approximability witnesses
 # --------------------------------------------------------------------------
 
-def difference_criterion(f: GroupFunction, x_set) -> AffineMap | None:
+def difference_criterion(f: GroupFunction, x_set) -> GroupFunction | None:
     """An affine map agreeing with f on all of x_set, if one exists.
 
     f agrees with some affine map on X iff some endomorphism phi satisfies
@@ -315,9 +284,9 @@ def difference_criterion(f: GroupFunction, x_set) -> AffineMap | None:
     hits = np.flatnonzero((tables[:, cols] == want).all(axis=1))
     if not hits.size:
         return None
-    endo = Morphism(g, tuple(tables[hits[0]].tolist()))
-    constant = g.mul(fx0, g.inv(endo.images[x0]))
-    return AffineMap(g, constant, endo)
+    endo = tables[hits[0]]
+    constant = g.mul(fx0, g.inv(endo[x0]))
+    return GroupFunction(g, g.mul_many(constant, endo))
 
 
 def enapp_zero_witness(g: GroupCarrier) -> GroupFunction | None:
@@ -329,6 +298,6 @@ def enapp_zero_witness(g: GroupCarrier) -> GroupFunction | None:
     tables = endomorphism_tables(g)
     n = g.order
     # every column misses some value, so its first zero count is the least
-    return GroupFunction(g, tuple(
-        int(np.argmin(np.bincount(tables[:, x], minlength=n))) for x in range(n)
-    ))
+    return GroupFunction(g, [
+        np.bincount(tables[:, x], minlength=n).argmin() for x in range(n)
+    ])

@@ -23,8 +23,7 @@ from .groups import (
     GroupCarrier, _dense, _is_prime, _prime_power, cyclic, dihedral, direct_product,
     elemabelian,
 )
-from .morphisms import automorphism_orbits
-from .search import GroupFunction
+from .morphisms import GroupFunction, automorphism_orbits
 
 __all__ = [
     "build_avoiding_permutation",

@@ -56,7 +56,7 @@ def record(g, metric: str, budget: int) -> dict:
         "upper": cert.upper,
         "nodes": cert.stats.nodes,
         "thresholds": list(cert.stats.thresholds),
-        "witness": None if cert.witness is None else list(cert.witness.images),
+        "witness": None if cert.witness is None else cert.witness.images.tolist(),
         "lower_bound": {
             "value": lb.value,
             "kind": lb.kind,

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from groupapprox import (
-    AffineMap,
     CapacityError,
+    GroupFunction,
+    approximability,
     automorphism_orbits,
     cyclic,
+    difference_criterion,
     elemabelian,
     enumerate_endomorphisms,
     sym,
+    twist_function,
 )
 from groupapprox.morphisms import (
     affine_tables,
     endomorphism_tables,
     minimal_generating_sequence,
 )
+from groupapprox.search import family_tables
 
 from _oracles import (
     brute_affine,
@@ -49,7 +53,7 @@ def test_endomorphisms_match_brute_force_filter():
     for spec in SMALL_SPECS:
         g = cached_group(spec)
         expected = sorted(tuple(row) for row in brute_endomorphisms(table_of(g)))
-        got = [m.images for m in enumerate_endomorphisms(g)]
+        got = [tuple(m.images.tolist()) for m in enumerate_endomorphisms(g)]
         assert got == expected, spec
 
 
@@ -115,9 +119,9 @@ def test_cyclic_endomorphisms_are_the_scalar_maps():
 def test_enumeration_is_lexicographic_with_zero_map_first():
     for spec in ("cyclic(6)", "sym(3)", "alt(4)"):
         g = cached_group(spec)
-        images = [m.images for m in enumerate_endomorphisms(g)]
+        images = [m.images.tolist() for m in enumerate_endomorphisms(g)]
         assert images == sorted(images)
-        assert images[0] == (0,) * g.order
+        assert images[0] == [0] * g.order
 
 
 def test_affine_maps_are_constant_major():
@@ -151,10 +155,12 @@ def test_enumeration_capacity_limit():
 
 def test_automorphism_flags():
     g = cached_group("cyclic(6)")
-    auts = [m for m in enumerate_endomorphisms(g) if m.is_automorphism]
+    auts = [
+        m for m in enumerate_endomorphisms(g) if len(set(m.images.tolist())) == 6
+    ]
     assert len(auts) == 2
     for m in auts:
-        assert sorted(m.images) == list(range(6))
+        assert sorted(m.images.tolist()) == list(range(6))
 
 
 # --------------------------------------------------------------------------
@@ -281,9 +287,17 @@ def test_minimal_generating_sequence_pins():
         assert minimal_generating_sequence(cached_group(spec)) == seq, spec
 
 
-def test_affine_map_objects():
+def test_maps_are_read_only_narrow_image_rows():
     g = cached_group("cyclic(4)")
-    endo = enumerate_endomorphisms(g)[1]
-    amap = AffineMap(g, 2, endo)
-    assert amap.images == tuple(g.mul(2, endo.images[x]) for x in range(4))
-    assert amap(0) == 2
+    f = GroupFunction(g, (3, 1, 0, 2))
+    assert f.images.dtype == np.int8
+    assert twist_function(cached_group("jk(3,0,1)")).images.dtype == np.int16
+    with pytest.raises(ValueError):
+        f.images[0] = 1
+    for metric in ("endo", "affine"):
+        tables = family_tables(g, metric)
+        best = tables[np.argmax((tables == f.images).sum(axis=1))]
+        assert approximability(f, metric)[1].images.tolist() == best.tolist()
+    amap = difference_criterion(f, [0, 1])
+    assert amap is not None
+    assert amap.images.tolist() in affine_tables(g).tolist()

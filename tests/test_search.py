@@ -72,6 +72,10 @@ def test_group_function_validation():
         GroupFunction(g, (0, 1, 2))
     with pytest.raises(ParameterError):
         GroupFunction(g, (0, 1, 2, 4))
+    # values that are not element indices, and a string of digits
+    for images in ((0, 1.5, 2, 3), np.array([0, 1.5, 2, 3]), (0, 1, 2, 3.0), "0123"):
+        with pytest.raises(ParameterError):
+            GroupFunction(g, images)
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +313,7 @@ def test_difference_criterion_recovers_affine_maps():
     f = GroupFunction(g, images)
     amap = difference_criterion(f, range(4))
     assert amap is not None
-    assert amap.images == images
+    assert amap.images.tolist() == list(images)
 
 
 def test_maps_built_for_a_caller_do_not_keep_the_carrier_alive():
@@ -358,7 +362,7 @@ def test_enapp_zero_witness_exists_iff_no_universal_element():
                 min(set(range(g.order)) - set(tables[:, x].tolist()))
                 for x in range(g.order)
             )
-            assert witness.images == least, g.name
+            assert witness.images.tolist() == list(least), g.name
 
 
 def test_enapp_zero_witness_pins():
