@@ -143,7 +143,7 @@ class _Budget(Exception):
     pass
 
 
-def _min_max(tables, m2, start, budget=math.inf, pinned=None):
+def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     """Least k such that some g: M1 -> M2 agrees with every family row on
     at most k points, by iterative deepening on k from ``start``.
 
@@ -156,15 +156,32 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None):
     increasing order, with one agreement counter per family row and a prune
     on the bucket of rows that take the value tried.
 
+    perms, when given, is a group of permutations of M2 (one per row) whose
+    action on values, g -> a o g, maps the family rows onto themselves, so
+    g and a o g agree with the family equally often.  Only the rows fixing
+    the pinned values are kept, and each depth holds the stabilizer S of
+    the values assigned so far: value v is tried only if it is the least in
+    its S-orbit, and the child's stabilizer is ``S[S[:, v] == v]``, or S
+    itself when S fixes v.  Each stabilizer's orbit leaders are found once,
+    when it is made, and it is dropped once it is the identity alone.
+
+    This removes only duplicate subtrees.  Without pruning the search
+    returns the lexicographically least feasible g in search order.  For every a in S, a o g is feasible with the same
+    prefix, so g's next value is at most its image under a: it is least in
+    its S-orbit, and no prefix of g is pruned.  So k and images are those
+    of the unpruned search, and only node counts change.
+
     The buckets are built in one pass per position: ``np.bincount`` counts
     each value's rows, and one stable argsort of the column, cut at the
     running counts, lists each value's rows in ascending order.  Keys that
     fit in 16 bits are sorted as ``uint16``, which numpy radix-sorts.
 
-    Returns (k, images, nodes, thresholds): images is a g reaching k, nodes
-    the search nodes over all thresholds and thresholds those tried in
-    order.  When more than ``budget`` nodes are needed, k is the threshold
-    the search stopped on, images is None and nodes is exactly ``budget``.
+    Returns (k, images, nodes, thresholds, symmetries): images is a g
+    reaching k, nodes the search nodes (values tried) over all thresholds,
+    thresholds those tried in order and symmetries the number of perms
+    rows left after pinning (1 without perms).  When more than ``budget``
+    nodes are needed, k is the threshold the search stopped on, images is
+    None and nodes is exactly ``budget``.
     """
     maps, m1 = tables.shape
     pinned = pinned or {}
@@ -189,15 +206,37 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None):
     base_counts = np.zeros(maps, dtype=np.int32)
     for x, v in pinned.items():
         base_counts[tables[:, x] == v] += 1
+
+    def symmetry(stab):
+        """A stabilizer with its orbit leaders and the values it fixes (its
+        one-point orbits), or None once only the identity is left."""
+        if len(stab) == 1:
+            return None
+        low, high = stab.min(axis=0), stab.max(axis=0)
+        leaders = np.flatnonzero(low == np.arange(m2)).tolist()
+        return stab, leaders, (low == high).tolist()
+
+    root, symmetries = None, 1
+    if perms is not None:
+        for v in pinned.values():
+            perms = perms[perms[:, v] == v]
+        root, symmetries = symmetry(perms), len(perms)
+    everything = range(m2)
     assignment = [0] * len(positions)
     nodes = 0
     k = start
 
-    def feasible(i: int, counts) -> bool:
+    def feasible(i: int, counts, sym) -> bool:
         nonlocal nodes
         if i == len(positions):
             return True
-        for v, bucket in enumerate(buckets[i]):
+        row = buckets[i]
+        if sym is None:
+            values = everything
+        else:
+            stab, values, fixed = sym
+        for v in values:
+            bucket = row[v]
             if nodes >= budget:
                 raise _Budget
             nodes += 1
@@ -206,7 +245,10 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None):
                     continue
                 counts[bucket] += 1
             assignment[i] = v
-            if feasible(i + 1, counts):
+            child = sym
+            if sym is not None and not fixed[v]:
+                child = symmetry(stab[stab[:, v] == v])
+            if feasible(i + 1, counts, child):
                 return True
             if bucket.size:
                 counts[bucket] -= 1
@@ -216,17 +258,17 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None):
     while True:
         thresholds.append(k)
         try:
-            if feasible(0, base_counts.copy()):
+            if feasible(0, base_counts.copy(), root):
                 break
         except _Budget:
-            return k, None, nodes, tuple(thresholds)
+            return k, None, nodes, tuple(thresholds), symmetries
         k += 1
     images = [0] * m1
     for x, v in pinned.items():
         images[x] = v
     for x, v in zip(positions, assignment):
         images[x] = v
-    return k, tuple(images), nodes, tuple(thresholds)
+    return k, tuple(images), nodes, tuple(thresholds), symmetries
 
 
 def brute_force_app(m1: int, m2: int, family) -> int:

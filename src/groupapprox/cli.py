@@ -37,7 +37,6 @@ from .reporting import (
     cache_put,
     compute_document,
     document_bytes,
-    metric_label,
     parse_metric_label,
     partition_document,
     table_document,
@@ -146,7 +145,8 @@ def _bounds_only_cert(g, metric: str) -> ApproxCertificate:
     t0 = time.perf_counter()
     lb = lower_bound_certificates(g)[metric]
     upper = max(lb.value, _formula_upper(g.order, metric))
-    stats = SearchStats(nodes=0, elapsed=time.perf_counter() - t0, thresholds=())
+    stats = SearchStats(nodes=0, elapsed=time.perf_counter() - t0,
+                        thresholds=(), symmetries=1)
     return ApproxCertificate(g, metric, False, lb.value, upper, None, lb, stats)
 
 

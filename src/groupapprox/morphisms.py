@@ -17,8 +17,8 @@ endomorphism survives.  The batch is held in memory, so its size is
 capped, as is the group order.
 
 The table is sorted lexicographically by image tuple, which downstream
-code relies on for determinism, and cached read-only on the carrier, as is
-the affine-map table.
+code relies on for determinism, and cached read-only on the carrier, as
+are the automorphism table (its bijective rows) and the affine-map table.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "GroupFunction",
     "affine_tables",
     "automorphism_orbits",
+    "automorphism_tables",
     "endomorphism_tables",
     "enumerate_endomorphisms",
     "minimal_generating_sequence",
@@ -155,11 +156,23 @@ def enumerate_endomorphisms(g: GroupCarrier) -> tuple[GroupFunction, ...]:
     return tuple(GroupFunction(g, row) for row in endomorphism_tables(g))
 
 
+def automorphism_tables(g: GroupCarrier) -> np.ndarray:
+    """Image tables of all automorphisms, the bijective rows of the
+    endomorphism table in its order (read-only)."""
+    cached = getattr(g, "_aut_tables", None)
+    if cached is not None:
+        return cached
+    tables = endomorphism_tables(g)
+    auts = tables[_bijective(tables)]
+    auts.setflags(write=False)
+    g._aut_tables = auts
+    return auts
+
+
 def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the automorphism action, ordered by least element
     (so the first orbit is always the fixed identity)."""
-    tables = endomorphism_tables(g)
-    auts = tables[_bijective(tables)]
+    auts = automorphism_tables(g)
     seen = np.zeros(g.order, dtype=bool)
     orbits: list[tuple[int, ...]] = []
     for x in range(g.order):

@@ -45,7 +45,9 @@ __all__ = [
     "write_document",
 ]
 
-TOOL_VERSION = "0.1.0"
+# part of every cache key, so a change to a document's fields bumps it and
+# older cache entries are not served
+TOOL_VERSION = "0.2.0"
 
 CACHE_ENV = "GROUPAPPROX_CACHE_DIR"
 
@@ -96,6 +98,7 @@ def compute_document(
             "nodes": cert.stats.nodes,
             "elapsed_s": round(cert.stats.elapsed, 6),
             "thresholds": list(cert.stats.thresholds),
+            "symmetries": cert.stats.symmetries,
         },
         "cached": cached,
     }

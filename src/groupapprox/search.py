@@ -23,6 +23,7 @@ from .morphisms import (
     GroupFunction,
     affine_tables,
     automorphism_orbits,
+    automorphism_tables,
     endomorphism_tables,
 )
 
@@ -59,6 +60,7 @@ class SearchStats:
     nodes: int
     elapsed: float
     thresholds: tuple[int, ...]
+    symmetries: int  # automorphisms the search prunes by, 1 for none
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,9 @@ def worst_case_value(
     For the affine family f(1) = 1 is pinned, which is harmless because the
     affine worst case is invariant under translation; the endo metric has
     no such invariance (a forced f(1) = 1 would give every endomorphism a
-    free agreement) and is searched unnormalized.
+    free agreement) and is searched unnormalized.  Both families are closed
+    under f -> a o f for every automorphism a (a o (c phi) = a(c) (a o phi)),
+    so the search tries only automorphism-orbit leaders as values.
     """
     _check_metric(metric)
     t0 = time.perf_counter()
@@ -244,11 +248,13 @@ def worst_case_value(
     n = g.order
     lb = lower_bound_certificates(g)[metric]
     pinned = {0: 0} if metric == "affine" and n > 1 else None
-    k, images, nodes, thresholds = _min_max(
-        tables, n, lb.value, budget=budget, pinned=pinned
+    k, images, nodes, thresholds, symmetries = _min_max(
+        tables, n, lb.value, budget=budget, pinned=pinned,
+        perms=automorphism_tables(g),
     )
     stats = SearchStats(
-        nodes=nodes, elapsed=time.perf_counter() - t0, thresholds=thresholds
+        nodes=nodes, elapsed=time.perf_counter() - t0, thresholds=thresholds,
+        symmetries=symmetries,
     )
     if images is not None:
         witness = GroupFunction(g, images)

@@ -13,7 +13,8 @@ budget) and for sixteen budget-capped searches on large families (budget
 certificate of ``worst_case_value``.  ``tests/test_golden.py`` recomputes
 every entry and requires equality.  Values and brackets never change;
 nodes, thresholds and witnesses change only with the branching order of
-the search, and the file is then regenerated with this script.
+the search, nodes alone with its symmetry pruning, and the file is then
+regenerated with this script.
 """
 
 from __future__ import annotations

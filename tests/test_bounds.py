@@ -168,7 +168,7 @@ def test_brute_force_app_wide_codomain():
     # (c, c) and (c, c+1) block 0 and 1 at the second position once the
     # first is 0, and a bucket holding the rows of another value would not
     family = [[c, c] for c in range(m2)] + [[c, (c + 1) % m2] for c in range(m2)]
-    k, images, _, thresholds = _min_max(np.array(family), m2, 0)
+    k, images, _, thresholds, _ = _min_max(np.array(family), m2, 0)
     assert (k, images, thresholds) == (1, (0, 2), (0, 1))
 
 

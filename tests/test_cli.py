@@ -143,6 +143,7 @@ def test_compute_bounds_only(capsys):
     assert doc["lower"] == 2 and doc["upper"] == 6
     assert doc["lower_bound"]["kind"] == "universal-tuple"
     assert doc["stats"]["nodes"] == 0 and doc["stats"]["thresholds"] == []
+    assert doc["stats"]["symmetries"] == 1
     assert not cache_dir().exists()
 
 
@@ -219,6 +220,7 @@ def test_compute_budget_exhausted(capsys):
     assert doc["exact"] is False and doc["value"] is None
     assert doc["lower"] == 2 and doc["upper"] == 12
     assert doc["stats"]["thresholds"] == [2]
+    assert doc["stats"]["symmetries"] == 24  # |Aut(alt(4))| = |S4|
     assert not cache_dir().exists()
 
 

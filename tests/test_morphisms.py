@@ -8,15 +8,16 @@ from groupapprox import (
     GroupFunction,
     approximability,
     automorphism_orbits,
+    catalog_up_to,
     cyclic,
     difference_criterion,
     elemabelian,
     enumerate_endomorphisms,
-    sym,
     twist_function,
 )
 from groupapprox.morphisms import (
     affine_tables,
+    automorphism_tables,
     endomorphism_tables,
     minimal_generating_sequence,
 )
@@ -196,6 +197,37 @@ def test_order_27_orbits_against_generator_oracle():
         assert len(auts) == count, spec
         assert sorted(len(o) for o in orbits) == sizes, spec
         assert orbits == {frozenset(o) for o in automorphism_orbits(g)}, spec
+
+
+def test_automorphism_tables_match_generator_oracle():
+    expected = {"sym(3)": 6, "dicyclic(8)": 24, "elemabelian(2,3)": 168,
+                "heis(3)": 432}
+    for spec, count in expected.items():
+        g = cached_group(spec)
+        auts = automorphism_tables(g)
+        assert auts is automorphism_tables(g), spec
+        assert not auts.flags.writeable, spec
+        assert len(auts) == count, spec
+        oracle = brute_automorphisms(table_of(g), g.generators)
+        assert sorted(auts.tolist()) == sorted(oracle.tolist()), spec
+
+
+def test_automorphisms_permute_the_family_rows():
+    # the search's orbit pruning rests on this: for every automorphism a
+    # and family row phi, a o phi is again a family row.  Rows are compared
+    # as exact base-n codes, which fit 64 bits up to order 16.
+    groups = [cached_group(g.name) for g in catalog_up_to(15)]
+    groups.append(cached_group("product(dicyclic(8),cyclic(2))"))
+    for g in groups:
+        n = g.order
+        weights = np.uint64(n) ** np.arange(n, dtype=np.uint64)
+        for metric in ("endo", "affine"):
+            tables = family_tables(g, metric)
+            codes = np.sort(tables.astype(np.uint64) @ weights)
+            assert (np.diff(codes) > 0).all(), (g.name, metric)
+            for a in automorphism_tables(g):
+                moved = np.sort(a[tables].astype(np.uint64) @ weights)
+                assert np.array_equal(moved, codes), (g.name, metric)
 
 
 def test_orbits_partition_the_group():

@@ -22,8 +22,13 @@ from groupapprox import (
     universal_elements,
     worst_case_value,
 )
-from groupapprox.morphisms import affine_tables, endomorphism_tables
-from groupapprox.search import family_tables
+from groupapprox.bounds import _min_max
+from groupapprox.morphisms import (
+    affine_tables,
+    automorphism_tables,
+    endomorphism_tables,
+)
+from groupapprox.search import METRICS, family_tables
 
 from _oracles import (
     brute_affine,
@@ -226,6 +231,51 @@ def test_worst_case_value_matches_brute_force():
             assert cert.value >= cert.lower_bound.value
 
 
+def test_orbit_pruning_matches_brute_force_unpinned():
+    # no pin and no lower bound: the pruning acts from the first position,
+    # with automorphisms and families both from the oracle
+    for spec in ("cyclic(4)", "elemabelian(2,2)", "cyclic(5)", "cyclic(6)", "sym(3)"):
+        g = cached_group(spec)
+        endos = brute_endomorphisms(table_of(g))
+        auts = endos[(np.sort(endos, axis=1) == np.arange(g.order)).all(axis=1)]
+        for metric in METRICS:
+            fam = _oracle_family(g, metric)
+            k, images, _, _, symmetries = _min_max(fam, g.order, 0, perms=auts)
+            assert k == brute_worst_case(g.order, fam), (spec, metric)
+            assert max_agreement(images, fam) == k, (spec, metric)
+            assert symmetries == len(auts)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_orbit_pruning_keeps_values_and_witnesses(metric):
+    # the pruned search returns the unpruned one's least g, in fewer nodes
+    for g in catalog_up_to(15):
+        g = cached_group(g.name)
+        tables = family_tables(g, metric)
+        start = lower_bound_certificates(g)[metric].value
+        pinned = {0: 0} if metric == "affine" and g.order > 1 else None
+        auts = automorphism_tables(g)
+        k, images, nodes, thresholds, symmetries = _min_max(
+            tables, g.order, start, pinned=pinned, perms=auts
+        )
+        plain = _min_max(tables, g.order, start, pinned=pinned)
+        assert (k, images, thresholds) == (plain[0], plain[1], plain[3]), g.name
+        assert nodes <= plain[2], g.name
+        assert plain[4] == 1
+        assert symmetries == len(auts), g.name  # every automorphism fixes 1
+
+
+def test_q8_times_c2_affine_closes_at_three():
+    g = cached_group("product(dicyclic(8),cyclic(2))")
+    cert = worst_case_value(g, "affine")
+    assert cert.exact and cert.value == 3
+    assert cert.stats.thresholds == (2, 3)
+    assert cert.stats.nodes == 1_152_707
+    assert cert.stats.symmetries == 192
+    value, _ = approximability(cert.witness, "affine")
+    assert value == 3
+
+
 def test_worst_case_value_order_eight_pins():
     expected = {
         "cyclic(8)": (1, 2),
@@ -264,7 +314,7 @@ def test_branching_order_pins():
     # node counts and thresholds follow from the branching order alone
     cert = worst_case_value(cached_group("product(cyclic(6),cyclic(2))"), "affine")
     assert cert.value == 3
-    assert cert.stats.nodes == 121_162
+    assert cert.stats.nodes == 10_632
     assert cert.stats.thresholds == (2, 3)
     for spec, lower, upper in (("elemabelian(2,4)", 5, 16),
                                ("elemabelian(3,3)", 4, 22)):

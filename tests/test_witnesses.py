@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
