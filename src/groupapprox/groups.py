@@ -4,10 +4,12 @@ A group of order n lives on the index set 0..n-1 with the identity at
 index 0.  Dense carriers hold an explicit Cayley table (mandatory up to
 :data:`DENSE_LIMIT`); rule-based carriers compute products by formula and
 are used for families too large to tabulate.  Derived facts (element
-orders, the exponent, commutation and the centre) are computed once in
+orders, the exponent, commutation and the centre) are computed in
 :class:`GroupCarrier` over the vector product ``mul_many`` that every
 carrier provides, and one gate, ``_dense``, refuses every dense table
-over the limit before it is allocated.
+over the limit before it is allocated.  Facts that are costly to derive
+(the endomorphism tables and what is read off them) are memoized by
+``_per_carrier`` in the one dict each carrier holds for them.
 
 The module provides constructors for the classical small families
 (cyclic, elementary abelian, dihedral, dicyclic, symmetric, alternating,
@@ -19,6 +21,7 @@ classes up to order 15.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -111,6 +114,7 @@ class GroupCarrier:
         self.order = order
         self.name = name
         self.generators = generators
+        self._memo = {}  # written only by _per_carrier
 
     # -- operations (subclasses must provide the two vector forms) --
 
@@ -198,7 +202,6 @@ class TableGroup(GroupCarrier):
         table.setflags(write=False)
         self._table = table
         self._inv = inv
-        self._rows: list[list[int]] | None = None
         if generators is None:
             generators = tuple(range(n))
         super().__init__(n, name, generators)
@@ -207,22 +210,27 @@ class TableGroup(GroupCarrier):
     def mul_table(self) -> np.ndarray:
         return self._table
 
-    def mul(self, a: int, b: int) -> int:
-        rows = self._rows
-        if rows is None:
-            if self.order > 256:
-                return int(self._table[a, b])
-            self._rows = rows = self._table.tolist()
-        return rows[a][b]
-
-    def inv(self, a: int) -> int:
-        return int(self._inv[a])
-
     def mul_many(self, a, b):
         return self._table[np.asarray(a), np.asarray(b)]
 
     def inv_many(self, a):
         return self._inv[np.asarray(a)]
+
+
+def _per_carrier(fn):
+    """Memoize fn(g) in g's memo, so a derived fact is computed once per
+    carrier.  fn must return an immutable value (a tuple, a frozen record,
+    a read-only array or mapping), since every caller shares it; a call
+    that raises stores nothing."""
+
+    @functools.wraps(fn)
+    def memoized(g: GroupCarrier):
+        memo = g._memo
+        if fn not in memo:
+            memo[fn] = fn(g)
+        return memo[fn]
+
+    return memoized
 
 
 # --------------------------------------------------------------------------
@@ -629,18 +637,18 @@ class ValidationReport:
         return not self.failures
 
 
-def _generated(g: GroupCarrier, gens) -> set[int]:
-    """The subgroup generated by gens: a breadth-first search from the
-    identity along right multiplication by gens."""
-    gens = set(gens)
-    seen = {0}
-    reached = [0]
-    for x in reached:  # grows while it is walked
-        for s in gens:
-            y = g.mul(x, s)
-            if y not in seen:
-                seen.add(y)
-                reached.append(y)
+def _generated(g: GroupCarrier, gens) -> np.ndarray:
+    """Mask of the subgroup generated by gens: a breadth-first search from
+    the identity along right multiplication by gens, one frontier per
+    ``mul_many`` call."""
+    gens = np.array(gens, dtype=np.int64)
+    seen = np.zeros(g.order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.unique(g.mul_many(frontier[:, None], gens))
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
     return seen
 
 
@@ -701,7 +709,7 @@ def validate(
     if not associativity_ok:
         failures.append("associativity fails")
 
-    generation_ok = len(_generated(g, g.generators)) == n
+    generation_ok = bool(_generated(g, g.generators).all())
     if not generation_ok:
         failures.append("listed generators do not generate")
 
@@ -763,5 +771,6 @@ def catalog_up_to(max_order: int) -> list[GroupCarrier]:
         raise ParameterError(
             "the classification catalog is hard-coded up to order 15"
         )
-    groups = [build_group(spec) for spec in _CATALOG]
-    return [g for g in groups if g.order <= max_order]
+    # listed by order, so the builds stop at the first group too large
+    groups = map(build_group, _CATALOG)
+    return list(itertools.takewhile(lambda g: g.order <= max_order, groups))

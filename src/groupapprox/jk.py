@@ -109,6 +109,14 @@ def _digits(x, p: int, width: int) -> np.ndarray:
     return out
 
 
+def _on_axes(table, i: int, j: int, dtype) -> np.ndarray:
+    """A p x p table of digits a (axis i) and b (axis j > i), shaped to
+    broadcast over the eight digit axes of a pair of codes."""
+    shape = [1] * 8
+    shape[i] = shape[j] = len(table)
+    return table.astype(dtype).reshape(shape)
+
+
 class JKGroup(GroupCarrier):
     """Rule-based carrier for J(p, lambda), order p^8, held as the central
     extension (q, z)(q', z') = (q + q', z + z' + c(q, q')).
@@ -139,25 +147,32 @@ class JKGroup(GroupCarrier):
             ],
             dtype=np.int64,
         )
-        digit = _digits(np.arange(p4), p, 4).T  # k1, k2, l1, l2 of each code
         weight = self._weights[4:]
-        add = cocycle = 0
-        overflow = []
+        dtype = np.min_scalar_type(-p4)
+        # the tables live on the eight digit axes of (q, q'), built in place
+        # in their own type from p x p digit tables
+        r = np.arange(p)
+        total = np.add.outer(r, r)
+        commutator = -np.multiply.outer(r, r) % p
+        add = np.zeros((p,) * 8, dtype=dtype)
         for i in range(4):
-            s = np.add.outer(digit[i], digit[i])
-            overflow.append(s >= p)
-            add = add + s % p * weight[i]
+            add += _on_axes(total % p * weight[i], i, 4 + i, dtype)
+        cocycle = np.zeros_like(add)
+        central = np.empty_like(add)  # one central digit of c(q, q')
         for j in range(4):
             # commutator correction: the second factor's k collected past
             # the first factor's l
-            r = -np.multiply.outer(digit[2 + j % 2], digit[j // 2])
+            central[...] = _on_axes(commutator, 2 + j % 2, 4 + j // 2, dtype)
             for i in range(4):
-                r += self._carry[i, j] * overflow[i]
-            cocycle = cocycle + r % p * weight[j]
-        dtype = np.min_scalar_type(-p4)
-        self._add = add.ravel().astype(dtype)
-        self._cocycle = cocycle.ravel().astype(dtype)
-        self._neg = (-digit.T % p @ weight).astype(dtype)
+                if self._carry[i, j]:  # digit i overflows p
+                    overflow = self._carry[i, j] * (total >= p)
+                    central += _on_axes(overflow, i, 4 + i, dtype)
+            central %= p
+            central *= weight[j]
+            cocycle += central
+        self._add = add.ravel()
+        self._cocycle = cocycle.ravel()
+        self._neg = (-_digits(np.arange(p4), p, 4) % p @ weight).astype(dtype)
         gens = (p**7, p**6, p**5, p**4)
         super().__init__(
             p**8, f"jk({p},{params.lam1},{params.lam2})", gens

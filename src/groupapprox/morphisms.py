@@ -6,19 +6,21 @@ each element index, in the narrowest signed type that holds -order.
 
 End(G) is computed once, as a table with one row of images per map, and
 everything else reads that table.  Enumeration extends a batch of partial
-image rows one generator of a greedy minimal generating sequence at a time:
-every row is copied once per candidate image of the new generator t
-(candidates are pruned by the order criterion ord(phi(t)) | ord(t)), the
-images of the newly reached elements are filled in along the right
-multiplications x -> x*s by the generators so far, and only the rows with
-img[x*s] = img[x]*img[s] on every such edge are kept.  Once the generators
-are exhausted every surviving row is an endomorphism, and every
-endomorphism survives.  The batch is held in memory, so its size is
-capped, as is the group order.
+image rows along the carrier's listed generators, skipping any generator
+already reached: every row is copied once per candidate image of the new
+generator t (candidates are pruned by the order criterion
+ord(phi(t)) | ord(t)), the images of the newly reached elements are
+filled in along the right multiplications x -> x*s by the generators so
+far, and only the rows with img[x*s] = img[x]*img[s] on every such edge
+are kept.  Once the generators are exhausted every surviving row is an
+endomorphism, and every endomorphism survives; listed generators that do
+not reach every element are refused.  The batch is held in memory, so
+its size is capped, as is the group order.
 
 The table is sorted lexicographically by image tuple, which downstream
-code relies on for determinism, and cached read-only on the carrier, as
-are the automorphism table (its bijective rows) and the affine-map table.
+code relies on for determinism.  It, the automorphism table (its
+bijective rows), the orbits and the affine-map table are read-only and
+memoized per carrier by ``groups._per_carrier``, the one cache.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .groups import GroupCarrier, _generated
+from .groups import GroupCarrier, _per_carrier
 
 __all__ = [
     "ENDO_LIMIT",
@@ -38,7 +40,6 @@ __all__ = [
     "automorphism_tables",
     "endomorphism_tables",
     "enumerate_endomorphisms",
-    "minimal_generating_sequence",
 ]
 
 ENDO_LIMIT = 64
@@ -73,40 +74,15 @@ class GroupFunction:
         object.__setattr__(self, "images", images)
 
 
-def minimal_generating_sequence(g: GroupCarrier) -> tuple[int, ...]:
-    """Greedy minimal generating sequence: repeatedly add the element that
-    grows the generated subgroup the most (ties broken by smallest index)."""
-    seq: list[int] = []
-    closure = _generated(g, seq)
-    while len(closure) < g.order:
-        best_size = 0
-        best_x = -1
-        # an element y of <seq, x> has <seq, y> inside it, so it cannot
-        # grow the subgroup more than x does and need not be tried
-        covered = set(closure)
-        for x in range(g.order):
-            if x in covered:
-                continue
-            reach = _generated(g, seq + [x])
-            covered |= reach
-            if len(reach) > best_size:
-                best_size, best_x = len(reach), x
-        seq.append(best_x)
-        closure = _generated(g, seq)
-    return tuple(seq)
-
-
 def _bijective(tables: np.ndarray) -> np.ndarray:
     """Row mask: which image tables are permutations of the group."""
     return (np.sort(tables, axis=1) == np.arange(tables.shape[1])).all(axis=1)
 
 
+@_per_carrier
 def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all endomorphisms, one row per map, in lexicographic
     order (read-only)."""
-    cached = getattr(g, "_endo_tables", None)
-    if cached is not None:
-        return cached
     n = g.order
     if n > ENDO_LIMIT:
         raise CapacityError(
@@ -119,8 +95,11 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
     rows = np.full((1, n), -1, dtype=np.int32)
     rows[0, 0] = 0
     known = [0]  # elements with an image, each reached from an earlier one
+    reached = {0}
     gens: list[int] = []
-    for t in minimal_generating_sequence(g):
+    for t in g.generators:
+        if t in reached:
+            continue
         images = np.flatnonzero(orders[t] % orders == 0).astype(np.int32)
         if len(rows) * len(images) * n > _BATCH_CELLS:
             raise CapacityError(
@@ -130,12 +109,11 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
         rows = np.repeat(rows, len(images), axis=0)
         rows[:, t] = np.tile(images, len(rows) // len(images))
         gens.append(t)
-        seen = set(known)
         for x in known:  # grows while it is walked
             for s in gens:
                 y = int(mul[x, s])
-                if y not in seen:
-                    seen.add(y)
+                if y not in reached:
+                    reached.add(y)
                     known.append(y)
                     rows[:, y] = mul[rows[:, x], rows[:, s]]
         xs = np.array(known)
@@ -143,9 +121,10 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
         for s in gens:
             ok &= (rows[:, mul[xs, s]] == mul[rows[:, xs], rows[:, [s]]]).all(axis=1)
         rows = rows[ok]
+    if len(known) < n:
+        raise ParameterError(f"the listed generators of {g.name} do not generate it")
     tables = np.ascontiguousarray(rows[np.lexsort(rows.T[::-1])])
     tables.setflags(write=False)
-    g._endo_tables = tables
     return tables
 
 
@@ -156,19 +135,17 @@ def enumerate_endomorphisms(g: GroupCarrier) -> tuple[GroupFunction, ...]:
     return tuple(GroupFunction(g, row) for row in endomorphism_tables(g))
 
 
+@_per_carrier
 def automorphism_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all automorphisms, the bijective rows of the
     endomorphism table in its order (read-only)."""
-    cached = getattr(g, "_aut_tables", None)
-    if cached is not None:
-        return cached
     tables = endomorphism_tables(g)
     auts = tables[_bijective(tables)]
     auts.setflags(write=False)
-    g._aut_tables = auts
     return auts
 
 
+@_per_carrier
 def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the automorphism action, ordered by least element
     (so the first orbit is always the fixed identity)."""
@@ -184,19 +161,16 @@ def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
     return tuple(orbits)
 
 
+@_per_carrier
 def affine_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all affine maps x -> c * phi(x), constant-major:
     row c * |End| + i is c times endomorphism row i (read-only).  Distinct
     (c, phi) give distinct rows since phi(1) = 1 forces the map's value
     at 1 to be c."""
-    cached = getattr(g, "_affine_table_cache", None)
-    if cached is not None:
-        return cached
     endo = endomorphism_tables(g)
     m, n = endo.shape
     tables = np.empty((n * m, n), dtype=np.int32)
     for c in range(n):
         tables[c * m:(c + 1) * m] = g.mul_many(c, endo)
     tables.setflags(write=False)
-    g._affine_table_cache = tables
     return tables

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .bounds import _min_max, worst_case_upper_bounds
 from .errors import CapacityError, ParameterError
-from .groups import GroupCarrier
+from .groups import GroupCarrier, _per_carrier
 from .morphisms import (
     GroupFunction,
     affine_tables,
@@ -105,6 +107,7 @@ def approximability(f: GroupFunction, metric: str):
 # lower-bound certificates
 # --------------------------------------------------------------------------
 
+@_per_carrier
 def universal_elements(g: GroupCarrier) -> tuple[int, ...]:
     """Elements u whose endomorphism images {phi(u)} cover the whole group."""
     tables = endomorphism_tables(g)
@@ -112,27 +115,6 @@ def universal_elements(g: GroupCarrier) -> tuple[int, ...]:
     return tuple(
         u for u in range(n) if np.bincount(tables[:, u], minlength=n).all()
     )
-
-
-def _universal_tuple(tables, l, univ, orbits):
-    """The prefix search of ``find_universal_tuple`` over precomputed
-    universal elements and automorphism orbits."""
-    m, n = tables.shape
-    firsts = [orb[0] for orb in orbits if orb[0] in univ]
-
-    def extend(prefix, codes):
-        j = len(prefix)
-        if j == l:
-            return prefix
-        for u in firsts if j == 0 else univ:
-            longer = codes + n**j * tables[:, u].astype(np.int64)
-            if np.bincount(longer, minlength=n ** (j + 1)).all():
-                hit = extend(prefix + (u,), longer)
-                if hit is not None:
-                    return hit
-        return None
-
-    return extend((), np.zeros(m, dtype=np.int64))
 
 
 def find_universal_tuple(g: GroupCarrier, l: int) -> tuple[int, ...] | None:
@@ -152,17 +134,32 @@ def find_universal_tuple(g: GroupCarrier, l: int) -> tuple[int, ...] | None:
     m, n = tables.shape
     if n**l > m:
         return None
-    return _universal_tuple(
-        tables, l, universal_elements(g), automorphism_orbits(g)
-    )
+    univ = universal_elements(g)
+    firsts = [orb[0] for orb in automorphism_orbits(g) if orb[0] in univ]
+
+    def extend(prefix, codes):
+        j = len(prefix)
+        if j == l:
+            return prefix
+        for u in firsts if j == 0 else univ:
+            longer = codes + n**j * tables[:, u].astype(np.int64)
+            if np.bincount(longer, minlength=n ** (j + 1)).all():
+                hit = extend(prefix + (u,), longer)
+                if hit is not None:
+                    return hit
+        return None
+
+    return extend((), np.zeros(m, dtype=np.int64))
 
 
 _KIND_RANK = {"universal-tuple": 0, "dominating-orbit": 1, "abelian": 2,
               "constants": 3, "none": 4}
 
 
-def lower_bound_certificates(g: GroupCarrier) -> dict[str, LowerBound]:
-    """Best cheap lower bounds for both metrics, with evidence.
+@_per_carrier
+def lower_bound_certificates(g: GroupCarrier) -> Mapping[str, LowerBound]:
+    """Best cheap lower bounds for both metrics, with evidence, as a
+    read-only mapping from metric to bound.
 
     The candidates are a universal l-tuple (endo >= l, and for nontrivial
     groups affine >= l+1), a dominating automorphism orbit (affine >= 2),
@@ -173,28 +170,22 @@ def lower_bound_certificates(g: GroupCarrier) -> dict[str, LowerBound]:
     """
     n = g.order
     if n == 1:
-        return {
+        return MappingProxyType({
             "endo": LowerBound("endo", 1, "trivial-group"),
             "affine": LowerBound("affine", 1, "trivial-group"),
-        }
+        })
     endo = [LowerBound("endo", 0, "none")]
     affine = [LowerBound("affine", 1, "constants")]
     if g.is_abelian():
         endo.append(LowerBound("endo", 1, "abelian"))
         affine.append(LowerBound("affine", 2, "abelian"))
     try:
-        tables = endomorphism_tables(g)
+        orbits = automorphism_orbits(g)
     except CapacityError:
         pass
     else:
-        m = tables.shape[0]
-        univ = universal_elements(g)
-        orbits = automorphism_orbits(g)
         l = 1
-        while l <= n and n**l <= m:
-            tup = _universal_tuple(tables, l, univ, orbits)
-            if tup is None:
-                break
+        while (tup := find_universal_tuple(g, l)) is not None:
             endo.append(LowerBound("endo", l, "universal-tuple", tup))
             affine.append(LowerBound("affine", l + 1, "universal-tuple", tup))
             l += 1
@@ -210,7 +201,7 @@ def lower_bound_certificates(g: GroupCarrier) -> dict[str, LowerBound]:
     def best(candidates):
         return max(candidates, key=lambda c: (c.value, -_KIND_RANK[c.kind]))
 
-    return {"endo": best(endo), "affine": best(affine)}
+    return MappingProxyType({"endo": best(endo), "affine": best(affine)})
 
 
 # --------------------------------------------------------------------------
@@ -284,14 +275,14 @@ def difference_criterion(f: GroupFunction, x_set) -> GroupFunction | None:
         raise ParameterError("x_set entries must be element indices")
     x0 = xs[0]
     fx0 = f.images[x0]
-    cols = [g.mul(g.inv(y), x0) for y in xs]
-    want = [g.mul(g.inv(f.images[y]), fx0) for y in xs]
+    cols = g.mul_many(g.inv_many(xs), x0)
+    want = g.mul_many(g.inv_many(f.images[xs]), fx0)
     tables = endomorphism_tables(g)
     hits = np.flatnonzero((tables[:, cols] == want).all(axis=1))
     if not hits.size:
         return None
     endo = tables[hits[0]]
-    constant = g.mul(fx0, g.inv(endo[x0]))
+    constant = g.mul_many(fx0, g.inv_many(endo[x0]))
     return GroupFunction(g, g.mul_many(constant, endo))
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from groupapprox import groups
 from groupapprox import (
     CapacityError,
     FormatError,
@@ -440,3 +441,16 @@ def test_catalog_bounds():
         catalog_up_to(0)
     with pytest.raises(ParameterError):
         catalog_up_to(16)
+
+
+def test_catalog_stops_building_past_max_order(monkeypatch):
+    built = []
+
+    def recording(spec):
+        built.append(spec)
+        return build_group(spec)
+
+    monkeypatch.setattr(groups, "build_group", recording)
+    assert [g.order for g in catalog_up_to(4)] == [1, 2, 3, 4, 4]
+    # the catalog is listed by order: one order-5 build ends the walk
+    assert built[-1] == "cyclic(5)" and len(built) == 6

@@ -1,0 +1,43 @@
+"""Every name a module imports is read somewhere in that module."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("src", "tests")
+    for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def _unused_imports(path: str) -> list[str]:
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    # a package's relative imports are the names it exports
+    package = path.endswith("__init__.py")
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if package and node.level:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in read]
+
+
+@pytest.mark.parametrize("path", FILES)
+def test_every_import_is_read(path):
+    assert _unused_imports(path) == [], path

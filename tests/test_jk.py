@@ -339,6 +339,19 @@ def test_classified_maps_check_runs_in_bounded_memory():
     assert peak < 4 << 20, peak
 
 
+def test_carrier_builds_in_its_table_width():
+    tracemalloc.start()
+    try:
+        g = jk_group(5, 0, 1, allow_large=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g._add.dtype == g._cocycle.dtype == np.int16
+    # the two int16 tables (1.5 MiB) and one scratch table of their width;
+    # a single int64 array of 5^8 cells would add 3 MiB
+    assert peak < 3 << 20, peak
+
+
 # --------------------------------------------------------------------------
 # verification scans
 # --------------------------------------------------------------------------

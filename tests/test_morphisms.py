@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from groupapprox import (
     CapacityError,
     GroupFunction,
+    ParameterError,
+    TableGroup,
     approximability,
     automorphism_orbits,
     catalog_up_to,
@@ -13,13 +17,14 @@ from groupapprox import (
     difference_criterion,
     elemabelian,
     enumerate_endomorphisms,
+    lower_bound_certificates,
     twist_function,
+    universal_elements,
 )
 from groupapprox.morphisms import (
     affine_tables,
     automorphism_tables,
     endomorphism_tables,
-    minimal_generating_sequence,
 )
 from groupapprox.search import family_tables
 
@@ -139,10 +144,22 @@ def test_affine_maps_are_constant_major():
 
 def test_results_are_cached_on_the_carrier():
     g = cyclic(6)
-    assert endomorphism_tables(g) is endomorphism_tables(g)
-    assert affine_tables(g) is affine_tables(g)
-    with pytest.raises(ValueError):
-        endomorphism_tables(g)[0, 0] = 1
+    attributes = set(vars(g))
+    for fact in (endomorphism_tables, automorphism_tables, affine_tables):
+        assert fact(g) is fact(g), fact.__name__
+        with pytest.raises(ValueError):
+            fact(g)[0, 0] = 1
+    for fact in (automorphism_orbits, universal_elements):
+        assert fact(g) is fact(g), fact.__name__
+        assert isinstance(fact(g), tuple), fact.__name__
+    bounds = lower_bound_certificates(g)
+    assert bounds is lower_bound_certificates(g)
+    with pytest.raises(TypeError):
+        bounds["endo"] = bounds["affine"]
+    with pytest.raises(FrozenInstanceError):
+        bounds["endo"].value = 0
+    # the carrier's one memo holds them all: no attribute was added
+    assert set(vars(g)) == attributes
 
 
 def test_enumeration_capacity_limit():
@@ -245,78 +262,36 @@ def test_orbits_partition_the_group():
 
 
 # --------------------------------------------------------------------------
-# generating sequences
+# enumeration along the listed generators
 # --------------------------------------------------------------------------
 
-def test_minimal_generating_sequence_generates():
-    for spec in ("cyclic(12)", "elemabelian(2,3)", "sym(3)", "alt(4)", "modmax(3)"):
+LARGE_FAMILY_SPECS = (
+    "elemabelian(2,4)",
+    "elemabelian(3,3)",
+    "heis(3)",
+    "elemabelian(5,2)",
+    "product(dihedral(8),cyclic(2))",
+    "dihedral(32)",
+    "cyclic(64)",
+    "sym(4)",
+)
+
+
+def test_file_style_carriers_give_the_constructors_tables():
+    # a Cayley table without a generator line lists every element as a
+    # generator, so the enumeration extends along other generators
+    specs = [g.name for g in catalog_up_to(15)] + list(LARGE_FAMILY_SPECS)
+    for spec in specs:
         g = cached_group(spec)
-        seq = minimal_generating_sequence(g)
-        closure = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in list(closure):
-                for b in seq:
-                    for prod in (g.mul(a, b), g.mul(b, a)):
-                        if prod not in closure:
-                            closure.add(prod)
-                            nxt.append(prod)
-            frontier = nxt
-        assert closure == set(range(g.order)), spec
+        listed = TableGroup(spec, table_of(g))
+        assert listed.generators == tuple(range(g.order)), spec
+        assert np.array_equal(endomorphism_tables(listed), endomorphism_tables(g)), spec
 
 
-def test_minimal_generating_sequence_lengths():
-    assert len(minimal_generating_sequence(cached_group("cyclic(12)"))) == 1
-    assert len(minimal_generating_sequence(cached_group("elemabelian(2,3)"))) == 3
-    assert len(minimal_generating_sequence(cached_group("sym(3)"))) == 2
-
-
-# the greedy sequences fix the order in which endomorphism_tables extends
-# its rows; the catalog up to order 15, then the large-family groups
-MGS_PINS = {
-    "cyclic(1)": (),
-    "cyclic(2)": (1,),
-    "cyclic(3)": (1,),
-    "cyclic(4)": (1,),
-    "elemabelian(2,2)": (1, 2),
-    "cyclic(5)": (1,),
-    "cyclic(6)": (1,),
-    "sym(3)": (3, 1),
-    "cyclic(7)": (1,),
-    "cyclic(8)": (1,),
-    "product(cyclic(4),cyclic(2))": (2, 1),
-    "elemabelian(2,3)": (1, 2, 4),
-    "dihedral(8)": (1, 4),
-    "dicyclic(8)": (1, 4),
-    "cyclic(9)": (1,),
-    "elemabelian(3,2)": (1, 3),
-    "cyclic(10)": (1,),
-    "dihedral(10)": (1, 5),
-    "cyclic(11)": (1,),
-    "cyclic(12)": (1,),
-    "product(cyclic(6),cyclic(2))": (2, 1),
-    "dihedral(12)": (1, 6),
-    "alt(4)": (1, 3),
-    "dicyclic(12)": (1, 6),
-    "cyclic(13)": (1,),
-    "cyclic(14)": (1,),
-    "dihedral(14)": (1, 7),
-    "cyclic(15)": (1,),
-    "elemabelian(2,4)": (1, 2, 4, 8),
-    "elemabelian(3,3)": (1, 3, 9),
-    "heis(3)": (1, 3, 9),
-    "elemabelian(5,2)": (1, 5),
-    "product(dihedral(8),cyclic(2))": (2, 1, 8),
-    "dihedral(32)": (1, 16),
-    "cyclic(64)": (1,),
-    "sym(4)": (9, 1),
-}
-
-
-def test_minimal_generating_sequence_pins():
-    for spec, seq in MGS_PINS.items():
-        assert minimal_generating_sequence(cached_group(spec)) == seq, spec
+def test_listed_generators_must_generate():
+    g = TableGroup("cyclic(4) by 2", cached_group("cyclic(4)").mul_table, (2,))
+    with pytest.raises(ParameterError):
+        endomorphism_tables(g)
 
 
 def test_maps_are_read_only_narrow_image_rows():
