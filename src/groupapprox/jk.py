@@ -61,8 +61,9 @@ DEFAULT_SAMPLES = 1_000_000
 MAX_RECORDED_VIOLATIONS = 20
 # pairs per draw of a sampled scan (the draws fix its pair sequence)
 SCAN_CHUNK = 1 << 16
-# cells per block of a pass over all elements or pairs: its int64 temporaries
-# (128 KiB) are reused, where 2^16 cells took fresh pages every time
+# int64 cells per block of a pass over all elements or pairs: its temporaries
+# (128 KiB) are reused, where 2^16 int64 cells took fresh pages every time; a
+# pass with narrower temporaries fits proportionally more cells in a block
 SCAN_BLOCK = 1 << 14
 # the two p^4 x p^4 tables of a carrier hold p^8 cells each: p = 7 fits
 MAX_TABLE_CELLS = 1 << 24
@@ -351,6 +352,8 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
         raise ParameterError(f"sigma is mod {sigma.p}, group needs mod {g.p}")
     p4 = g._p4
     table = sigma.apply(_digits(np.arange(p4), g.p, 4)) @ g._weights[4:]
+    # the image type holds every element code, so the outer sum cannot wrap
+    table = table.astype(np.min_scalar_type(-g.order))
     return GroupFunction(g, np.add.outer(table * p4, table).ravel())
 
 
@@ -398,37 +401,65 @@ class JKVerification:
 
 def _affine_chunks(g: JKGroup, f: np.ndarray, mode: str, samples: int, seed: int):
     """The chunks (ys, xs, hit, pairs) of the affine scan for _tally, hit
-    marking the pairs (y, x) for which an endomorphism carries y^-1 x to
-    f(y)^-1 f(x).  The halves of x, f(x) and their inverses are tabled for
-    every x once per scan, the inverses on the grid of all (q, z).  Full
-    mode takes blocks of rows y against every x as one 2-D broadcast with
-    the diagonal x = y cleared, sampled mode draws y and an offset x - y."""
-    n, p4 = g.order, g._p4
-    codes = np.arange(p4, dtype=g._add.dtype)
-    xq, xz = np.repeat(codes, p4), np.tile(codes, p4)
-    nq, nz = g._inv_halves(codes[:, None], codes)
-    iq, iz = np.repeat(nq, p4), nz.ravel()
-    fq, fz, jq, jz = xq[f], xz[f], iq[f], iz[f]
+    marking the pairs (y, x) for which an endomorphism carries d = y^-1 x
+    to e = f(y)^-1 f(x).
 
-    def hits(ys, xs):
-        d = g._mul_halves(iq[ys], iz[ys], xq[xs], xz[xs])
-        e = g._mul_halves(jq[ys], jz[ys], fq[xs], fz[xs])
-        return _reachable_mask(*d, *e)
+    The coset halves decide each pair: qd = -q(y) + q(x) and
+    qe = -q(f(y)) + q(f(x)), read from ``_neg`` and ``_add`` with indices
+    in the narrowest type that holds every element.  Where qd != 0 the
+    pair is a hit exactly when qe is 0 or qd (_reachable_mask).  Only
+    where the computed qd is 0, so d is central if the tables are right,
+    does the full product form the central halves of d and e, on those
+    pairs alone; p^4 of the p^8 x in each row y.  The halves come from
+    divmod on each block, and full mode keeps just the coset codes of x
+    and f(x) for every x.  A block holds SCAN_BLOCK int64 cells' worth of
+    the index type.  Full mode takes rows y against every x as one 2-D
+    broadcast with the diagonal x = y cleared, sampled mode draws y and an
+    offset x - y."""
+    n, p4, add, neg = g.order, g._p4, g._add, g._neg
+    index = np.min_scalar_type(-n)
+    block = SCAN_BLOCK * 8 // index.itemsize
+
+    # np.take, not a[i]: fancy indexing by a narrow index array is ~2x slower
+    def coset_of_quotient(a, qb):
+        # coset code of a^-1 b, given the element a and the coset code of b
+        qa = np.take(neg, a // p4)
+        return np.take(add, np.multiply(qa, p4, dtype=index) + qb)
+
+    def hits(ys, xs, qx, qfx):
+        # ys and xs broadcast; qx and qfx are the coset codes of xs, f(xs)
+        qd = coset_of_quotient(ys, qx)
+        qe = coset_of_quotient(np.take(f, ys), qfx)
+        hit = (qe == 0) | (qe == qd)
+        central = np.unravel_index(np.flatnonzero(qd == 0), hit.shape)
+        y = np.broadcast_to(ys, hit.shape)[central]
+        x = np.broadcast_to(xs, hit.shape)[central]
+        d = g._mul_halves(*g._inv_halves(*np.divmod(y, p4)), *np.divmod(x, p4))
+        e = g._mul_halves(
+            *g._inv_halves(*np.divmod(f[y], p4)), *np.divmod(f[x], p4)
+        )
+        hit[central] = _reachable_mask(*d, *e)
+        return hit
 
     if mode == "full":
-        xs, rows = np.arange(n), max(1, SCAN_BLOCK // n)
+        xs, rows = np.arange(n, dtype=index), max(1, block // n)
+        qx, qfx = xs // p4, f // p4
         for lo in range(0, n, rows):
             ys = xs[lo : lo + rows, None]
-            yield ys, xs, hits(ys, slice(None)) & (ys != xs), ys.size * (n - 1)
+            hit = hits(ys, xs, qx, qfx)
+            hit[np.arange(ys.size), ys[:, 0]] = False
+            yield ys, xs, hit, ys.size * (n - 1)
         return
     rng = np.random.default_rng(seed)
     for done in range(0, samples, SCAN_CHUNK):
         m = min(SCAN_CHUNK, samples - done)
         ys = rng.integers(0, n, size=m, dtype=np.int64)
         xs = (ys + rng.integers(1, n, size=m, dtype=np.int64)) % n
-        for lo in range(0, m, SCAN_BLOCK):
-            y, x = ys[lo : lo + SCAN_BLOCK], xs[lo : lo + SCAN_BLOCK]
-            yield y, x, hits(y, x), y.size
+        # drawn in int64, which fixes the pair sequence, then narrowed
+        ys, xs = ys.astype(index), xs.astype(index)
+        for lo in range(0, m, block):
+            y, x = ys[lo : lo + block], xs[lo : lo + block]
+            yield y, x, hits(y, x, x // p4, np.take(f, x) // p4), y.size
 
 
 def _tally(g: JKGroup, check: str, mode: str, sigma, chunks) -> JKVerification:
@@ -464,9 +495,11 @@ def verify_affapp_one(
     """Certify that no affine map agrees twice with the twisted function.
 
     An affine map agreeing with f at two points x != y forces an
-    endomorphism to carry y^-1 x to f(y)^-1 f(x), so the scan checks that
-    endo_reachable fails on ordered pairs: all n(n-1) in full mode (p = 3
-    only: about 4.3e7), random ones in sampled mode.
+    endomorphism to carry d = y^-1 x to e = f(y)^-1 f(x), so the scan checks
+    that endo_reachable fails on ordered pairs: all n(n-1) in full mode
+    (p = 3 only: about 4.3e7), random ones in sampled mode.  The coset
+    halves of d and e decide each pair; their central halves are computed
+    only where the coset half of d is 0 (see _affine_chunks).
     """
     g.params.require_classified()
     if mode not in ("full", "sampled"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,12 @@ from groupapprox import (
     verify_affapp_one,
     verify_enapp_zero,
 )
-from groupapprox.jk import _reachable_mask, check_classified_maps
+from groupapprox.jk import (
+    SCAN_CHUNK,
+    _affine_chunks,
+    _reachable_mask,
+    check_classified_maps,
+)
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +423,65 @@ def test_sampled_scan_records_scattered_violations(g01, tampered_twist):
     assert report.pairs_checked == 10**6
     assert report.violations_total == 1
     assert report.violations == ((3976, 4000),)
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_affine_scan_hits_match_the_per_pair_formula(tampered):
+    g = jk_group(3, 0, 1)  # a fresh carrier: the module fixtures stay intact
+    if tampered:
+        # 0 + 1 in the last coset digit now reads 0: y^-1 x has coset code 0
+        # for y in coset 0 and x in coset 1 without being central
+        g._add[1] = 0
+    # images in three cosets, so qe meets both 0 and qd often
+    rng = np.random.default_rng(0)
+    f = GroupFunction(g, rng.integers(0, 3 * 81, size=g.order)).images
+
+    def per_pair(ys, xs):
+        d = g.mul_many(g.inv_many(ys), xs)
+        e = g.mul_many(g.inv_many(f[ys]), f[xs])
+        return _reachable_mask(*np.divmod(d, 81), *np.divmod(e, 81)) & (ys != xs)
+
+    # the first full-mode row blocks hold coset 0 and the diagonal
+    full = list(itertools.islice(_affine_chunks(g, f, "full", 0, 0), 12))
+    assert any((ys == xs).any() for ys, xs, _, _ in full)
+    sampled = list(_affine_chunks(g, f, "sampled", SCAN_CHUNK, 5))
+    for ys, xs, hit, _ in full + sampled:
+        ys, xs = np.broadcast_arrays(ys, xs)
+        assert hit.shape == ys.shape
+        assert (hit == per_pair(ys, xs)).all()
+
+
+def test_sampled_scan_of_a_tampered_twist_at_p5_is_pinned():
+    g = jk_group(5, 0, 1, allow_large=True)
+    images = np.array(twist_function(g).images)
+    images[: 16 * 625] = np.arange(16 * 625)  # the identity on 16 cosets
+    report = verify_affapp_one(
+        g, mode="sampled", samples=10**6, seed=0, function=GroupFunction(g, images)
+    )
+    # seed 0 draws the pairs: the count and the recorded pairs follow
+    assert report.pairs_checked == 10**6
+    assert report.violations_total == 715
+    assert report.violations == (
+        (8738, 9551), (6979, 2085), (3313, 3749), (519, 9838), (5445, 2461),
+        (644, 6169), (1639, 1871), (9614, 2453), (548, 9461), (6809, 1699),
+        (5761, 8075), (3857, 1426), (2612, 4893), (6350, 4760), (6360, 8938),
+        (3737, 4447), (3487, 5261), (4014, 7383), (4475, 8490), (5959, 4507),
+    )
+
+
+def test_sampled_certificate_at_p7_runs_in_bounded_memory():
+    g = jk_group(7, 0, 1, allow_large=True)
+    tracemalloc.start()
+    try:
+        report = verify_affapp_one(g, mode="sampled", samples=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.pairs_checked == 10**5
+    # the twist built inside the call (an int32 outer sum and its 22 MiB
+    # copy) and block temporaries; order-length half arrays would add
+    # 11 MiB each, an int64 outer sum 44 MiB
+    assert peak < 64 << 20, peak
 
 
 def test_full_scan_is_gated_to_small_primes():
