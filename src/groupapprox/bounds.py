@@ -153,8 +153,9 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     threshold asks "is there a g keeping every family counter <= k?": the
     free positions are assigned in order of decreasing discrimination
     (number of distinct family values there, ties by position), values in
-    increasing order, with one agreement counter per family row and a prune
-    on the bucket of rows that take the value tried.
+    increasing order, with one agreement counter per family row.  A value
+    is tried as one node, and skipped when some row taking it already
+    agrees at least k times.
 
     perms, when given, is a group of permutations of M2 (one per row) whose
     action on values, g -> a o g, maps the family rows onto themselves, so
@@ -166,15 +167,24 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     when it is made, and it is dropped once it is the identity alone.
 
     This removes only duplicate subtrees.  Without pruning the search
-    returns the lexicographically least feasible g in search order.  For every a in S, a o g is feasible with the same
-    prefix, so g's next value is at most its image under a: it is least in
-    its S-orbit, and no prefix of g is pruned.  So k and images are those
-    of the unpruned search, and only node counts change.
+    returns the lexicographically least feasible g in search order.  For
+    every a in S, a o g is feasible with the same prefix, so g's next value
+    is at most its image under a: it is least in its S-orbit, and no prefix
+    of g is pruned.  So k and images are those of the unpruned search, and
+    only node counts change.
 
-    The buckets are built in one pass per position: ``np.bincount`` counts
-    each value's rows, and one stable argsort of the column, cut at the
-    running counts, lists each value's rows in ascending order.  Keys that
-    fit in 16 bits are sorted as ``uint16``, which numpy radix-sorts.
+    The rows whose counter is already >= k (``full``, an index array) are
+    passed down the recursion, and each depth marks once the values they
+    take at its position.  A value is skipped exactly when one of its rows
+    is in ``full``, that is when the largest counter among its rows is
+    >= k, so every skip, node count and threshold is the one a per-value
+    maximum over the value's rows would give.  The rows of a value tried
+    are all below k, and the increment hands the child ``full`` plus those
+    that have just reached it, so undoing it touches only the counters.  A
+    (position, value) bucket of rows is listed by ``np.flatnonzero`` over
+    a contiguous column the first time the value is incremented there, and
+    kept for the rest of the search; values no row takes never get one.
+    Counters are the narrowest unsigned type holding m1.
 
     Returns (k, images, nodes, thresholds, symmetries): images is a g
     reaching k, nodes the search nodes (values tried) over all thresholds,
@@ -185,25 +195,16 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     """
     maps, m1 = tables.shape
     pinned = pinned or {}
-    freq = {
-        x: np.bincount(tables[:, x], minlength=m2)
-        for x in range(m1)
-        if x not in pinned
-    }
-    positions = sorted(freq, key=lambda x: (-np.count_nonzero(freq[x]), x))
-    # values no row takes at a position share one empty bucket, so a large
-    # codomain costs a list slot per value, not an array
-    empty = np.empty(0, dtype=np.intp)
-    buckets = []
-    for x in positions:
-        col = tables[:, x]
-        rows = np.argsort(col.astype(np.uint16) if m2 <= 2**16 else col,
-                          kind="stable")
-        ends = np.cumsum(freq[x])
-        buckets.append([empty] * m2)
-        for v in np.flatnonzero(freq[x]).tolist():
-            buckets[-1][v] = rows[ends[v] - freq[x][v]:ends[v]]
-    base_counts = np.zeros(maps, dtype=np.int32)
+    free = [x for x in range(m1) if x not in pinned]
+    columns = {x: np.ascontiguousarray(tables[:, x]) for x in free}
+    seen = {x: np.zeros(m2, dtype=bool) for x in free}
+    for x in free:
+        seen[x][columns[x]] = True
+    positions = sorted(free, key=lambda x: (-np.count_nonzero(seen[x]), x))
+    columns = [columns[x] for x in positions]
+    seen = [seen[x].tolist() for x in positions]
+    buckets = [{} for _ in positions]
+    base_counts = np.zeros(maps, dtype=np.min_scalar_type(m1))
     for x, v in pinned.items():
         base_counts[tables[:, x] == v] += 1
 
@@ -226,39 +227,48 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     nodes = 0
     k = start
 
-    def feasible(i: int, counts, sym) -> bool:
+    def feasible(i: int, counts, full, sym) -> bool:
         nonlocal nodes
         if i == len(positions):
             return True
-        row = buckets[i]
+        col, row, taken = columns[i], buckets[i], seen[i]
+        blocked = np.zeros(m2, dtype=bool)
+        blocked[col[full]] = True
+        blocked = blocked.tolist()
         if sym is None:
             values = everything
         else:
             stab, values, fixed = sym
         for v in values:
-            bucket = row[v]
             if nodes >= budget:
                 raise _Budget
             nodes += 1
-            if bucket.size:
-                if counts[bucket].max() >= k:
-                    continue
-                counts[bucket] += 1
+            if blocked[v]:
+                continue
             assignment[i] = v
+            child_full = full
+            if taken[v]:
+                bucket = row.get(v)
+                if bucket is None:
+                    bucket = row[v] = np.flatnonzero(col == v)
+                agree = counts[bucket] + 1
+                counts[bucket] = agree
+                child_full = np.concatenate((full, bucket[agree == k]))
             child = sym
             if sym is not None and not fixed[v]:
                 child = symmetry(stab[stab[:, v] == v])
-            if feasible(i + 1, counts, child):
+            if feasible(i + 1, counts, child_full, child):
                 return True
-            if bucket.size:
+            if taken[v]:
                 counts[bucket] -= 1
         return False
 
     thresholds = []
     while True:
         thresholds.append(k)
+        full = np.flatnonzero(base_counts >= k)
         try:
-            if feasible(0, base_counts.copy(), root):
+            if feasible(0, base_counts.copy(), full, root):
                 break
         except _Budget:
             return k, None, nodes, tuple(thresholds), symmetries

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, ScopeError
 from .groups import GroupCarrier, _is_prime, _parity
-from .morphisms import GroupFunction
+from .morphisms import GroupFunction, _image_type
 
 __all__ = [
     "JKGroup",
@@ -353,7 +353,7 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
     p4 = g._p4
     table = sigma.apply(_digits(np.arange(p4), g.p, 4)) @ g._weights[4:]
     # the image type holds every element code, so the outer sum cannot wrap
-    table = table.astype(np.min_scalar_type(-g.order))
+    table = table.astype(_image_type(g.order))
     return GroupFunction(g, np.add.outer(table * p4, table).ravel())
 
 

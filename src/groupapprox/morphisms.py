@@ -2,7 +2,8 @@
 
 Every map G -> G, whether the function being approximated or a member of
 a family, is a ``GroupFunction``: a read-only array holding the image of
-each element index, in the narrowest signed type that holds -order.
+each element index, in the narrowest signed type that holds -order (int8
+through order 64).  The family tables hold their rows in the same type.
 
 End(G) is computed once, as a table with one row of images per map, and
 everything else reads that table.  Enumeration extends a batch of partial
@@ -14,8 +15,9 @@ filled in along the right multiplications x -> x*s by the generators so
 far, and only the rows with img[x*s] = img[x]*img[s] on every such edge
 are kept.  Once the generators are exhausted every surviving row is an
 endomorphism, and every endomorphism survives; listed generators that do
-not reach every element are refused.  The batch is held in memory, so
-its size is capped, as is the group order.
+not reach every element are refused.  The batch is held in memory, in
+the image type (-1 marks an image not yet set), so its size is capped, as
+is the group order.
 
 The table is sorted lexicographically by image tuple, which downstream
 code relies on for determinism.  It, the automorphism table (its
@@ -47,6 +49,12 @@ ENDO_LIMIT = 64
 _BATCH_CELLS = 2**24
 
 
+def _image_type(order: int) -> np.dtype:
+    """The narrowest signed type holding -order, so every element index and
+    the -1 of an unset image fit."""
+    return np.min_scalar_type(-order)
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class GroupFunction:
     """A self-map of a group, by its read-only image array."""
@@ -69,7 +77,7 @@ class GroupFunction:
         ):
             raise ParameterError("function values must be element indices")
         # astype copies, so writes to the caller's array cannot reach the map
-        images = images.astype(np.min_scalar_type(-n))
+        images = images.astype(_image_type(n))
         images.setflags(write=False)
         object.__setattr__(self, "images", images)
 
@@ -90,9 +98,10 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
             f"{g.name} has order {g.order}"
         )
     idx = np.arange(n)
-    mul = g.mul_many(idx[:, None], idx[None, :]).astype(np.int32)
+    dtype = _image_type(n)
+    mul = g.mul_many(idx[:, None], idx[None, :]).astype(dtype)
     orders = np.array(g.element_orders())
-    rows = np.full((1, n), -1, dtype=np.int32)
+    rows = np.full((1, n), -1, dtype=dtype)
     rows[0, 0] = 0
     known = [0]  # elements with an image, each reached from an earlier one
     reached = {0}
@@ -100,7 +109,7 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
     for t in g.generators:
         if t in reached:
             continue
-        images = np.flatnonzero(orders[t] % orders == 0).astype(np.int32)
+        images = np.flatnonzero(orders[t] % orders == 0).astype(dtype)
         if len(rows) * len(images) * n > _BATCH_CELLS:
             raise CapacityError(
                 f"endomorphism enumeration of {g.name} would hold more than "
@@ -169,7 +178,7 @@ def affine_tables(g: GroupCarrier) -> np.ndarray:
     at 1 to be c."""
     endo = endomorphism_tables(g)
     m, n = endo.shape
-    tables = np.empty((n * m, n), dtype=np.int32)
+    tables = np.empty((n * m, n), dtype=endo.dtype)
     for c in range(n):
         tables[c * m:(c + 1) * m] = g.mul_many(c, endo)
     tables.setflags(write=False)

@@ -12,7 +12,6 @@ are reported on stderr and recomputed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -239,6 +238,8 @@ def _file_digests(spec: str) -> list[str]:
     """sha256 of each file a spec reads, so that rewriting the table behind
     a ``file(...)`` spec changes its cache key.  An unreadable file gets a
     marker no readable file can give, and ``build_group`` reports it."""
+    import hashlib  # deferred: it loads OpenSSL, which only the cache needs
+
     name, args = _parse_node(spec)
     if name == "product":
         return [d for arg in args for d in _file_digests(arg)]
@@ -251,6 +252,8 @@ def _file_digests(spec: str) -> list[str]:
 
 
 def cache_key(spec: str, metric: str) -> str:
+    import hashlib
+
     label = metric_label(metric) if metric in _LABELS else metric
     blob = "|".join([TOOL_VERSION, spec, label] + _file_digests(spec))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -20,7 +20,7 @@ from groupapprox import (
 )
 from groupapprox.bounds import _min_max, ball_size, circle_size
 
-from _oracles import brute_app_tiny
+from _oracles import brute_app_tiny, max_agreement
 
 
 # --------------------------------------------------------------------------
@@ -159,17 +159,49 @@ def test_brute_force_app_without_all_constants_matches_oracle(case):
 
 
 def test_brute_force_app_wide_codomain():
-    # m2 > 2^16: the bucket keys do not fit in 16 bits
+    # m2 > 2^16: each depth marks its blocked values in a mask of all m2,
+    # and a bucket is listed only for a value tried
     m2 = 70_000
     constants = [[c] for c in range(m2)]
     assert brute_force_app(1, m2, constants) == 1
     assert brute_force_app(1, m2, constants[:65_536] + constants[65_537:]) == 0
-    # with two positions the bucket contents decide the witness: the rows
-    # (c, c) and (c, c+1) block 0 and 1 at the second position once the
-    # first is 0, and a bucket holding the rows of another value would not
+    # with two positions the rows at k decide the witness: the rows (c, c)
+    # and (c, c+1) block 0 and 1 at the second position once the first is
+    # 0, and passing down the rows of another value would not
     family = [[c, c] for c in range(m2)] + [[c, (c + 1) % m2] for c in range(m2)]
     k, images, _, thresholds, _ = _min_max(np.array(family), m2, 0)
     assert (k, images, thresholds) == (1, (0, 2), (0, 1))
+
+
+def test_counters_hold_the_domain_size():
+    # the one row agrees everywhere, so k reaches 300: a uint8 counter
+    # would wrap to 0 and end the search early, at k = 256
+    k, images, nodes, thresholds, _ = _min_max(
+        np.zeros((1, 300), dtype=np.int64), 1, 0
+    )
+    assert (k, nodes, thresholds) == (300, 45_450, tuple(range(301)))
+    assert images == (0,) * 300
+
+
+@pytest.mark.parametrize("seed, shape, m2, start, pinned, expected", [
+    (1, (60, 7), 3, 0, None,
+     (4, (0, 0, 0, 0, 0, 1, 2), 355, (0, 1, 2, 3, 4))),
+    (3, (80, 6), 4, 0, {2: 1}, (3, (0, 0, 1, 3, 0, 0), 60, (0, 1, 2, 3))),
+    # two pins and a start of 1: some rows begin above the threshold
+    (4, (120, 7), 3, 1, {0: 0, 5: 2},
+     (4, (0, 0, 0, 0, 2, 2, 2), 39, (1, 2, 3, 4))),
+    (5, (3000, 4), 300, 0, None, (1, (0, 0, 2, 0), 306, (0, 1))),
+])
+def test_brute_force_family_pins(seed, shape, m2, start, pinned, expected):
+    # seeded families without perms; node counts follow from the branching
+    # order and the skip rule alone
+    family = np.random.default_rng(seed).integers(0, m2, size=shape)
+    k, images, nodes, thresholds, symmetries = _min_max(
+        family, m2, start, pinned=pinned
+    )
+    assert (k, images, nodes, thresholds) == expected
+    assert symmetries == 1
+    assert max_agreement(images, family) == k
 
 
 def test_brute_force_app_validation():

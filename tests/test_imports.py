@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,13 @@ def _unused_imports(path: str) -> list[str]:
 @pytest.mark.parametrize("path", FILES)
 def test_every_import_is_read(path):
     assert _unused_imports(path) == [], path
+
+
+def test_package_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, which only the result cache needs
+    code = "import sys, groupapprox; print('hashlib' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -294,6 +294,16 @@ def test_listed_generators_must_generate():
         endomorphism_tables(g)
 
 
+def test_family_tables_are_read_only_image_rows():
+    # the tables hold rows in the maps' image type (int8 through order 64)
+    for spec in ("cyclic(6)", "sym(4)", "elemabelian(2,4)", "cyclic(64)"):
+        g = cached_group(spec)
+        tables = [family_tables(g, m) for m in ("endo", "affine")]
+        for t in tables + [automorphism_tables(g)]:
+            assert t.dtype == np.min_scalar_type(-g.order), spec
+            assert not t.flags.writeable, spec
+
+
 def test_maps_are_read_only_narrow_image_rows():
     g = cached_group("cyclic(4)")
     f = GroupFunction(g, (3, 1, 0, 2))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -323,6 +324,22 @@ def test_branching_order_pins():
         assert (cert.lower, cert.upper) == (lower, upper)
         assert cert.stats.thresholds == (lower,)
         assert cert.stats.nodes == 2_000
+
+
+def test_capped_large_search_runs_in_bounded_memory():
+    g = cached_group("elemabelian(2,4)")
+    family_tables(g, "affine"), automorphism_tables(g), lower_bound_certificates(g)
+    tracemalloc.start()
+    try:
+        cert = worst_case_value(g, "affine", budget=2_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
+    # 2^20 rows: a contiguous int8 copy of each column (16 MiB) and the
+    # buckets of the values tried; an intp row list of every value at
+    # every position would alone hold 128 MiB
+    assert peak < 64 << 20, peak
 
 
 def test_worst_case_search_statistics():
