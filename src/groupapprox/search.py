@@ -231,9 +231,12 @@ def worst_case_value(
     no such invariance (a forced f(1) = 1 would give every endomorphism a
     free agreement) and is searched unnormalized.  Both families are closed
     under f -> a o f for every automorphism a (a o (c phi) = a(c) (a o phi)),
-    so the search tries only automorphism-orbit leaders as values.
+    so the search tries only automorphism-orbit leaders as values.  A
+    negative budget raises ParameterError.
     """
     _check_metric(metric)
+    if budget < 0:
+        raise ParameterError(f"the search budget must be >= 0, got {budget}")
     t0 = time.perf_counter()
     tables = family_tables(g, metric)
     n = g.order

@@ -28,6 +28,13 @@ def table_of(g) -> np.ndarray:
     return np.asarray(g.mul_many(ar[:, None], ar[None, :]), dtype=np.int64)
 
 
+def cube_associative(table) -> bool:
+    """(x y) z == x (y z) on all n^3 triples, the reference for the
+    associativity proof in ``validate``."""
+    T = np.asarray(table, dtype=np.int64)
+    return bool((T[T] == T[:, T]).all())
+
+
 def brute_endomorphisms(table: np.ndarray) -> np.ndarray:
     """All endomorphism image tables, by filtering every candidate map."""
     n = table.shape[0]

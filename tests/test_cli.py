@@ -211,6 +211,35 @@ def test_compute_refuses_overlong_order_line(tmp_path, capsys):
         assert len(err) < 500, (digits, len(err))
 
 
+def test_cayley_errors_cut_long_tokens_short(tmp_path, capsys):
+    # a 4,000-digit generator index or table entry is quoted cut short
+    long = "9" * 4000
+    for where, text in (
+        ("generator", f"2\ng {long}\n0 1\n1 0\n"),
+        ("entry", f"2\n0 1\n1 {long}\n"),
+    ):
+        path = tmp_path / f"{where}.cayley"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run(
+            capsys, "compute", "--group", f"file({path})", "--metric", "enapp"
+        )
+        assert code == 2, where
+        assert err.startswith("error: ") and "out of range" in err, err[:200]
+        assert len(err.encode()) < 200, (where, len(err))
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    for argv in (
+        ("compute", "--group", "cyclic(6)", "--metric", "enapp"),
+        ("table", "--max-order", "3"),
+    ):
+        code, out, err = run(capsys, *argv, "--budget", "-5")
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err, err
+        assert "Traceback" not in err
+
+
 def test_compute_budget_exhausted(capsys):
     code, doc, _ = run_json(
         capsys, "compute", "--group", "alt(4)", "--metric", "affapp",

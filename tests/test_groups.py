@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupapprox import groups
 from groupapprox import (
@@ -31,7 +33,7 @@ from groupapprox import (
 )
 from groupapprox.groups import DENSE_LIMIT
 
-from _oracles import table_of
+from _oracles import cached_group, cube_associative, table_of
 from make_golden import LARGE_FAMILY_GROUPS
 
 
@@ -286,7 +288,10 @@ def test_validate_flags_associativity_only_on_nonassociative_loop():
     assert report.inverses_ok
     assert report.latin_ok
     assert report.associativity_exhaustive
-    assert report.triples_checked == 125
+    assert not cube_associative(loop)
+    # Light's test on the cut {1, 2}: 5^2 products each
+    assert groups._generating_subset(g) == (1, 2)
+    assert report.triples_checked == 50
 
 
 def test_validate_passes_on_real_groups():
@@ -295,6 +300,98 @@ def test_validate_passes_on_real_groups():
         assert report.passed
         assert report.associativity_exhaustive
         assert report.generation_ok
+
+
+def _intercalates(T: np.ndarray) -> np.ndarray:
+    """Every 2x2 subsquare (rows a < b, columns c < d) of T off row and
+    column 0 whose two symbols are nonzero, as rows (a, b, c, d):
+    swapping its symbols keeps a Latin square with identity and inverses."""
+    n = len(T)
+    col = np.argsort(T, axis=1)                   # col[b, v]: v's column in row b
+    a, b, c = (x.ravel() for x in np.indices((n - 1,) * 3) + 1)
+    d = col[b, T[a, c]]
+    keep = (a < b) & (c < d) & (T[a, d] == T[b, c])
+    keep &= (T[a, c] != 0) & (T[a, d] != 0)
+    return np.stack([a, b, c, d], axis=1)[keep]
+
+
+def _swap(T: np.ndarray, quad) -> np.ndarray:
+    a, b, c, d = quad
+    rows, cols = [a, a, b, b], [c, d, c, d]
+    T = T.copy()
+    T[rows, cols] = T[rows, [d, c, d, c]]
+    return T
+
+
+# constructor groups up to order 32; the odd orders have no intercalate
+_SMALL_SPECS = (
+    "cyclic(1)", "cyclic(2)", "cyclic(4)", "elemabelian(2,2)", "sym(3)",
+    "cyclic(8)", "product(cyclic(4),cyclic(2))", "elemabelian(2,3)",
+    "dihedral(8)", "dicyclic(8)", "elemabelian(3,2)", "cyclic(12)",
+    "product(cyclic(6),cyclic(2))", "alt(4)", "dicyclic(12)",
+    "elemabelian(2,4)", "dihedral(16)", "dicyclic(16)",
+    "product(dihedral(8),cyclic(2))", "sym(4)", "dicyclic(24)", "heis(3)",
+    "modmax(3)", "cyclic(32)", "dihedral(32)", "elemabelian(2,5)",
+    "product(cyclic(4),cyclic(8))",
+)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.sampled_from(_SMALL_SPECS),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_light_verdict_matches_the_cube(spec, swaps, seed, listed):
+    g = cached_group(spec)
+    T = table_of(g)
+    rng = np.random.default_rng(seed)
+    for _ in range(swaps):
+        quads = _intercalates(T)
+        if len(quads):
+            T = _swap(T, quads[rng.integers(len(quads))])
+    h = TableGroup(spec, T, g.generators if listed else None)
+    report = validate(h)
+    assert report.associativity_ok == cube_associative(T)
+    assert report.associativity_exhaustive
+    assert report.triples_checked == h.order**2 * len(groups._generating_subset(h))
+
+
+def test_light_test_refutes_one_intercalate_at_order_600():
+    # C2 x C300 with the symbols 3 and 303 swapped on rows 1, 301 and
+    # columns 2, 302: still Latin, with identity and inverses, and too
+    # large for the n^3 reference
+    g = direct_product(cyclic(2), cyclic(300))
+    T = table_of(g)
+    assert T[1, 2] == T[301, 302] == 3 and T[1, 302] == T[301, 2] == 303
+    h = TableGroup("swapped", _swap(T, (1, 301, 2, 302)), g.generators)
+    report = validate(h)
+    assert report.failures == ("associativity fails",)
+    assert report.identity_ok and report.inverses_ok and report.latin_ok
+    assert report.associativity_exhaustive
+    assert report.triples_checked == 600**2 * len(groups._generating_subset(h))
+    with pytest.raises(GroupAxiomError, match="associativity fails"):
+        parse_cayley(serialize_cayley(h))
+
+
+def test_validate_cuts_at_most_log2_n_generators():
+    carriers = [
+        *catalog_up_to(15),
+        *map(cached_group, LARGE_FAMILY_GROUPS),
+        direct_product(cyclic(16), cyclic(32)),
+    ]
+    for g in carriers:
+        order_line, _, rows = serialize_cayley(g).split("\n", 2)
+        parsed = parse_cayley(f"{order_line}\n{rows}")  # every element listed
+        assert parsed.generators == tuple(range(g.order))
+        for h in (g, parsed):
+            cut = groups._generating_subset(h)
+            assert groups._generated(h, cut).all(), h.name
+            assert len(cut) <= h.order.bit_length() - 1, h.name
+            report = validate(h)
+            assert report.passed and report.associativity_exhaustive
+            assert report.triples_checked == h.order**2 * len(cut), h.name
 
 
 def test_mul_table_is_read_only():

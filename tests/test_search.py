@@ -300,6 +300,14 @@ def test_worst_case_value_alt4():
     assert value == 3
 
 
+def test_negative_budget_is_refused():
+    # a budget of 0 is a valid empty search; below 0 there is no contract
+    for metric in METRICS:
+        with pytest.raises(ParameterError, match="budget"):
+            worst_case_value(cyclic(6), metric, budget=-5)
+    assert worst_case_value(cyclic(6), "endo", budget=0).stats.nodes == 0
+
+
 def test_budget_exhaustion_yields_bracket():
     cert = worst_case_value(cached_group("alt(4)"), "affine", budget=100)
     assert not cert.exact
