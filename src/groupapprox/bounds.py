@@ -15,6 +15,7 @@ The exact value app_F(M1, M2) is found by one decision search, shared by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 10**6
+# the most decimal digits a count in a BoundReport may have: Python's
+# default limit for writing an int as text, which every report document does
+MAX_COUNT_DIGITS = 4300
+_COUNT_CAP = 10**MAX_COUNT_DIGITS
 E_SQUARED = math.e**2
 _SLACK = 1e-9
 
@@ -78,12 +83,19 @@ def agreement_bounds(m1: int, m2: int, fval: float) -> BoundReport:
 
     lower = max(1, m1/m2) holds for every family containing all constants;
     upper = max(e^2 * m1/m2, fval*ln(m2) + ln(m1)) holds for every family of
-    size at most m2^fval.
+    size at most m2^fval.  The largest count, nu at k = m1, is m2^m1; a
+    pair for which it has more than MAX_COUNT_DIGITS digits is refused
+    with CapacityError before any count is formed.
     """
     if m1 < 2 or m2 < 2:
         raise ParameterError("m1 and m2 must both be at least 2")
     if not fval > 0:
         raise ParameterError(f"fval must be positive, got {fval}")
+    # the float test keeps the exact power small: int/float compare exactly
+    if m1 > MAX_COUNT_DIGITS / math.log10(m2) or m2**m1 >= _COUNT_CAP:
+        raise CapacityError(f"m2**m1 has more than {MAX_COUNT_DIGITS} digits")
+    if m2 > sys.float_info.max:  # e^2 m1/m2 below divides in floats
+        raise CapacityError("m2 is beyond the floating-point range")
     gamma = tuple(circle_size(m1, m2, k) for k in range(m1 + 1))
     nu_list = []
     acc = 0

@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     ScopeError,
 )
-from .groups import _int_arg, build_group, canonical_spec, catalog_up_to
+from .groups import _int_arg, _shown, build_group, canonical_spec, catalog_up_to
 from .jk import (
     DEFAULT_SAMPLES,
     SigmaMap,
@@ -153,6 +153,8 @@ def _bounds_only_cert(g, metric: str) -> ApproxCertificate:
 def _cmd_compute(args) -> int:
     spec = canonical_spec(args.group)
     metric = parse_metric_label(args.metric)
+    if args.budget < 0:  # refused as the search refuses it, cache or not
+        raise ParameterError(f"the search budget must be >= 0, got {args.budget}")
     if not args.no_cache:
         doc = cache_get(spec, metric)
         if doc is not None:
@@ -247,6 +249,8 @@ def _cmd_verify_jk(args) -> int:
 
 def _parse_fval(arg: str, m1: int) -> float:
     if arg == "log2":
+        if m1 < 1:
+            raise ParameterError(f"--f log2 needs m1 >= 1, got {m1}")
         return math.log2(m1)
     try:
         return float(arg)
@@ -255,10 +259,10 @@ def _parse_fval(arg: str, m1: int) -> float:
     try:
         with open(arg, "r", encoding="utf-8") as fh:
             return float(fh.read().split()[0])
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError):
         raise ParameterError(
             f"--f must be 'log2', a number, or a file containing one; "
-            f"got {arg!r} ({exc})"
+            f"got {_shown(arg)}"
         ) from None
 
 

@@ -127,7 +127,9 @@ class JKGroup(GroupCarrier):
     digit-wise addition (the coset and the central halves share the
     encoding, so it serves both) and ``_cocycle`` is c(q, q') as a central
     code.  ``_neg`` negates a code.  All three use the narrowest signed
-    integer type that holds every code.
+    integer type that holds every code.  ``validate`` proves the product
+    associative through ``_associates``, which reduces Light's test to the
+    cocycle identity on coset codes.
     """
 
     def __init__(self, params: JKParams):
@@ -213,6 +215,44 @@ class JKGroup(GroupCarrier):
     def inv_many(self, a):
         q, z = self._inv_halves(*np.divmod(a, self._p4))
         return np.multiply(q, self._p4, dtype=np.int64) + z
+
+    def _associates(self, s: int) -> bool:
+        """(x s) y == x (s y) for all x and y, decided on coset codes.
+
+        ``_mul_halves`` writes every product as (q + q', z + z' + c(q, q'))
+        with both sums read from ``_add``.  Once ``_add`` is the digit-wise
+        addition of (Z/p)^4, an abelian group, and each cocycle entry is a
+        code, (x s) y and x (s y) agree for all central halves exactly when
+
+            c(q, q_s) + c(q + q_s, q') = c(q_s, q') + c(q, q_s + q')
+
+        for x, s, y in the cosets q, q_s, q'.  So ``_add`` is compared with
+        a digit-wise sum built by ``_digits``, and the identity is checked
+        on all p^8 pairs (q, q') in SCAN_BLOCK row blocks: True is a proof;
+        False means the identity fails or the tables are not the ones this
+        carrier is built on.
+        """
+        p, p4, add, c = self.p, self._p4, self._add, self._cocycle
+        if min(add.min(), c.min()) < 0 or max(add.max(), c.max()) >= p4:
+            return False  # an entry that is no code; past here every index is in range
+
+        def pair(a, b):  # index of the code pair (a, b) in either table
+            return np.multiply(a, p4, dtype=np.int64) + b
+
+        codes = np.arange(p4, dtype=np.int64)
+        digits = _digits(codes, p, 4)
+        q_s = int(s) // p4
+        s_plus, c_s = add[pair(q_s, codes)], c[pair(q_s, codes)]
+        rows = max(1, SCAN_BLOCK // p4)
+        for lo in range(0, p4, rows):
+            q = codes[lo : lo + rows, None]
+            digitwise = (digits[lo : lo + rows, None] + digits) % p @ self._weights[4:]
+            left = pair(q, q_s)
+            lhs = np.take(add, pair(c[left], np.take(c, pair(add[left], codes))))
+            rhs = np.take(add, pair(c_s, np.take(c, pair(q, s_plus))))
+            if not ((add[pair(q, codes)] == digitwise).all() and (lhs == rhs).all()):
+                return False
+        return True
 
     def coset(self, x: int) -> int:
         """Index of the central coset of x, i.e. its (k1,k2,l1,l2) digits."""
@@ -556,7 +596,7 @@ def check_classified_maps(g: JKGroup) -> int:
     digit-wise, so iota is additive; and central codes commute with every
     generator, hence with all of G.  Each fact is checked on every element,
     in SCAN_BLOCK pieces, with mul_many on decoded digits, given that G is
-    a group generated by its listed generators (as ``validate`` audits).
+    a group generated by its listed generators (as ``validate`` proves).
     """
     g.params.require_classified()
     p = g.p

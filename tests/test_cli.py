@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,20 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupapprox.cli import main
-from groupapprox.errors import ParameterError
-from groupapprox.groups import DENSE_LIMIT, cyclic, serialize_cayley, sym
+from groupapprox.errors import FormatError, ParameterError
+from groupapprox.groups import (
+    DENSE_LIMIT,
+    MAX_SPEC_DEPTH,
+    build_group,
+    canonical_spec,
+    cyclic,
+    serialize_cayley,
+    sym,
+)
 from groupapprox.reporting import (
     cache_dir,
     cache_get,
@@ -372,6 +384,9 @@ OVERSIZE_REQUESTS = [
     (3, ["verify-jk", "--p", MERSENNE_61, "--lambda", "0,1"]),
     (3, ["verify-jk", "--p", "101", "--lambda", "0,1", "--allow-large",
          "--mode", "sampled"]),
+    (3, ["bounds", "--m1", "4300", "--m2", "10", "--f", "log2"]),
+    (3, ["bounds", "--m1", "1000000000", "--m2", "2", "--f", "log2"]),
+    (3, ["bounds", "--m1", "4", "--m2", str(10**400), "--f", "1"]),
 ]
 # runs each request through main() in a child process, so that a hang is
 # cut by the timeout and an escaping exception shows as a traceback
@@ -407,6 +422,111 @@ def test_oversize_requests_exit_at_once():
         assert err.startswith("error: ") and len(err) < 500, (label, err[:200])
 
 
+# malformed specs that once echoed in full or overflowed the stack
+BAD_SPECS = [
+    "product(" * 1000 + "cyclic(2)" + ",cyclic(2))" * 1000,
+    "(" * 5000,
+    "x" * 5000,
+    "cyclic(2)" + ")" * 5000,
+    "product(cyclic(2)," + "(" * 5000,
+    "file(" + "a" * 5000 + ")",
+]
+
+
+def test_spec_errors_stay_one_short_line():
+    argvs = [["compute", f"--group={spec}", "--metric", "enapp"] for spec in BAD_SPECS]
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(BAD_SPECS)
+    for spec, (code, _, err) in zip(BAD_SPECS, results):
+        assert code == 2, spec[:40]
+        assert err.startswith("error: ") and len(err.encode()) < 200, err[:200]
+
+
+def test_spec_nesting_bound():
+    def nested(depth):  # `depth` nested parentheses, each product a trivial group
+        return "product(" * (depth - 1) + "cyclic(1)" + ",cyclic(1))" * (depth - 1)
+
+    assert build_group(nested(MAX_SPEC_DEPTH)).order == 1
+    with pytest.raises(FormatError, match="nested deeper"):
+        build_group(nested(MAX_SPEC_DEPTH + 1))
+    with pytest.raises(FormatError, match="nested deeper"):
+        canonical_spec(nested(MAX_SPEC_DEPTH + 1))
+
+
+def test_negative_budget_is_refused_before_the_cache(capsys):
+    argv = ["compute", "--group", "cyclic(6)", "--metric", "enapp"]
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0 and cache_get("cyclic(6)", "endo") is not None
+    for command in (argv, ["table", "--max-order", "3"]):
+        code, out, err = run(capsys, *command, "--budget", "-5")
+        assert code == 2 and out == "", command
+        assert err.startswith("error: ") and "budget must be >= 0" in err, command
+
+
+# spec strings from the constructor grammar, mangled tokens and plain text;
+# "file" is left out so that no example reads the working directory
+_ARGS = st.one_of(
+    st.integers(min_value=-3, max_value=40).map(str),
+    st.sampled_from(["", " 7 ", "x", "1e3", "9" * 31, str(2**61 - 1)]),
+)
+_LEAVES = st.builds(
+    lambda name, args: f"{name}({','.join(args)})",
+    st.sampled_from(["cyclic", "elemabelian", "dihedral", "dicyclic", "sym",
+                     "alt", "heis", "modmax", "jk", "product", "Cyclic", "x"]),
+    st.lists(_ARGS, max_size=3),
+)
+_SPECS = st.one_of(
+    st.recursive(
+        _LEAVES,
+        lambda kids: st.builds(lambda a, b: f"product({a},{b})", kids, kids),
+        max_leaves=5,
+    ),
+    st.text(alphabet="abcdehijklmnoprstuxyz0123456789(),: -", max_size=60),
+).filter(lambda spec: "file" not in spec)
+_COUNTS = st.one_of(
+    st.integers(min_value=-3, max_value=300),
+    st.sampled_from([4300, 10**9, 2**64, 10**400]),
+)
+
+
+def _main_quietly(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(deadline=None, max_examples=150)
+@given(_SPECS, st.sampled_from(["enapp", "affapp"]))
+def test_compute_exit_codes_on_any_spec(spec, metric):
+    code, err = _main_quietly(
+        ["compute", f"--group={spec}", "--metric", metric, "--bounds-only", "--no-cache"]
+    )
+    assert code in (0, 2, 3), (spec, err)
+    assert len(err.encode()) <= 300, (spec, err[:200])
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    _COUNTS,
+    _COUNTS,
+    st.one_of(
+        st.sampled_from(["log2", "1", "0", "-1", "2.5", "nan", "inf", "1e308"]),
+        st.text(alphabet="0123456789.e-+lgox", max_size=12),
+    ),
+)
+def test_bounds_exit_codes_on_any_arguments(m1, m2, f):
+    code, err = _main_quietly(["bounds", f"--m1={m1}", f"--m2={m2}", f"--f={f}"])
+    assert code in (0, 2, 3), (m1, m2, f, err)
+    assert len(err.encode()) <= 300, (m1, m2, f, err[:200])
+
+
 # --------------------------------------------------------------------------
 # bounds / partition-avoid / witness
 # --------------------------------------------------------------------------
@@ -426,6 +546,17 @@ def test_bounds_command_branches(tmp_path, capsys):
         capsys, "bounds", "--m1", "8", "--m2", "2", "--f", str(ffile)
     )
     assert doc4["fval"] == 2.5
+
+
+def test_bounds_digit_cap_is_exact(capsys):
+    # (10**215)**20 has 4,301 digits and is refused; one less has 4,300
+    code, _, err = run(capsys, "bounds", "--m1", "20", "--m2", str(10**215), "--f", "1")
+    assert code == 3 and "4300 digits" in err
+    m2 = 10**215 - 1
+    code, out, _ = run(capsys, "bounds", "--m1", "20", "--m2", str(m2), "--f", "1")
+    assert code == 0 and json.loads(out)["nu"][-1] == m2**20
+    code, out, _ = run(capsys, "bounds", "--m1", "3000", "--m2", "3", "--f", "log2")
+    assert code == 0 and json.loads(out)["nu"][-1] == 3**3000
 
 
 def test_partition_avoid_feasible(capsys):

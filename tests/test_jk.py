@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupapprox import (
     CapacityError,
@@ -129,10 +131,54 @@ def test_axioms_hold(g01, g11):
     for g in (g01, g11):
         report = validate(g)
         assert report.passed
-        assert not report.associativity_exhaustive
+        assert report.triples_checked == g.order**2 * 4
         idx = np.arange(g.order)
         assert (g.mul_many(idx, g.inv_many(idx)) == 0).all()
         assert (g.mul_many(g.inv_many(idx), idx) == 0).all()
+
+
+@pytest.mark.parametrize("lam", [(0, 1), (1, 0), (1, 1), (2, 1)])
+def test_validate_proves_every_small_member(lam):
+    g = jk_group(3, *lam)
+    report = validate(g)
+    assert report.passed, report.failures
+    assert report.triples_checked == g.order**2 * 4  # the listed generators
+
+
+def test_validate_proves_jk_5():
+    g = jk_group(5, 0, 1, allow_large=True)
+    report = validate(g)
+    assert report.passed, report.failures
+    assert report.triples_checked == g.order**2 * 4
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(min_value=1, max_value=80), st.integers(min_value=1, max_value=80))
+def test_validate_refutes_one_changed_cocycle_entry(q, r):
+    # c(q, r) with q, r != 0, so the identity law still holds
+    g = jk_group(3, 0, 1)
+    cocycle = g._cocycle.copy()
+    cell = q * 81 + r
+    cocycle[cell] = (cocycle[cell] + 1) % 81
+    g._cocycle = cocycle
+    report = validate(g)
+    assert report.identity_ok
+    assert "associativity fails" in report.failures
+
+
+@pytest.mark.parametrize("zero_cocycle", [False, True])
+def test_validate_refutes_two_swapped_addition_entries(zero_cocycle):
+    g = jk_group(3, 0, 1)
+    if zero_cocycle:  # (Z/3)^8, where the cocycle identity holds on any _add
+        g._cocycle = np.zeros_like(g._cocycle)
+    assert validate(g).associativity_ok
+    add = g._add.copy()
+    add[[82, 83]] = add[[83, 82]]                 # the codes 1 + 1 and 1 + 2
+    g._add = add
+    x, s = 2 * 81, 81                             # the cosets 2 and 1
+    assert g.mul(g.mul(x, s), s) != g.mul(x, g.mul(s, s))
+    report = validate(g)
+    assert report.identity_ok and not report.associativity_ok
 
 
 def test_center_is_exactly_the_low_indices(g01):
