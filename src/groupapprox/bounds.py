@@ -85,17 +85,26 @@ def agreement_bounds(m1: int, m2: int, fval: float) -> BoundReport:
     upper = max(e^2 * m1/m2, fval*ln(m2) + ln(m1)) holds for every family of
     size at most m2^fval.  The largest count, nu at k = m1, is m2^m1; a
     pair for which it has more than MAX_COUNT_DIGITS digits is refused
-    with CapacityError before any count is formed.
+    with CapacityError before any count is formed, and so is an fval whose
+    upper bound overflows a float: JSON has no infinity.
     """
     if m1 < 2 or m2 < 2:
         raise ParameterError("m1 and m2 must both be at least 2")
-    if not fval > 0:
-        raise ParameterError(f"fval must be positive, got {fval}")
+    if not 0 < fval < math.inf:  # also refuses nan
+        raise ParameterError(f"fval must be positive and finite, got {fval}")
     # the float test keeps the exact power small: int/float compare exactly
     if m1 > MAX_COUNT_DIGITS / math.log10(m2) or m2**m1 >= _COUNT_CAP:
         raise CapacityError(f"m2**m1 has more than {MAX_COUNT_DIGITS} digits")
     if m2 > sys.float_info.max:  # e^2 m1/m2 below divides in floats
         raise CapacityError("m2 is beyond the floating-point range")
+    fiber_branch = E_SQUARED * m1 / m2
+    entropy_branch = fval * math.log(m2) + math.log(m1)
+    if fiber_branch >= entropy_branch:
+        upper, branch = fiber_branch, "e2-fiber"
+    else:
+        upper, branch = entropy_branch, "entropy"
+    if upper == math.inf:
+        raise CapacityError(f"the upper bound for fval = {fval} overflows a float")
     gamma = tuple(circle_size(m1, m2, k) for k in range(m1 + 1))
     nu_list = []
     acc = 0
@@ -103,12 +112,6 @@ def agreement_bounds(m1: int, m2: int, fval: float) -> BoundReport:
         acc += gk
         nu_list.append(acc)
     lower = max(Fraction(1), Fraction(m1, m2))
-    fiber_branch = E_SQUARED * m1 / m2
-    entropy_branch = fval * math.log(m2) + math.log(m1)
-    if fiber_branch >= entropy_branch:
-        upper, branch = fiber_branch, "e2-fiber"
-    else:
-        upper, branch = entropy_branch, "entropy"
     return BoundReport(
         m1=m1,
         m2=m2,

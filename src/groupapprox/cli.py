@@ -4,7 +4,8 @@ One command per process; every command emits a single JSON document
 (stdout, or ``--out`` file) while ``table`` prints a fixed-width text view
 to stdout and reserves JSON for ``--out``.  Exit status: 0 success,
 2 usage error, 3 capacity or budget exhausted (bounds-only document),
-4 verification found violations (document carries the evidence).
+4 verification found violations (document carries the evidence).  Each
+error is one stderr line of at most MAX_STDERR_LINE bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .errors import (
     ParameterError,
     ScopeError,
 )
-from .groups import _int_arg, _shown, build_group, canonical_spec, catalog_up_to
+from .groups import (_int_list, _read_text, _shown, build_group, canonical_spec,
+                     catalog_up_to)
 from .jk import (
     DEFAULT_SAMPLES,
     SigmaMap,
@@ -69,10 +71,31 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_VIOLATION = 4
+# the longest line the CLI writes to stderr, in bytes with its newline
+MAX_STDERR_LINE = 200
+# the most points partition-avoid lays out; its document lists each twice
+MAX_PARTITION_POINTS = 1 << 20
+
+
+def _stderr_line(text: str) -> None:
+    """Write text as one stderr line of at most MAX_STDERR_LINE bytes, cut
+    with "...": the one writer of every CLI error, whatever a user typed."""
+    raw = text.encode("utf-8", "backslashreplace")
+    if len(raw) >= MAX_STDERR_LINE:
+        text = raw[: MAX_STDERR_LINE - 4].decode("utf-8", "ignore") + "..."
+    print(text, file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, its usage errors raised (after the usage text) to main."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParameterError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="groupapprox",
         description="Worst-case approximability of functions on finite "
         "groups by endomorphisms and affine maps.",
@@ -89,12 +112,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search node budget (default %(default)s)")
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--out", metavar="PATH")
 
     p = sub.add_parser("table", help="catalog table of worst-case values")
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--out", metavar="PATH")
 
     p = sub.add_parser("verify-jk", help="scan the order-p^8 constructions")
     p.add_argument("--p", type=int, required=True)
@@ -110,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-large", action="store_true",
                    help="permit primes beyond 3 (sampled checks only)")
-    p.add_argument("--out", metavar="PATH")
 
     p = sub.add_parser("bounds", help="two-sided agreement bounds")
     p.add_argument("--m1", type=int, required=True)
@@ -118,25 +138,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, metavar="log2|NUM|FILE",
                    help="family-size exponent: 'log2' for log2(m1), a "
                         "number, or a file containing one")
-    p.add_argument("--out", metavar="PATH")
 
     p = sub.add_parser("partition-avoid",
                        help="permutation avoiding every partition class")
     p.add_argument("--classes", required=True, metavar="a,b,c,...",
                    help="comma-separated class sizes")
-    p.add_argument("--out", metavar="PATH")
 
     p = sub.add_parser("witness", help="emit a named witness function")
     p.add_argument("--name", required=True,
                    metavar="cyclic-enapp:N|prime-square:P|rem-quot:P,K|"
                            "z6-swap|klein|sym3")
-    p.add_argument("--out", metavar="PATH")
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="PATH")
     return ap
 
 
 def _emit(doc: dict, out: str | None, *, stdout: bool = True) -> None:
     if out:
-        write_document(doc, out)
+        try:
+            write_document(doc, out)
+        except OSError as exc:
+            raise ParameterError(f"--out {_shown(out)}: {exc.strerror}") from None
     elif stdout:
         sys.stdout.write(document_bytes(doc).decode("utf-8"))
 
@@ -169,7 +191,7 @@ def _cmd_compute(args) -> int:
         try:
             cert = worst_case_value(g, metric, budget=args.budget)
         except CapacityError as exc:
-            print(f"warning: {exc}; reporting bounds only", file=sys.stderr)
+            _stderr_line(f"warning: {exc}; reporting bounds only")
             cert = _bounds_only_cert(g, metric)
             status = EXIT_CAPACITY
         else:
@@ -200,30 +222,10 @@ def _cmd_table(args) -> int:
     return status
 
 
-def _parse_lambda(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParameterError(f"--lambda needs two entries, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParameterError(f"--lambda needs integers, got {text!r}") from None
-
-
 def _load_sigma(arg: str, p: int):
     if arg == "singer":
         return singer_sigma(p)
-    try:
-        with open(arg, "r", encoding="utf-8") as fh:
-            entries = [int(tok) for tok in fh.read().split()]
-    except OSError as exc:
-        raise ParameterError(f"cannot read sigma file {arg!r}: {exc}") from None
-    except ValueError:
-        raise ParameterError(f"sigma file {arg!r} must hold integers") from None
-    if len(entries) != 16:
-        raise ParameterError(
-            f"sigma file {arg!r} must hold 16 entries, got {len(entries)}"
-        )
+    entries = _int_list(f"sigma file {_shown(arg)}", _read_text(arg), 16, sep=None)
     rows = tuple(
         tuple(v % p for v in entries[i * 4:(i + 1) * 4]) for i in range(4)
     )
@@ -233,7 +235,7 @@ def _load_sigma(arg: str, p: int):
 
 
 def _cmd_verify_jk(args) -> int:
-    lam1, lam2 = _parse_lambda(args.lam)
+    lam1, lam2 = _int_list("--lambda", args.lam, 2)
     g = jk_group(args.p, lam1, lam2, allow_large=args.allow_large)
     if args.check == "endo":
         report = verify_enapp_zero(g)
@@ -257,9 +259,8 @@ def _parse_fval(arg: str, m1: int) -> float:
     except ValueError:
         pass
     try:
-        with open(arg, "r", encoding="utf-8") as fh:
-            return float(fh.read().split()[0])
-    except (OSError, ValueError, IndexError):
+        return float(_read_text(arg).split()[0])
+    except (FormatError, ValueError, IndexError):
         raise ParameterError(
             f"--f must be 'log2', a number, or a file containing one; "
             f"got {_shown(arg)}"
@@ -274,14 +275,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_partition_avoid(args) -> int:
-    try:
-        sizes = [int(tok) for tok in args.classes.split(",") if tok]
-    except ValueError:
-        raise ParameterError(
-            f"--classes needs comma-separated sizes, got {args.classes!r}"
-        ) from None
-    if not sizes or any(s < 1 for s in sizes):
+    sizes = _int_list("--classes", args.classes)
+    if any(s < 1 for s in sizes):
         raise ParameterError("class sizes must be positive")
+    if sum(sizes) > MAX_PARTITION_POINTS:
+        raise CapacityError(f"--classes: {sum(sizes)} points > {MAX_PARTITION_POINTS}")
     classes = []
     start = 0
     for s in sizes:
@@ -292,32 +290,23 @@ def _cmd_partition_avoid(args) -> int:
     return EXIT_OK
 
 
-def _witness_args(name: str, count: int) -> list[int]:
-    """The comma-separated integers after the colon of a witness name."""
-    head, _, rest = name.partition(":")
-    parts = rest.split(",")
-    if len(parts) != count:
-        raise ParameterError(f"{head} needs {count} comma-separated integers")
-    return [_int_arg(head, tok.strip()) for tok in parts]
-
-
 def _cmd_witness(args) -> int:
     name = args.name
-    if name.startswith("cyclic-enapp:"):
-        fn = cyclic_enapp_witness(*_witness_args(name, 1))
-        metric = "endo"
-    elif name.startswith("prime-square:"):
-        fn = prime_square_witness(*_witness_args(name, 1))
-        metric = "affine"
-    elif name.startswith("rem-quot:"):
-        fn = rem_quot_witness(*_witness_args(name, 2))
-        metric = "affine"
+    head, colon, rest = name.partition(":")
+    builders = {  # name -> (builder, number of integers after the colon, metric)
+        "cyclic-enapp": (cyclic_enapp_witness, 1, "endo"),
+        "prime-square": (prime_square_witness, 1, "affine"),
+        "rem-quot": (rem_quot_witness, 2, "affine"),
+    }
+    if colon and head in builders:
+        builder, count, metric = builders[head]
+        fn = builder(*_int_list(head, rest, count))
     elif name in ("z6-swap", "klein", "sym3"):
         fn = small_group_witnesses()[name]
         # the klein table dodges endomorphisms; the other two dodge affine maps
         metric = "endo" if name == "klein" else "affine"
     else:
-        raise ParameterError(f"unknown witness name {name!r}")
+        raise ParameterError(f"unknown witness name {_shown(name)}")
     agreement, _ = approximability(fn, metric)
     doc = witness_document(name, fn.group.name, fn, metric, agreement)
     _emit(doc, args.out)
@@ -335,19 +324,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ParameterError, FormatError, GroupAxiomError, ScopeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except (ParameterError, FormatError, GroupAxiomError, ScopeError,
+            CapacityError) as exc:
+        _stderr_line(f"error: {exc}")
+        return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

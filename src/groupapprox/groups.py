@@ -14,10 +14,11 @@ over the limit before it is allocated.  Facts that are costly to derive
 The module provides constructors for the classical small families
 (cyclic, elementary abelian, dihedral, dicyclic, symmetric, alternating,
 the two nonabelian groups of order p^3, direct products), plain-text
-Cayley table round-tripping, a spec-string parser, a validation routine
-that checks the group axioms (associativity proved on every carrier by
-Light's test, through the ``_associates`` hook each carrier provides), and
-a hard-coded catalog of all isomorphism classes up to order 15.
+Cayley table round-tripping, one reader of spec strings behind both
+``canonical_spec`` and ``build_group``, a validation routine that checks
+the group axioms (associativity proved on every carrier by Light's test,
+through the ``_associates`` hook each carrier provides), and a hard-coded
+catalog of all isomorphism classes up to order 15.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ __all__ = [
 DENSE_LIMIT = 2048
 # products per row block of TableGroup._associates
 _LIGHT_BLOCK_CELLS = 1 << 20
-# longest integer a spec argument or a Cayley order line may spell out
+# longest integer a user may type in a spec, Cayley header or CLI list
 MAX_ARG_DIGITS = 30
-_INT_TOKEN = re.compile(rf"-?\d{{1,{MAX_ARG_DIGITS}}}")
+# an integer as every reader takes it: ASCII digits with an optional sign
+# (the syntax np.loadtxt reads into int64); group 1 holds the digits
+_INT_TOKEN = re.compile(r"[+-]?([0-9]+)")
 # deepest parenthesis nesting of a spec string; a product of nontrivial
 # factors nested 12 deep is already over DENSE_LIMIT
 MAX_SPEC_DEPTH = 16
@@ -456,64 +459,52 @@ def parse_cayley(text: str, name: str = "cayley") -> TableGroup:
     """Parse the plain-text Cayley format.
 
     Line 1 holds the order n; an optional second line "g i1 i2 ..." lists
-    0-based generator indices; the next n lines hold the table rows.  The
-    identity must be element 0.  Errors carry 1-based line numbers.
+    0-based generator indices, and the next n lines the table rows.  Every
+    integer is ASCII digits with an optional sign.  The header integers go
+    through ``_int_arg``, the rows through one ``np.loadtxt`` call and one
+    vectorized range check.  The identity must be element 0, and the table
+    must pass ``validate``.  Errors carry 1-based line numbers.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].split():
-        raise FormatError("expected the group order", line=1)
-    toks = lines[0].split()
+    toks = lines[0].split() if lines else []
     if len(toks) != 1:
-        raise FormatError("the first line must hold a single integer order", line=1)
-    if not _INT_TOKEN.fullmatch(toks[0]):
-        raise FormatError(
-            f"the order must be an integer of at most {MAX_ARG_DIGITS} digits, "
-            f"got {_shown(toks[0])}",
-            line=1,
-        )
-    n = int(toks[0])
+        raise FormatError("the first line must hold the group order alone", line=1)
+    n = _int_arg("order", toks[0], line=1)
     if n < 1:
         raise FormatError(f"order must be positive, got {n}", line=1)
     _dense(name, n)
     pos = 1
     generators = None
-    if pos < len(lines) and lines[pos].split()[:1] == ["g"]:
-        gtoks = lines[pos].split()[1:]
+    if len(lines) > 1 and lines[1].split()[:1] == ["g"]:
+        gtoks = lines[1].split()[1:]
         if not gtoks:
-            raise FormatError("generator line lists no generators", line=pos + 1)
-        try:
-            generators = tuple(int(t) for t in gtoks)
-        except ValueError:
-            raise FormatError("generator indices must be integers", line=pos + 1) from None
+            raise FormatError("generator line lists no generators", line=2)
+        generators = tuple(_int_arg("generator index", t, line=2) for t in gtoks)
         for t, v in zip(gtoks, generators):
             if not 0 <= v < n:
-                raise FormatError(
-                    f"generator index {_shown(t)} out of range", line=pos + 1
-                )
-        pos += 1
-    rows = []
-    for r in range(n):
-        lineno = pos + r + 1
-        if pos + r >= len(lines) or not lines[pos + r].split():
-            raise FormatError(f"missing table row {r}", line=lineno)
-        rtoks = lines[pos + r].split()
-        if len(rtoks) != n:
-            raise FormatError(
-                f"expected {n} entries in row {r}, got {len(rtoks)}", line=lineno
-            )
+                raise FormatError(f"generator index {_shown(t)} out of range", line=2)
+        pos = 2
+    body = lines[pos : pos + n]
+    table = None
+    # np.loadtxt skips blank lines, so it reads only n nonblank rows
+    if len(body) == n and all(row.strip() for row in body):
         try:
-            row = [int(t) for t in rtoks]
+            table = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
         except ValueError:
-            raise FormatError(f"non-integer entry in row {r}", line=lineno) from None
-        for v in row:
-            if not 0 <= v < n:
-                t = _shown(rtoks[row.index(v)])
-                raise FormatError(f"entry {t} out of range in row {r}", line=lineno)
-        rows.append(row)
+            pass
+    if table is None or table.shape != (n, n) or ((table < 0) | (table >= n)).any():
+        # the error path: reread the rows one by one to name the first bad one
+        for r in range(n):
+            row, line = (body[r] if r < len(body) else ""), pos + r + 1
+            if not row.strip():
+                raise FormatError(f"missing table row {r}", line=line)
+            for v in _int_list(f"row {r}", row, n, sep=None, line=line):
+                if not 0 <= v < n:
+                    raise FormatError(f"entry {v} out of range in row {r}", line=line)
     for extra in range(pos + n, len(lines)):
         if lines[extra].split():
             raise FormatError("unexpected content after the table", line=extra + 1)
-    g = TableGroup(name, np.array(rows, dtype=np.int64), generators)
+    g = TableGroup(name, table, generators)
     report = validate(g)
     if not report.passed:
         raise GroupAxiomError("; ".join(report.failures))
@@ -562,7 +553,69 @@ def _split_args(s: str) -> list[str]:
     return parts
 
 
-def _parse_node(spec: str):
+def _int_arg(name: str, raw: str, line: int | None = None) -> int:
+    """raw as an integer of at most MAX_ARG_DIGITS digits: the one reader
+    of each integer a user types in a spec, a Cayley header line or a CLI
+    list.  An error names name, quotes raw cut short and cites line."""
+    m = _INT_TOKEN.fullmatch(raw)
+    if m is None:
+        raise FormatError(f"{name} expects an integer, got {_shown(raw)}", line=line)
+    if len(m.group(1)) > MAX_ARG_DIGITS:
+        raise FormatError(f"{name} got {_shown(raw)}, out of range: more than "
+                          f"{MAX_ARG_DIGITS} digits", line=line)
+    return int(raw)
+
+
+def _int_list(name: str, text: str, count: int | None = None, sep=",",
+              line: int | None = None) -> list[int]:
+    """The integers of text split at sep (None: whitespace), each read by
+    _int_arg; count is how many there must be, if given."""
+    parts = text.split(sep)
+    if count is not None and len(parts) != count:
+        raise FormatError(f"{name} needs {count} integers, got {len(parts)}", line=line)
+    return [_int_arg(name, part.strip(), line) for part in parts]
+
+
+def _jk(p: int, lam1: int, lam2: int) -> GroupCarrier:
+    from .jk import jk_group  # deferred: jk imports this module
+
+    return jk_group(p, lam1, lam2)
+
+
+def _read_text(path: str) -> str:
+    """The text of a file a user names, the one file reader of the spec
+    and the CLI; undecodable bytes become U+FFFD, which no integer holds."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {_shown(path)}: {exc.strerror}") from None
+
+
+def _read_cayley(path: str) -> TableGroup:
+    return parse_cayley(_read_text(path), name=f"file({path})")
+
+
+# constructor -> (builder, argument kinds, error for a wrong argument list);
+# kinds: "n" an integer, "g" a nested spec, "p" a nonempty path, verbatim
+_GRAMMAR = {
+    "cyclic": (cyclic, "n", "cyclic takes one integer, the order"),
+    "elemabelian": (elemabelian, "nn", "elemabelian takes two integers (p, r)"),
+    "dihedral": (dihedral, "n", "dihedral takes one integer, the order"),
+    "dicyclic": (dicyclic, "n", "dicyclic takes one integer, the order"),
+    "sym": (sym, "n", "sym takes one integer n"),
+    "alt": (alt, "n", "alt takes one integer n"),
+    "heis": (heis, "n", "heis takes one integer, the prime p"),
+    "modmax": (modmax, "n", "modmax takes one integer, the prime p"),
+    "jk": (_jk, "nnn", "jk takes (p, lambda1, lambda2)"),
+    "product": (direct_product, "gg", "product takes exactly two group specs"),
+    "file": (_read_cayley, "p", "file(...) needs a path"),
+}
+
+
+def _spec_tree(spec: str) -> tuple:
+    """The checked tree (name, args) of a spec, the one reader of
+    ``_GRAMMAR``: each argument is an int, a nested tree or a path."""
     s = spec.strip()
     if not s:
         raise FormatError("empty group spec")
@@ -570,82 +623,53 @@ def _parse_node(spec: str):
         head, _, rest = s.partition(":")
         s = f"{head}({rest})"
     m = _NAME_RE.match(s)
-    if not m:
+    rest = s[m.end():].strip() if m else ""
+    if not m or rest and not (rest.startswith("(") and rest.endswith(")")):
         raise FormatError(f"cannot parse group spec {_shown(spec)}")
     name = m.group(0)
-    rest = s[m.end():].strip()
-    if not rest:
-        return name, []
-    if not (rest.startswith("(") and rest.endswith(")")):
-        raise FormatError(f"cannot parse group spec {_shown(spec)}")
+    if name not in _GRAMMAR:
+        raise FormatError(f"unknown group constructor {_shown(name)}")
+    _, kinds, usage = _GRAMMAR[name]
     inner = rest[1:-1]
-    if name == "file":
-        return name, [inner.strip()]
-    return name, [a.strip() for a in _split_args(inner)]
+    # a path is one argument: it may hold commas and parentheses
+    raw = [inner] if kinds == "p" else _split_args(inner) if rest else []
+    raw = [a.strip() for a in raw]
+    if len(raw) != len(kinds) or kinds == "p" and not raw[0]:
+        raise FormatError(usage)
+    args = (_int_arg(name, a) if k == "n" else _spec_tree(a) if k == "g" else a
+            for k, a in zip(kinds, raw))
+    return name, tuple(args)
 
 
-def _int_arg(name: str, raw: str) -> int:
-    if not _INT_TOKEN.fullmatch(raw):
-        raise FormatError(
-            f"{name} expects integer arguments of at most {MAX_ARG_DIGITS} "
-            f"digits, got {_shown(raw)}"
-        )
-    return int(raw)
+def _spec_files(spec: str) -> list[str]:
+    """The paths of the ``file(...)`` nodes of a spec, left to right."""
+    def files(name, args):
+        if name == "file":
+            return list(args)
+        return [f for a in args if isinstance(a, tuple) for f in files(*a)]
+
+    return files(*_spec_tree(spec))
 
 
 def canonical_spec(spec: str) -> str:
-    """Normalize a spec string (shorthand expansion, whitespace removal)."""
-    name, args = _parse_node(spec)
-    if name == "file":
-        return f"file({args[0]})"
-    if name == "product":
-        if len(args) != 2:
-            raise FormatError("product takes exactly two group specs")
-        return f"product({canonical_spec(args[0])},{canonical_spec(args[1])})"
-    return f"{name}({','.join(str(_int_arg(name, a)) for a in args)})"
+    """The spec's checked tree written with shorthand expanded and no
+    whitespace: the name of the group ``build_group`` builds from it."""
+    def render(name, args):
+        parts = (render(*a) if isinstance(a, tuple) else str(a) for a in args)
+        return f"{name}({','.join(parts)})"
+
+    return render(*_spec_tree(spec))
 
 
 def build_group(spec: str) -> GroupCarrier:
     """Build a carrier from a spec string such as ``cyclic(6)``,
-    ``product(cyclic(2),cyclic(3))``, ``jk(3,0,1)`` or ``file(PATH)``."""
-    name, args = _parse_node(spec)
-    if name == "file":
-        if len(args) != 1 or not args[0]:
-            raise FormatError("file(...) needs a path")
-        path = args[0]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise FormatError(f"cannot read {_shown(path)}: {exc.strerror}") from None
-        return parse_cayley(text, name=f"file({path})")
-    if name == "product":
-        if len(args) != 2:
-            raise FormatError("product takes exactly two group specs")
-        return direct_product(build_group(args[0]), build_group(args[1]))
-    if name == "jk":
-        if len(args) != 3:
-            raise FormatError("jk takes (p, lambda1, lambda2)")
-        from .jk import jk_group
+    ``product(cyclic(2),cyclic(3))``, ``jk(3,0,1)`` or ``file(PATH)``,
+    from the checked tree ``canonical_spec`` writes out."""
+    def build(name, args):
+        parts = (build(*a) if isinstance(a, tuple) else a for a in args)
+        return _GRAMMAR[name][0](*parts)
 
-        p, l1, l2 = (_int_arg("jk", a) for a in args)
-        return jk_group(p, l1, l2)
-    simple = {
-        "cyclic": (cyclic, 1),
-        "elemabelian": (elemabelian, 2),
-        "dihedral": (dihedral, 1),
-        "dicyclic": (dicyclic, 1),
-        "sym": (sym, 1),
-        "alt": (alt, 1),
-        "heis": (heis, 1),
-        "modmax": (modmax, 1),
-    }
-    if name not in simple:
-        raise FormatError(f"unknown group constructor {_shown(name)}")
-    fn, arity = simple[name]
-    if len(args) != arity:
-        raise FormatError(f"{name} takes {arity} argument(s), got {len(args)}")
-    return fn(*(_int_arg(name, a) for a in args))
+    return build(*_spec_tree(spec))
 
 
 # --------------------------------------------------------------------------

@@ -551,6 +551,8 @@ def verify_affapp_one(
         )
     if mode == "sampled" and samples < 1:
         raise ParameterError(f"a sampled scan needs samples >= 1, got {samples}")
+    if seed < 0:  # np.random.default_rng refuses it with a bare ValueError
+        raise ParameterError(f"the seed must be >= 0, got {seed}")
     if sigma is None:
         sigma = singer_sigma(g.p)
     # a twist built here is dropped once its images are read

@@ -83,8 +83,10 @@ class GroupFunction:
 
 
 def _bijective(tables: np.ndarray) -> np.ndarray:
-    """Row mask: which image tables are permutations of the group."""
-    return (np.sort(tables, axis=1) == np.arange(tables.shape[1])).all(axis=1)
+    """Row mask: which endomorphism image tables are permutations of the
+    group.  An endomorphism is bijective exactly when its kernel is
+    trivial, that is when 0 is the image of exactly one element."""
+    return np.count_nonzero(tables == 0, axis=1) == 1
 
 
 @_per_carrier
@@ -157,17 +159,13 @@ def automorphism_tables(g: GroupCarrier) -> np.ndarray:
 @_per_carrier
 def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the automorphism action, ordered by least element
-    (so the first orbit is always the fixed identity)."""
-    auts = automorphism_tables(g)
-    seen = np.zeros(g.order, dtype=bool)
-    orbits: list[tuple[int, ...]] = []
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        orb = np.unique(auts[:, x])
-        seen[orb] = True
-        orbits.append(tuple(orb.tolist()))
-    return tuple(orbits)
+    (so the first orbit is always the fixed identity).  Column x of the
+    automorphism table lists the orbit of x, so its minimum is the least
+    element of that orbit: elements are grouped by their column minima."""
+    leader = automorphism_tables(g).min(axis=0)
+    members = np.argsort(leader, kind="stable")  # by leader, then element
+    starts = np.flatnonzero(np.diff(leader[members])) + 1
+    return tuple(tuple(orb.tolist()) for orb in np.split(members, starts))
 
 
 @_per_carrier

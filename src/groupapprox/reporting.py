@@ -5,9 +5,11 @@ kind-tagged); human-readable tables printed to standard output are derived
 views of the same data.  Exact computation results are cached on disk,
 content-addressed by (tool version, group spec string, metric) — the spec
 string, not the canonicalized group, since isomorphism testing is out of
-scope — plus the bytes of every file a ``file(...)`` spec reads.  Cache
-writes go through a temp file and an atomic rename; corrupt cache entries
-are reported on stderr and recomputed.
+scope — plus the bytes of every file a ``file(...)`` spec reads.  Those
+paths come from ``groups._spec_files``, the spec reader's own tree, so this
+module does not know the spec grammar.  Cache writes go through a temp
+file and an atomic rename; corrupt cache entries are reported on stderr
+and recomputed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from .bounds import BoundReport
 from .errors import ParameterError
-from .groups import _parse_node
+from .groups import _spec_files
 from .jk import JKVerification
 from .morphisms import GroupFunction
 from .search import ApproxCertificate
@@ -240,15 +242,13 @@ def _file_digests(spec: str) -> list[str]:
     marker no readable file can give, and ``build_group`` reports it."""
     import hashlib  # deferred: it loads OpenSSL, which only the cache needs
 
-    name, args = _parse_node(spec)
-    if name == "product":
-        return [d for arg in args for d in _file_digests(arg)]
-    if name != "file":
-        return []
-    try:
-        return [hashlib.sha256(Path(args[0]).read_bytes()).hexdigest()]
-    except OSError:
-        return ["unreadable"]
+    digests = []
+    for path in _spec_files(spec):
+        try:
+            digests.append(hashlib.sha256(Path(path).read_bytes()).hexdigest())
+        except OSError:
+            digests.append("unreadable")
+    return digests
 
 
 def cache_key(spec: str, metric: str) -> str:

@@ -174,3 +174,23 @@ def orbits_under(maps: np.ndarray) -> set[frozenset[int]]:
         seen |= orb
         orbits.add(frozenset(orb))
     return orbits
+
+
+def bijective_by_sort(tables: np.ndarray) -> np.ndarray:
+    """Row mask of the image tables that are permutations, by sorting each
+    row (the reference for ``morphisms._bijective``)."""
+    return (np.sort(tables, axis=1) == np.arange(tables.shape[1])).all(axis=1)
+
+
+def orbits_by_unique(auts: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the maps in auts, one ``np.unique`` per unseen element in
+    increasing order (the reference for ``morphisms.automorphism_orbits``)."""
+    n = auts.shape[1]
+    seen = np.zeros(n, dtype=bool)
+    orbits = []
+    for x in range(n):
+        if not seen[x]:
+            orb = np.unique(auts[:, x])
+            seen[orb] = True
+            orbits.append(tuple(orb.tolist()))
+    return tuple(orbits)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupapprox.cli import main
-from groupapprox.errors import FormatError, ParameterError
+from groupapprox import cli
+from groupapprox.bounds import agreement_bounds
+from groupapprox.cli import MAX_STDERR_LINE, _build_parser, main
+from groupapprox.errors import CapacityError, FormatError, ParameterError
 from groupapprox.groups import (
+    _CATALOG,
     DENSE_LIMIT,
     MAX_SPEC_DEPTH,
     build_group,
@@ -24,6 +29,7 @@ from groupapprox.groups import (
     serialize_cayley,
     sym,
 )
+from groupapprox.jk import jk_group, verify_affapp_one
 from groupapprox.reporting import (
     cache_dir,
     cache_get,
@@ -33,6 +39,8 @@ from groupapprox.reporting import (
     metric_label,
     parse_metric_label,
 )
+
+from make_golden import LARGE_FAMILY_GROUPS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -81,6 +89,32 @@ def test_cache_key_shape_and_sensitivity(monkeypatch):
     assert k != cache_key("cyclic(6)", "affine")
     monkeypatch.setattr("groupapprox.reporting.TOOL_VERSION", "9.9.9")
     assert cache_key("cyclic(6)", "endo") != k
+
+
+SHORTHAND_SPECS = (
+    "cyclic:6", " cyclic( 6 ) ", "elemabelian( 2 , 3 )",
+    "product( cyclic(2) , cyclic(3) )", "product(cyclic:2,sym:3)", "jk(3, 0, 1)",
+)
+
+
+def test_canonical_specs_and_cache_keys_are_pinned():
+    # "canonical|endo key|affine key" of every catalog, large-family and
+    # shorthand spec, digested and pinned: a change to the spec reader must
+    # not move the key of any cached result
+    lines = []
+    for spec in (*_CATALOG, *LARGE_FAMILY_GROUPS, *SHORTHAND_SPECS):
+        canon = canonical_spec(spec)
+        if not canon.startswith("jk"):
+            assert build_group(spec).name == canon, spec
+        lines.append(f"{canon}|{cache_key(canon, 'endo')}|{cache_key(canon, 'affine')}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "dd2186a5c79c502cb5cd4b38e60ad68654b08dad6b20d40f35253e438769b544"
+    assert cache_key("cyclic(6)", "endo") == (
+        "ae84f58d916b75db0ed17c81a55deda51dad6dbd7a10ac187e54d263dd955991"
+    )
+    assert cache_key(canonical_spec("product(cyclic:2,sym:3)"), "affine") == (
+        "40a821c3f76231133520968c30adce54114bd5d3c0dd3aca0fdcfc9e1fcf13a0"
+    )
 
 
 def test_cache_round_trip_and_corruption(tmp_path, monkeypatch, capsys):
@@ -238,6 +272,22 @@ def test_cayley_errors_cut_long_tokens_short(tmp_path, capsys):
         assert code == 2, where
         assert err.startswith("error: ") and "out of range" in err, err[:200]
         assert len(err.encode()) < 200, (where, len(err))
+
+
+def test_undecodable_input_files_are_usage_errors(tmp_path, capsys):
+    # bytes that are not UTF-8 read as U+FFFD, which no integer holds
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00\x01")
+    for argv in (
+        ["compute", "--group", f"file({path})", "--metric", "enapp"],
+        ["verify-jk", "--p", "3", "--lambda", "0,1", "--sigma", str(path)],
+        ["bounds", "--m1", "8", "--m2", "2", "--f", str(path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+    # an --out path that cannot be written is a usage error too
+    code, _, err = run(capsys, "witness", "--name", "klein", "--out", str(tmp_path))
+    assert code == 2 and err.startswith("error: --out "), err
 
 
 def test_negative_budget_is_a_usage_error(capsys):
@@ -527,6 +577,101 @@ def test_bounds_exit_codes_on_any_arguments(m1, m2, f):
     assert len(err.encode()) <= 300, (m1, m2, f, err[:200])
 
 
+_TOKENS = st.one_of(
+    st.integers(min_value=-3, max_value=40).map(str),
+    st.sampled_from(["", " 7 ", "x", "+2", "1_0", "1e3", "9" * 31, MERSENNE_61]),
+)
+_TOKEN_LISTS = st.lists(_TOKENS, max_size=4).map(",".join)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    _TOKENS,
+    st.one_of(_TOKEN_LISTS, st.sampled_from(["0,1", "1,1", "2,1"])),
+    st.integers(min_value=-2, max_value=50),
+    st.one_of(st.integers(min_value=-3, max_value=5), st.just(2**64)),
+)
+def test_verify_jk_exit_codes_on_any_arguments(p, lam, samples, seed):
+    code, err = _main_quietly([
+        "verify-jk", f"--p={p}", f"--lambda={lam}", "--mode=sampled",
+        f"--samples={samples}", f"--seed={seed}",
+    ])
+    assert code in (0, 2, 3), (p, lam, samples, seed, err)
+    assert len(err.encode()) <= 600, (p, lam, err[:200])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(
+    _TOKEN_LISTS,
+    st.lists(st.sampled_from(["100000000000", "524289", "1048577"]), min_size=1,
+             max_size=3).map(",".join),
+))
+def test_partition_avoid_exit_codes_on_any_classes(classes):
+    code, err = _main_quietly(["partition-avoid", f"--classes={classes}"])
+    assert code in (0, 2, 3), (classes, err)
+    assert len(err.encode()) <= 300, (classes, err[:200])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(
+    st.sampled_from(["z6-swap", "klein", "sym3", "unobtainium", "", ":"]),
+    st.builds(
+        lambda head, rest: f"{head}:{rest}",
+        st.sampled_from(["cyclic-enapp", "prime-square", "rem-quot", "klein", "x"]),
+        _TOKEN_LISTS,
+    ),
+))
+def test_witness_exit_codes_on_any_name(name):
+    code, err = _main_quietly(["witness", f"--name={name}"])
+    assert code in (0, 2, 3), (name, err)
+    assert len(err.encode()) <= 300, (name, err[:200])
+
+
+# one quick, well-formed command line per command: the oversize gate feeds
+# each option of a command a bad token after these, so that every other
+# argument is fine and the token is what the command reads
+GATE_ARGS = {
+    "compute": ["--group", "cyclic(2)", "--metric", "enapp", "--bounds-only",
+                "--no-cache"],
+    "table": ["--max-order", "1"],
+    "verify-jk": ["--p", "3", "--lambda", "0,1", "--mode", "sampled",
+                  "--samples", "10"],
+    "bounds": ["--m1", "8", "--m2", "2", "--f", "1"],
+    "partition-avoid": ["--classes", "2,2,1"],
+    "witness": ["--name", "klein"],
+}
+OVERSIZE_TOKENS = ("9" * 5000, "x" * 5000)
+
+
+def _oversize_command_lines():
+    """Every command line that puts an oversize token in one slot: the
+    command slot, one stray positional per command, and the value of each
+    option the parser itself declares (an option added later is covered
+    without editing this list)."""
+    [commands] = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(GATE_ARGS)
+    for token in OVERSIZE_TOKENS:
+        yield [token]
+        for command, parser in commands.choices.items():
+            base = [command, *GATE_ARGS[command]]
+            yield [*base, token]
+            for action in parser._actions:
+                if action.nargs != 0:  # flags take no value
+                    yield [*base, action.option_strings[-1], token]
+
+
+def test_oversize_tokens_give_one_bounded_error_line():
+    for argv in _oversize_command_lines():
+        label = " ".join(arg[:12] for arg in argv)
+        code, err = _main_quietly(argv)
+        assert code in (2, 3), (label, code, err[-300:])
+        last = err.splitlines()[-1]
+        assert "error: " in last, (label, err[-300:])
+        assert len(last.encode()) + 1 <= MAX_STDERR_LINE == 200, (label, last[:100])
+        assert len(err.encode()) <= 600, (label, len(err.encode()))
+
+
 # --------------------------------------------------------------------------
 # bounds / partition-avoid / witness
 # --------------------------------------------------------------------------
@@ -557,6 +702,48 @@ def test_bounds_digit_cap_is_exact(capsys):
     assert code == 0 and json.loads(out)["nu"][-1] == m2**20
     code, out, _ = run(capsys, "bounds", "--m1", "3000", "--m2", "3", "--f", "log2")
     assert code == 0 and json.loads(out)["nu"][-1] == 3**3000
+
+
+def test_bounds_documents_hold_only_finite_numbers(capsys):
+    # JSON has no Infinity: an infinite fval is a usage error, and a finite
+    # one whose upper bound overflows a float is over capacity
+    for f in ("inf", "-inf", "nan"):
+        code, out, err = run(capsys, "bounds", "--m1", "5", "--m2", "3", f"--f={f}")
+        assert code == 2 and out == "" and "finite" in err, f
+    code, out, err = run(capsys, "bounds", "--m1", "5", "--m2", "10", "--f", "1e308")
+    assert code == 3 and out == "" and "overflows" in err
+    with pytest.raises(ParameterError):
+        agreement_bounds(5, 3, float("inf"))
+    with pytest.raises(CapacityError):
+        agreement_bounds(5, 10, 1e308)
+    # a large document is unchanged, byte for byte
+    code, out, _ = run(capsys, "bounds", "--m1", "3000", "--m2", "3", "--f", "log2")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "2801d0bd834152b7256fb58d301828df47f61b436d4bb342dc06ea120815538c"
+    )
+
+
+def test_verify_jk_refuses_a_negative_seed(capsys):
+    with pytest.raises(ParameterError, match="seed"):
+        verify_affapp_one(jk_group(3, 0, 1), mode="sampled", samples=10, seed=-1)
+    code, out, err = run(
+        capsys, "verify-jk", "--p", "3", "--lambda", "0,1", "--mode", "sampled",
+        "--samples", "10", "--seed", "-1",
+    )
+    assert code == 2 and out == "" and err.startswith("error: ") and "seed" in err
+
+
+def test_partition_avoid_caps_its_points(capsys, monkeypatch):
+    # refused from the sizes alone, before any class list is built
+    for classes in ("100000000000", "524288,524289", "1," * 40 + "1048537"):
+        code, out, err = run(capsys, "partition-avoid", "--classes", classes)
+        assert code == 3 and out == "", classes
+        assert err.startswith("error: ") and "points" in err, classes
+    monkeypatch.setattr(cli, "MAX_PARTITION_POINTS", 10)
+    code, doc, _ = run_json(capsys, "partition-avoid", "--classes", "5,5")
+    assert code == 0 and doc["feasible"] is True
+    code, _, err = run(capsys, "partition-avoid", "--classes", "5,6")
+    assert code == 3 and "11 points > 10" in err
 
 
 def test_partition_avoid_feasible(capsys):

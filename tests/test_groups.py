@@ -486,6 +486,44 @@ def test_cayley_rejects_non_generating_generator_line():
         parse_cayley(text)
 
 
+def test_cayley_integer_syntax():
+    # every integer of the format is ASCII digits with an optional sign
+    g = parse_cayley("+2\ng +1\n0 +1\n1 -0\n")
+    assert g.generators == (1,) and g.mul_table.tolist() == [[0, 1], [1, 0]]
+    for text, line in (
+        ("2\n0 1\n1 1_0\n", 3),          # an underscore, which int() took
+        ("2\n0 1\n1 \u0660\n", 3),       # a non-ASCII digit, ditto
+        ("2\n0 1\n1 0.0\n", 3),
+        ("2\ng 1_0\n0 1\n1 0\n", 2),
+        ("\u0662\n0 1\n1 0\n", 1),
+    ):
+        with pytest.raises(FormatError) as err:
+            parse_cayley(text)
+        assert err.value.line == line, text
+
+
+def test_cayley_row_faults_are_reported_in_row_order():
+    # the rows are read at once; a fault is still reported at the first
+    # faulty row, and as blank, count, syntax or range in that order
+    cases = [
+        ("3\n0 1 2\n\n2 0 1\n", 3, "missing table row 1"),
+        ("3\n0 1 2\n1 2 0 3\n\n", 3, "row 1 needs 3 integers, got 4"),
+        ("3\n0 1 2\n1 2 x\n2 0 9\n", 3, "row 1 expects an integer, got 'x'"),
+        ("3\n0 1 5\n1 2 x\n2 0 1\n", 2, "entry 5 out of range in row 0"),
+        ("3\n0 1 2\n1 2 -1\n2 0 1\n", 3, "entry -1 out of range in row 1"),
+        (f"2\n0 1\n1 {'9' * 19}\n", 3, f"entry {'9' * 19} out of range"),
+        (f"2\n0 1\n1 {'9' * 31}\n", 3, "out of range: more than 30 digits"),
+        ("2\n0 1\n1 0000000000000000000000\n", None, None),  # zero, read
+    ]
+    for text, line, message in cases:
+        if line is None:
+            assert parse_cayley(text).order == 2
+            continue
+        with pytest.raises(FormatError) as err:
+            parse_cayley(text)
+        assert err.value.line == line and message in str(err.value), text
+
+
 # --------------------------------------------------------------------------
 # spec strings
 # --------------------------------------------------------------------------
@@ -506,6 +544,26 @@ def test_canonical_spec_rejects_garbage():
     for bad in ("", "   ", "cyclic(", "cyclic(2))", "cyclic(x)", "3drome(2)"):
         with pytest.raises(FormatError):
             canonical_spec(bad)
+
+
+def test_one_spec_reader_checks_names_and_arguments():
+    # canonical_spec reads the same checked tree build_group builds from,
+    # so it refuses every spec build_group refuses for its text
+    for bad in ("frobnicate(3)", "sym(3,2)", "jk(3,0)", "product(cyclic(2))",
+                "cyclic", "file", "file()", "file:", "cyclic(\u0666)",
+                f"cyclic({'9' * 31})"):
+        with pytest.raises(FormatError):
+            canonical_spec(bad)
+        with pytest.raises(FormatError):
+            build_group(bad)
+    assert canonical_spec("cyclic(+6)") == "cyclic(6)"
+    assert canonical_spec("product(file( a(b),c ),cyclic:2)") == (
+        "product(file(a(b),c),cyclic(2))"
+    )
+    assert groups._spec_files("product(file(a),product(cyclic(2),file:b))") == [
+        "a", "b",
+    ]
+    assert groups._spec_files("product(cyclic(2),sym(3))") == []
 
 
 def test_build_group_dispatch():

@@ -22,6 +22,7 @@ from groupapprox import (
     universal_elements,
 )
 from groupapprox.morphisms import (
+    _bijective,
     affine_tables,
     automorphism_tables,
     endomorphism_tables,
@@ -29,13 +30,16 @@ from groupapprox.morphisms import (
 from groupapprox.search import family_tables
 
 from _oracles import (
+    bijective_by_sort,
     brute_affine,
     brute_automorphisms,
     brute_endomorphisms,
     cached_group,
+    orbits_by_unique,
     orbits_under,
     table_of,
 )
+from make_golden import LARGE_FAMILY_GROUPS
 
 
 # --------------------------------------------------------------------------
@@ -199,6 +203,18 @@ def test_automorphism_orbits_pins():
     assert sizes(cached_group("alt(4)")) == [1, 3, 8]
     assert sizes(cached_group("heis(3)")) == [1, 2, 24]
     assert sizes(cached_group("modmax(3)")) == [1, 2, 3, 3, 18]
+
+
+def test_automorphism_facts_match_their_sorting_references():
+    # one zero per row and the column minima give what a sort of every row
+    # and one np.unique per element gave
+    specs = [g.name for g in catalog_up_to(15)] + list(LARGE_FAMILY_GROUPS)
+    for spec in specs:
+        g = cached_group(spec)
+        endos = endomorphism_tables(g)
+        assert np.array_equal(_bijective(endos), bijective_by_sort(endos)), spec
+        auts = automorphism_tables(g)
+        assert automorphism_orbits(g) == orbits_by_unique(auts), spec
 
 
 def test_order_27_orbits_against_generator_oracle():
