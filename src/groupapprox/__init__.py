@@ -15,7 +15,6 @@ from .bounds import (
     BoundReport,
     agreement_bounds,
     brute_force_app,
-    circle_and_ball_sizes,
     endo_count_bound,
     worst_case_upper_bounds,
 )

@@ -14,6 +14,7 @@ The exact value app_F(M1, M2) is found by one decision search, shared by
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ __all__ = [
     "agreement_bounds",
     "ball_size",
     "brute_force_app",
-    "circle_and_ball_sizes",
     "circle_size",
     "endo_count_bound",
     "worst_case_upper_bounds",
@@ -59,10 +59,6 @@ def ball_size(m1: int, m2: int, k: int) -> int:
     if not 0 <= k <= m1:
         raise ParameterError(f"k must lie in 0..{m1}, got {k}")
     return sum(circle_size(m1, m2, i) for i in range(k + 1))
-
-
-def circle_and_ball_sizes(m1: int, m2: int, k: int) -> tuple[int, int]:
-    return circle_size(m1, m2, k), ball_size(m1, m2, k)
 
 
 @dataclass(frozen=True)
@@ -106,11 +102,6 @@ def agreement_bounds(m1: int, m2: int, fval: float) -> BoundReport:
     if upper == math.inf:
         raise CapacityError(f"the upper bound for fval = {fval} overflows a float")
     gamma = tuple(circle_size(m1, m2, k) for k in range(m1 + 1))
-    nu_list = []
-    acc = 0
-    for gk in gamma:
-        acc += gk
-        nu_list.append(acc)
     lower = max(Fraction(1), Fraction(m1, m2))
     return BoundReport(
         m1=m1,
@@ -118,7 +109,7 @@ def agreement_bounds(m1: int, m2: int, fval: float) -> BoundReport:
         fval=float(fval),
         log_ratio=math.log(m1) / math.log(m2),
         gamma=gamma,
-        nu=tuple(nu_list),
+        nu=tuple(itertools.accumulate(gamma)),
         lower=lower,
         upper=upper,
         upper_branch=branch,

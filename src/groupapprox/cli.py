@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 
 from .bounds import agreement_bounds
 from .errors import (
@@ -39,6 +38,7 @@ from .reporting import (
     cache_put,
     compute_document,
     document_bytes,
+    metric_label,
     parse_metric_label,
     partition_document,
     table_document,
@@ -50,11 +50,9 @@ from .reporting import (
 )
 from .search import (
     DEFAULT_BUDGET,
-    ApproxCertificate,
-    SearchStats,
-    _formula_upper,
+    METRICS,
     approximability,
-    lower_bound_certificates,
+    bounds_certificate,
     worst_case_value,
 )
 from .witnesses import (
@@ -106,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, metavar="SPEC",
                    help="e.g. cyclic(6), product(cyclic(2),cyclic(3)), "
                         "sym(3), jk(3,0,1), file(PATH)")
-    p.add_argument("--metric", required=True, choices=("enapp", "affapp"))
+    p.add_argument("--metric", required=True, choices=tuple(map(metric_label, METRICS)))
     p.add_argument("--bounds-only", action="store_true",
                    help="emit certificate bounds without searching")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -163,15 +161,6 @@ def _emit(doc: dict, out: str | None, *, stdout: bool = True) -> None:
         sys.stdout.write(document_bytes(doc).decode("utf-8"))
 
 
-def _bounds_only_cert(g, metric: str) -> ApproxCertificate:
-    t0 = time.perf_counter()
-    lb = lower_bound_certificates(g)[metric]
-    upper = max(lb.value, _formula_upper(g.order, metric))
-    stats = SearchStats(nodes=0, elapsed=time.perf_counter() - t0,
-                        thresholds=(), symmetries=1)
-    return ApproxCertificate(g, metric, False, lb.value, upper, None, lb, stats)
-
-
 def _cmd_compute(args) -> int:
     spec = canonical_spec(args.group)
     metric = parse_metric_label(args.metric)
@@ -186,13 +175,13 @@ def _cmd_compute(args) -> int:
     g = build_group(spec)
     status = EXIT_OK
     if args.bounds_only:
-        cert = _bounds_only_cert(g, metric)
+        cert = bounds_certificate(g, metric)
     else:
         try:
             cert = worst_case_value(g, metric, budget=args.budget)
         except CapacityError as exc:
             _stderr_line(f"warning: {exc}; reporting bounds only")
-            cert = _bounds_only_cert(g, metric)
+            cert = bounds_certificate(g, metric)
             status = EXIT_CAPACITY
         else:
             if not cert.exact:
@@ -209,13 +198,11 @@ def _cmd_table(args) -> int:
     rows = []
     status = EXIT_OK
     for g in groups:
-        certs = {}
-        for metric in ("endo", "affine"):
-            cert = worst_case_value(g, metric, budget=args.budget)
-            if not cert.exact:
-                status = EXIT_CAPACITY
-            certs[metric] = cert
-        rows.append(table_row(g.name, g.name, g.order, certs["endo"], certs["affine"]))
+        # one certificate per metric, in METRICS order: endo, then affine
+        certs = [worst_case_value(g, metric, budget=args.budget) for metric in METRICS]
+        if not all(cert.exact for cert in certs):
+            status = EXIT_CAPACITY
+        rows.append(table_row(g.name, g.name, g.order, *certs))
     doc = table_document(args.max_order, rows)
     sys.stdout.write(table_text(doc))
     _emit(doc, args.out, stdout=False)

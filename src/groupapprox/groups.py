@@ -514,11 +514,10 @@ def parse_cayley(text: str, name: str = "cayley") -> TableGroup:
 def serialize_cayley(g: GroupCarrier) -> str:
     if not g.is_dense:
         raise CapacityError("serialization requires a dense carrier")
-    lines = [str(g.order)]
-    lines.append("g " + " ".join(str(x) for x in g.generators))
-    T = g.mul_table
-    for r in range(g.order):
-        lines.append(" ".join(str(int(v)) for v in T[r]))
+    # one string per element value; each row indexes them with the table
+    words = np.array([str(x) for x in range(g.order)], dtype=object)
+    lines = [str(g.order), "g " + " ".join(str(x) for x in g.generators)]
+    lines += [" ".join(words[row]) for row in g.mul_table]
     return "\n".join(lines) + "\n"
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ScopeError
-from .groups import GroupCarrier, _is_prime, _parity
+from .groups import GroupCarrier, _is_prime
 from .morphisms import GroupFunction, _image_type
 
 __all__ = [
@@ -110,6 +110,13 @@ def _digits(x, p: int, width: int) -> np.ndarray:
     return out
 
 
+def _linear_codes(p: int, matrix) -> np.ndarray:
+    """The code of M v for every code v of (Z/p)^4, indexed by v's code:
+    the table of the linear map v -> M v on four base-p digits (int64)."""
+    m = np.asarray(matrix, dtype=np.int64)
+    return _digits(np.arange(p**4), p, 4) @ m.T % p @ p ** np.arange(3, -1, -1)
+
+
 def _on_axes(table, i: int, j: int, dtype) -> np.ndarray:
     """A p x p table of digits a (axis i) and b (axis j > i), shaped to
     broadcast over the eight digit axes of a pair of codes."""
@@ -175,7 +182,7 @@ class JKGroup(GroupCarrier):
             cocycle += central
         self._add = add.ravel()
         self._cocycle = cocycle.ravel()
-        self._neg = (-_digits(np.arange(p4), p, 4) % p @ weight).astype(dtype)
+        self._neg = _linear_codes(p, -np.eye(4, dtype=np.int64)).astype(dtype)
         gens = (p**7, p**6, p**5, p**4)
         super().__init__(
             p**8, f"jk({p},{params.lam1},{params.lam2})", gens
@@ -285,26 +292,13 @@ def jk_pth_power(g: JKGroup, x) -> np.ndarray | int:
     lambda2 = 1 the map from (k1, k2, l1, l2) to those central coordinates
     is a bijection.
     """
-    x = np.asarray(x, dtype=np.int64)
-    res = _digits(x // g._p4, g.p, 4) @ g._carry % g.p @ g._weights[4:]
+    res = _linear_codes(g.p, g._carry.T)[np.asarray(x, dtype=np.int64) // g._p4]
     return int(res) if res.ndim == 0 else res
 
 
 # --------------------------------------------------------------------------
 # fixed-point-free linear twists
 # --------------------------------------------------------------------------
-
-def _det_mod(matrix: np.ndarray, p: int) -> int:
-    """Determinant of a small integer matrix mod p (Leibniz expansion)."""
-    n = matrix.shape[0]
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        term = -1 if _parity(perm) else 1
-        for i in range(n):
-            term = term * int(matrix[i, perm[i]]) % p
-        total = (total + term) % p
-    return total
-
 
 @dataclass(frozen=True)
 class SigmaMap:
@@ -319,15 +313,28 @@ class SigmaMap:
         return (np.asarray(vecs, dtype=np.int64) @ m.T) % self.p
 
 
+def _twist_prime(p: int) -> None:
+    """The gate of make_sigma and singer_sigma: p is a prime whose carrier
+    fits MAX_TABLE_CELLS, sized first so no p past it is trial-divided."""
+    if p > 0 and p**8 > MAX_TABLE_CELLS:
+        raise CapacityError(f"no carrier for sigma: {p}**8 cells > {MAX_TABLE_CELLS}")
+    if not _is_prime(p):
+        raise ParameterError(f"sigma needs a prime modulus, got {p}")
+
+
 def make_sigma(p: int, matrix) -> SigmaMap:
-    """Validate a 4x4 matrix mod p as invertible and fixed-point-free
-    (no eigenvalue 1, i.e. det(M - I) nonzero)."""
+    """Validate a 4x4 matrix mod p as invertible and fixed-point-free, read
+    off its ``_linear_codes`` table: v -> M v is injective, and code 0 is its
+    only fixed point, so M - I is injective too.  p must pass _twist_prime."""
+    _twist_prime(p)
     arr = np.asarray(matrix, dtype=np.int64) % p
     if arr.shape != (4, 4):
         raise ParameterError(f"sigma must be a 4x4 matrix, got shape {arr.shape}")
-    if _det_mod(arr, p) == 0:
+    table = _linear_codes(p, arr)
+    # a map of the p^4 codes to themselves is one-to-one exactly when onto
+    if not np.bincount(table, minlength=table.size).all():
         raise ParameterError("sigma must be invertible mod p")
-    if _det_mod((arr - np.eye(4, dtype=np.int64)) % p, p) == 0:
+    if np.count_nonzero(table == np.arange(table.size)) > 1:
         raise ParameterError("sigma must be fixed-point-free (no eigenvalue 1)")
     return SigmaMap(p, tuple(tuple(int(v) for v in row) for row in arr))
 
@@ -360,8 +367,7 @@ def singer_sigma(p: int) -> SigmaMap:
     """The companion matrix of the lexicographically first primitive
     quartic over F_p: a cyclic map of multiplicative order p^4 - 1, hence
     invertible and fixed-point-free."""
-    if not _is_prime(p):
-        raise ParameterError(f"needs a prime, got {p}")
+    _twist_prime(p)
     full = p**4 - 1
     factors = _prime_factors(full)
     eye = np.eye(4, dtype=np.int64)
@@ -390,11 +396,12 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
         sigma = singer_sigma(g.p)
     if sigma.p != g.p:
         raise ParameterError(f"sigma is mod {sigma.p}, group needs mod {g.p}")
-    p4 = g._p4
-    table = sigma.apply(_digits(np.arange(p4), g.p, 4)) @ g._weights[4:]
+    p4, dtype = g._p4, _image_type(g.order)
     # the image type holds every element code, so the outer sum cannot wrap
-    table = table.astype(_image_type(g.order))
-    return GroupFunction(g, np.add.outer(table * p4, table).ravel())
+    table = _linear_codes(g.p, sigma.matrix).astype(dtype)
+    images = np.empty(g.order, dtype=dtype)
+    np.add.outer(table * p4, table, out=images.reshape(p4, p4))
+    return GroupFunction(g, images)
 
 
 # --------------------------------------------------------------------------
@@ -567,10 +574,12 @@ def jk_enapp_zero_witness(g: JKGroup) -> GroupFunction:
     value 0)."""
     g.params.require_classified()
     p4 = g._p4
-    idx = np.arange(g.order, dtype=np.int64)
-    central_img = np.where(idx == 1, 2, 1)
-    noncentral_img = np.where(idx // p4 == 1, 2 * p4, p4)
-    return GroupFunction(g, np.where(idx < p4, central_img, noncentral_img))
+    # central x goes to 1 (x = 1 to 2), the rest to p^4 (its coset to 2p^4)
+    images = np.full(g.order, p4, dtype=_image_type(g.order))
+    images[:p4] = 1
+    images[1] = 2
+    images[p4 : 2 * p4] = 2 * p4
+    return GroupFunction(g, images)
 
 
 def verify_enapp_zero(
@@ -581,12 +590,15 @@ def verify_enapp_zero(
     g.params.require_classified()
     if function is None:
         function = jk_enapp_zero_witness(g)
-    idx = np.arange(g.order, dtype=np.int64)
-    img = function.images
-    halves = (*np.divmod(idx, g._p4), *np.divmod(img, g._p4))
-    # one chunk, its mask evaluated inside the tally's timing
-    chunks = ((idx, img, _reachable_mask(*h), idx.size) for h in [halves])
-    return _tally(g, "endo-agreement", "full", None, chunks)
+    n, p4, img = g.order, g._p4, function.images
+
+    def chunks():  # SCAN_BLOCK arguments each, masked inside the tally's timing
+        for lo in range(0, n, SCAN_BLOCK):
+            x = np.arange(lo, min(lo + SCAN_BLOCK, n), dtype=np.int64)
+            fx = img[lo : lo + SCAN_BLOCK]
+            yield x, fx, _reachable_mask(*np.divmod(x, p4), *np.divmod(fx, p4)), x.size
+
+    return _tally(g, "endo-agreement", "full", None, chunks())
 
 
 def check_classified_maps(g: JKGroup) -> int:

@@ -57,7 +57,9 @@ def _image_type(order: int) -> np.dtype:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class GroupFunction:
-    """A self-map of a group, by its read-only image array."""
+    """A self-map of a group, by its read-only image array.  An array of the
+    image type that owns its data is taken over and frozen (its caller keeps
+    no writable view of it); any other input is copied."""
 
     group: GroupCarrier = field(repr=False)
     images: np.ndarray
@@ -76,8 +78,8 @@ class GroupFunction:
             images.min() < 0 or images.max() >= n
         ):
             raise ParameterError("function values must be element indices")
-        # astype copies, so writes to the caller's array cannot reach the map
-        images = images.astype(_image_type(n))
+        if images.dtype != _image_type(n) or not images.flags.owndata:
+            images = images.astype(_image_type(n))
         images.setflags(write=False)
         object.__setattr__(self, "images", images)
 

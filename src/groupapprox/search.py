@@ -36,6 +36,7 @@ __all__ = [
     "LowerBound",
     "SearchStats",
     "approximability",
+    "bounds_certificate",
     "difference_criterion",
     "enapp_zero_witness",
     "family_tables",
@@ -152,21 +153,18 @@ def find_universal_tuple(g: GroupCarrier, l: int) -> tuple[int, ...] | None:
     return extend((), np.zeros(m, dtype=np.int64))
 
 
-_KIND_RANK = {"universal-tuple": 0, "dominating-orbit": 1, "abelian": 2,
-              "constants": 3, "none": 4}
-
-
 @_per_carrier
 def lower_bound_certificates(g: GroupCarrier) -> Mapping[str, LowerBound]:
     """Best cheap lower bounds for both metrics, with evidence, as a
     read-only mapping from metric to bound.
 
-    The candidates are a universal l-tuple (endo >= l, and for nontrivial
-    groups affine >= l+1), a dominating automorphism orbit (affine >= 2),
-    abelianness (endo >= 1, affine >= 2), the constants contained in the
-    affine family (affine >= 1) and, for endo, the empty bound 0; the
-    largest value wins, ties going to the kind listed first.  When
-    enumeration exceeds capacity only the structural candidates remain.
+    The bounds are taken in a fixed order of precedence.  With a longest
+    universal tuple of length l, endo is l and affine is l + 1, both with
+    the tuple as evidence.  Without one, endo is 1 for an abelian group and
+    0 (none) otherwise, and affine is 2 from a dominating automorphism
+    orbit (one holding more than half of the non-identity elements), else
+    2 for an abelian group, else 1 from the constants the affine family
+    contains.  Past enumeration capacity there is no tuple and no orbit.
     """
     n = g.order
     if n == 1:
@@ -174,47 +172,55 @@ def lower_bound_certificates(g: GroupCarrier) -> Mapping[str, LowerBound]:
             "endo": LowerBound("endo", 1, "trivial-group"),
             "affine": LowerBound("affine", 1, "trivial-group"),
         })
-    endo = [LowerBound("endo", 0, "none")]
-    affine = [LowerBound("affine", 1, "constants")]
-    if g.is_abelian():
-        endo.append(LowerBound("endo", 1, "abelian"))
-        affine.append(LowerBound("affine", 2, "abelian"))
+    tup, orbits, l = None, (), 1
     try:
         orbits = automorphism_orbits(g)
+        while (longer := find_universal_tuple(g, l)) is not None:
+            tup, l = longer, l + 1
     except CapacityError:
         pass
+    if tup is not None:
+        endo = LowerBound("endo", l - 1, "universal-tuple", tup)
+        affine = LowerBound("affine", l, "universal-tuple", tup)
+        return MappingProxyType({"endo": endo, "affine": affine})
+    # two disjoint orbits cannot each hold more than half: there is at most one
+    dominating = next((o for o in orbits if o != (0,) and 2 * len(o) > n - 1), None)
+    abelian = g.is_abelian()
+    endo = LowerBound("endo", int(abelian), "abelian" if abelian else "none")
+    if dominating is not None:
+        affine = LowerBound("affine", 2, "dominating-orbit", dominating)
+    elif abelian:
+        affine = LowerBound("affine", 2, "abelian")
     else:
-        l = 1
-        while (tup := find_universal_tuple(g, l)) is not None:
-            endo.append(LowerBound("endo", l, "universal-tuple", tup))
-            affine.append(LowerBound("affine", l + 1, "universal-tuple", tup))
-            l += 1
-        dominating = [
-            orb
-            for orb in orbits
-            if orb != (0,) and 2 * len(orb) > n - 1
-        ]
-        if dominating:
-            dominating.sort(key=lambda o: (-len(o), o[0]))
-            affine.append(LowerBound("affine", 2, "dominating-orbit", dominating[0]))
-
-    def best(candidates):
-        return max(candidates, key=lambda c: (c.value, -_KIND_RANK[c.kind]))
-
-    return MappingProxyType({"endo": best(endo), "affine": best(affine)})
+        affine = LowerBound("affine", 1, "constants")
+    return MappingProxyType({"endo": endo, "affine": affine})
 
 
 # --------------------------------------------------------------------------
 # the min-max search
 # --------------------------------------------------------------------------
 
-def _formula_upper(n: int, metric: str) -> int:
-    """The closed-form upper bound on the worst case, as an agreement count."""
-    if n < 2:
-        return n
-    endo_bound, affine_bound = worst_case_upper_bounds(n)
-    bound = endo_bound if metric == "endo" else affine_bound
-    return min(n, math.floor(bound + 1e-9))
+def _bracket(g: GroupCarrier, metric: str, lower: int, lb: LowerBound,
+             stats: SearchStats) -> ApproxCertificate:
+    """The open certificate from lower up to the closed-form upper bound on
+    the worst case, as an agreement count."""
+    n = upper = g.order
+    if n >= 2:
+        endo_bound, affine_bound = worst_case_upper_bounds(n)
+        bound = endo_bound if metric == "endo" else affine_bound
+        upper = max(lower, min(n, math.floor(bound + 1e-9)))
+    return ApproxCertificate(g, metric, False, lower, upper, None, lb, stats)
+
+
+def bounds_certificate(g: GroupCarrier, metric: str) -> ApproxCertificate:
+    """The bracket from the lower-bound certificate to the closed-form upper
+    bound, with no family table and no search: 0 nodes, no thresholds."""
+    _check_metric(metric)
+    t0 = time.perf_counter()
+    lb = lower_bound_certificates(g)[metric]
+    stats = SearchStats(nodes=0, elapsed=time.perf_counter() - t0,
+                        thresholds=(), symmetries=1)
+    return _bracket(g, metric, lb.value, lb, stats)
 
 
 def worst_case_value(
@@ -253,9 +259,7 @@ def worst_case_value(
     if images is not None:
         witness = GroupFunction(g, images)
         return ApproxCertificate(g, metric, True, k, k, witness, lb, stats)
-    return ApproxCertificate(
-        g, metric, False, k, max(k, _formula_upper(n, metric)), None, lb, stats
-    )
+    return _bracket(g, metric, k, lb, stats)
 
 
 # --------------------------------------------------------------------------

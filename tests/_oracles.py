@@ -28,6 +28,14 @@ def table_of(g) -> np.ndarray:
     return np.asarray(g.mul_many(ar[:, None], ar[None, :]), dtype=np.int64)
 
 
+def cayley_text_per_cell(g) -> str:
+    """g's Cayley text written one table entry at a time, the reference for
+    ``serialize_cayley``."""
+    lines = [str(g.order), "g " + " ".join(str(x) for x in g.generators)]
+    lines += [" ".join(str(int(v)) for v in row) for row in g.mul_table]
+    return "\n".join(lines) + "\n"
+
+
 def cube_associative(table) -> bool:
     """(x y) z == x (y z) on all n^3 triples, the reference for the
     associativity proof in ``validate``."""

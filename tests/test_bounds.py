@@ -13,7 +13,6 @@ from groupapprox import (
     agreement_bounds,
     brute_force_app,
     catalog_up_to,
-    circle_and_ball_sizes,
     endo_count_bound,
     enumerate_endomorphisms,
     worst_case_upper_bounds,
@@ -32,7 +31,7 @@ def test_circle_and_ball_pins():
     assert circle_size(5, 3, 2) == 40
     assert ball_size(5, 3, 5) == 3**5
     assert ball_size(4, 2, 1) == 5
-    assert circle_and_ball_sizes(5, 3, 2) == (40, 1 + 10 + 40)
+    assert (circle_size(5, 3, 2), ball_size(5, 3, 2)) == (40, 1 + 10 + 40)
     assert circle_size(3, 1, 0) == 1 and circle_size(3, 1, 2) == 0
 
 

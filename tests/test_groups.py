@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from groupapprox import (
 )
 from groupapprox.groups import DENSE_LIMIT
 
-from _oracles import cached_group, cube_associative, table_of
+from _oracles import cached_group, cayley_text_per_cell, cube_associative, table_of
 from make_golden import LARGE_FAMILY_GROUPS
 
 
@@ -433,6 +434,19 @@ def test_mul_table_is_read_only():
 # --------------------------------------------------------------------------
 # Cayley text round trip
 # --------------------------------------------------------------------------
+
+def test_serialize_cayley_matches_the_per_cell_form():
+    big = direct_product(cyclic(64), cyclic(32))
+    for g in (*catalog_up_to(15), big):
+        assert serialize_cayley(g) == cayley_text_per_cell(g), g.name
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        serialize_cayley(big)
+        elapsed.append(time.perf_counter() - start)
+    # ~0.2 s on a shared 2-core host; the per-cell form takes 1.2-1.8 s
+    assert min(elapsed) < 0.6, elapsed
+
 
 def test_cayley_round_trip():
     g = sym(3)

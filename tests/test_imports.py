@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and the
+private names one module imports from another are a fixed list."""
 
 from __future__ import annotations
 
@@ -44,6 +45,35 @@ def _unused_imports(path: str) -> list[str]:
 @pytest.mark.parametrize("path", FILES)
 def test_every_import_is_read(path):
     assert _unused_imports(path) == [], path
+
+
+# the private names a module imports from a sibling, each a seam between
+# two modules: a new one fails here, so it is seen in review
+PRIVATE_IMPORTS = {
+    ("cli", "groups", "_int_list"),
+    ("cli", "groups", "_read_text"),
+    ("cli", "groups", "_shown"),
+    ("jk", "groups", "_is_prime"),
+    ("jk", "morphisms", "_image_type"),
+    ("morphisms", "groups", "_per_carrier"),
+    ("reporting", "groups", "_spec_files"),
+    ("search", "bounds", "_min_max"),
+    ("search", "groups", "_per_carrier"),
+    ("witnesses", "groups", "_dense"),
+    ("witnesses", "groups", "_is_prime"),
+    ("witnesses", "groups", "_prime_power"),
+}
+
+
+def test_private_imports_are_the_listed_seams():
+    found = set()
+    for path in (ROOT / "src" / "groupapprox").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found |= {(path.stem, node.module, alias.name)
+                          for alias in node.names if alias.name.startswith("_")}
+    assert found == PRIVATE_IMPORTS
 
 
 def test_package_import_leaves_hashlib_unloaded():

@@ -28,6 +28,7 @@ from groupapprox import (
     verify_enapp_zero,
 )
 from groupapprox.jk import (
+    SCAN_BLOCK,
     SCAN_CHUNK,
     _affine_chunks,
     _reachable_mask,
@@ -207,9 +208,9 @@ def test_generator_commutators_span_the_center(g01):
     mixed = [comm(a, b) for a in (a1, a2) for b in (b1, b2)]
     assert all(0 < c < 81 for c in mixed)
     digit_matrix = np.array([g.decode(c)[4:8] for c in mixed])
-    from groupapprox.jk import _det_mod
+    from groupapprox.jk import _linear_codes
 
-    assert _det_mod(digit_matrix, 3) != 0
+    assert np.unique(_linear_codes(3, digit_matrix.T)).size == 81
 
 
 def test_generator_cubes_match_the_carry_table(g01, g11):
@@ -285,6 +286,16 @@ def test_make_sigma_validation():
         make_sigma(3, np.zeros((4, 4), dtype=int))  # singular
     with pytest.raises(ParameterError):
         make_sigma(3, np.eye(3, dtype=int))
+
+
+def test_make_sigma_refuses_a_modulus_without_a_carrier():
+    # det = 2 mod 4 is nonzero but no unit: v -> M v takes 256 vectors onto 128
+    with pytest.raises(ParameterError):
+        make_sigma(4, ((1, 1, 1, 3), (0, 1, 0, 1), (3, 2, 1, 3), (2, 3, 0, 1)))
+    with pytest.raises(ParameterError):
+        make_sigma(0, 2 * np.eye(4, dtype=int))
+    with pytest.raises(CapacityError):  # 11**8 cells: refused before any search
+        singer_sigma(11)
 
 
 def test_twist_function_is_a_bijection_fixing_only_zero(g01):
@@ -530,6 +541,37 @@ def test_sampled_certificate_at_p7_runs_in_bounded_memory():
     assert peak < 64 << 20, peak
 
 
+@pytest.fixture(scope="module")
+def g7():
+    return jk_group(7, 0, 1, allow_large=True)
+
+
+def test_sampled_certificate_at_p7_holds_one_twist(g7):
+    tracemalloc.start()
+    try:
+        report = verify_affapp_one(g7, mode="sampled", samples=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    # the twist's int32 images (22 MiB), taken over by the map uncopied,
+    # and block temporaries; a copy of the images would add 22 MiB
+    assert peak < 32 << 20, peak
+
+
+def test_enapp_zero_scan_at_p7_runs_in_element_blocks(g7):
+    tracemalloc.start()
+    try:
+        report = verify_enapp_zero(g7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.pairs_checked == 7**8
+    # the witness's int32 images (22 MiB) and SCAN_BLOCK temporaries; one
+    # int64 array over all 7^8 elements would add 44 MiB
+    assert peak < 48 << 20, peak
+
+
 def test_full_scan_is_gated_to_small_primes():
     g = jk_group(5, 0, 1, allow_large=True)
     with pytest.raises(CapacityError):
@@ -562,3 +604,13 @@ def test_enapp_zero_scan_catches_tampering(g01):
     assert not report.passed
     assert report.violations_total == 1
     assert report.violations == ((5, 5),)
+
+
+def test_enapp_zero_scan_records_violations_across_blocks():
+    g = jk_group(5, 0, 1, allow_large=True)
+    images = jk_enapp_zero_witness(g).images.copy()
+    xs = [5, SCAN_BLOCK - 1, SCAN_BLOCK, 3 * SCAN_BLOCK + 7]
+    images[xs] = 0  # the identity is reachable from every argument
+    report = verify_enapp_zero(g, GroupFunction(g, images))
+    assert report.pairs_checked == 5**8 and report.violations_total == 4
+    assert report.violations == tuple((x, 0) for x in xs)

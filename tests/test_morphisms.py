@@ -334,3 +334,17 @@ def test_maps_are_read_only_narrow_image_rows():
     amap = difference_criterion(f, [0, 1])
     assert amap is not None
     assert amap.images.tolist() in affine_tables(g).tolist()
+
+
+def test_maps_take_over_only_an_owned_array_of_the_image_type():
+    g = cached_group("cyclic(4)")
+    owned = np.array([3, 1, 0, 2], dtype=np.int8)
+    assert GroupFunction(g, owned).images is owned  # taken over, not copied
+    with pytest.raises(ValueError):
+        owned[0] = 1
+    wider = np.array([3, 1, 0, 2])
+    view = np.array([3, 1, 0, 2, 0], dtype=np.int8)[:4]
+    for images in (wider, view, [3, 1, 0, 2]):
+        f = GroupFunction(g, images)
+        images[0] = 1  # the caller's array stays writable; the map has a copy
+        assert f.images.tolist() == [3, 1, 0, 2]

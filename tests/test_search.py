@@ -29,7 +29,7 @@ from groupapprox.morphisms import (
     automorphism_tables,
     endomorphism_tables,
 )
-from groupapprox.search import METRICS, family_tables
+from groupapprox.search import METRICS, bounds_certificate, family_tables
 
 from _oracles import (
     brute_affine,
@@ -201,6 +201,23 @@ def test_lower_bound_certificates_capacity_fallback():
     lbs = lower_bound_certificates(dihedral(70))
     assert lbs["endo"].value == 0 and lbs["endo"].kind == "none"
     assert lbs["affine"].value == 1 and lbs["affine"].kind == "constants"
+
+
+def test_bounds_certificate_brackets_without_a_search():
+    # a dense group and one past enumeration capacity: the lower bound, and
+    # the closed-form upper bound floored (at most the order)
+    brackets = {
+        ("alt(4)", "endo"): (0, 11), ("alt(4)", "affine"): (2, 12),
+        ("cyclic(70)", "endo"): (1, 30), ("cyclic(70)", "affine"): (2, 34),
+    }
+    for (spec, metric), bracket in brackets.items():
+        g = cached_group(spec)
+        cert = bounds_certificate(g, metric)
+        assert (cert.lower, cert.upper) == bracket
+        assert cert.lower_bound == lower_bound_certificates(g)[metric]
+        assert not cert.exact and cert.witness is None
+        assert cert.stats.nodes == 0 and cert.stats.thresholds == ()
+        assert cert.stats.symmetries == 1
 
 
 # --------------------------------------------------------------------------
