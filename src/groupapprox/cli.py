@@ -22,8 +22,8 @@ from .errors import (
     ParameterError,
     ScopeError,
 )
-from .groups import (_int_list, _read_text, _shown, build_group, canonical_spec,
-                     catalog_up_to)
+from .groups import (_INT_TOKEN, _int_list, _read_text, _shown, build_group,
+                     canonical_spec, catalog_up_to)
 from .jk import (
     DEFAULT_SAMPLES,
     SigmaMap,
@@ -92,6 +92,18 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
+def _int_option(raw: str) -> int:
+    """An integer option in the syntax of every integer a user types
+    (``_INT_TOKEN``), with no digit cap: ``bounds`` refuses an overlong
+    value by its own cap, with exit 3."""
+    if _INT_TOKEN.fullmatch(raw) is None:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {_shown(raw)}")
+    try:
+        return int(raw)
+    except ValueError:  # more digits than Python's int() reads (4,300 by default)
+        raise argparse.ArgumentTypeError(f"{_shown(raw)} has too many digits") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="groupapprox",
@@ -107,16 +119,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=tuple(map(metric_label, METRICS)))
     p.add_argument("--bounds-only", action="store_true",
                    help="emit certificate bounds without searching")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_int_option, default=DEFAULT_BUDGET,
                    help="search node budget (default %(default)s)")
     p.add_argument("--no-cache", action="store_true")
 
     p = sub.add_parser("table", help="catalog table of worst-case values")
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--max-order", type=_int_option, required=True)
+    p.add_argument("--budget", type=_int_option, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("verify-jk", help="scan the order-p^8 constructions")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_int_option, required=True)
     p.add_argument("--lambda", dest="lam", required=True, metavar="L1,L2")
     p.add_argument("--mode", choices=("full", "sampled"), default="full")
     p.add_argument("--check", choices=("affine", "endo"), default="affine",
@@ -125,14 +137,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", default="singer", metavar="singer|FILE",
                    help="fixed-point-free twist: 'singer' or a file of 16 "
                         "matrix entries")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_option, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.add_argument("--allow-large", action="store_true",
                    help="permit primes beyond 3 (sampled checks only)")
 
     p = sub.add_parser("bounds", help="two-sided agreement bounds")
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
+    p.add_argument("--m1", type=_int_option, required=True)
+    p.add_argument("--m2", type=_int_option, required=True)
     p.add_argument("--f", required=True, metavar="log2|NUM|FILE",
                    help="family-size exponent: 'log2' for log2(m1), a "
                         "number, or a file containing one")
@@ -246,8 +258,9 @@ def _parse_fval(arg: str, m1: int) -> float:
     except ValueError:
         pass
     try:
-        return float(_read_text(arg).split()[0])
-    except (FormatError, ValueError, IndexError):
+        (token,) = _read_text(arg).split()  # exactly one number
+        return float(token)
+    except (FormatError, ValueError):
         raise ParameterError(
             f"--f must be 'log2', a number, or a file containing one; "
             f"got {_shown(arg)}"

@@ -111,8 +111,6 @@ def _is_prime(n: int) -> bool:
 class GroupCarrier:
     """A finite group on the index set 0..order-1, identity at index 0."""
 
-    is_dense = False
-
     def __init__(self, order: int, name: str, generators):
         order = int(order)
         if order < 1:
@@ -130,11 +128,26 @@ class GroupCarrier:
 
     # -- operations (subclasses must provide the two vector forms) --
 
+    def _elements(self, x) -> np.ndarray:
+        """x, an index or an index array, refused with ParameterError unless
+        every entry is an element index 0..order-1: the one check of the
+        public operations that take elements (the vector forms stay
+        unchecked, as the hot path)."""
+        a = np.asarray(x)
+        if a.dtype.kind not in "iu" or a.size and not (
+            0 <= a.min() and a.max() < self.order
+        ):
+            raise ParameterError(
+                f"element indices of {self.name} are 0..{self.order - 1}, got "
+                f"{_shown(str(x))}"
+            )
+        return a
+
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_many(a, b))
+        return int(self.mul_many(self._elements(a), self._elements(b)))
 
     def inv(self, a: int) -> int:
-        return int(self.inv_many(a))
+        return int(self.inv_many(self._elements(a)))
 
     def mul_many(self, a, b):
         raise NotImplementedError
@@ -150,6 +163,7 @@ class GroupCarrier:
     # -- derived helpers --
 
     def power(self, x: int, e: int) -> int:
+        x = int(self._elements(x))
         if e < 0:
             x, e = self.inv(x), -e
         acc = 0
@@ -194,8 +208,6 @@ class GroupCarrier:
 
 class TableGroup(GroupCarrier):
     """Dense carrier backed by an explicit (read-only) Cayley table."""
-
-    is_dense = True
 
     def __init__(self, name: str, table, generators=None):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
@@ -436,7 +448,7 @@ def modmax(p: int) -> TableGroup:
 
 def direct_product(g1: GroupCarrier, g2: GroupCarrier) -> TableGroup:
     """Direct product; the pair (a, b) is encoded as a*|G2| + b."""
-    if not (g1.is_dense and g2.is_dense):
+    if not (isinstance(g1, TableGroup) and isinstance(g2, TableGroup)):
         raise CapacityError("direct products require dense factors")
     n1, n2 = g1.order, g2.order
     name = f"product({g1.name},{g2.name})"
@@ -512,7 +524,7 @@ def parse_cayley(text: str, name: str = "cayley") -> TableGroup:
 
 
 def serialize_cayley(g: GroupCarrier) -> str:
-    if not g.is_dense:
+    if not isinstance(g, TableGroup):
         raise CapacityError("serialization requires a dense carrier")
     # one string per element value; each row indexes them with the table
     words = np.array([str(x) for x in range(g.order)], dtype=object)

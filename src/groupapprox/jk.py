@@ -78,8 +78,7 @@ class JKParams:
     lam2: int
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
-            raise ParameterError(f"p must be an odd prime, got {self.p}")
+        _jk_prime(self.p)
         for v in (self.lam1, self.lam2):
             if not 0 <= v < self.p:
                 raise ParameterError(
@@ -98,6 +97,16 @@ class JKParams:
                 "endomorphism classification requires lambda2 = 1, got "
                 f"({self.lam1}, {self.lam2})"
             )
+
+
+def _jk_prime(p: int) -> None:
+    """The one gate on p of J(p, lambda) and its twists: the p^8 cells of a
+    carrier's tables fit MAX_TABLE_CELLS, tested first so no p past it is
+    trial-divided, and p is an odd prime."""
+    if p > 0 and p**8 > MAX_TABLE_CELLS:
+        raise CapacityError(f"jk needs {p}**8 table cells > {MAX_TABLE_CELLS}")
+    if not _is_prime(p) or p == 2:
+        raise ParameterError(f"p must be an odd prime, got {p}")
 
 
 def _digits(x, p: int, width: int) -> np.ndarray:
@@ -199,29 +208,32 @@ class JKGroup(GroupCarrier):
 
     # -- carrier interface --
 
+    def _pair(self, a, b):
+        """a * p^4 + b in int64 on broadcasting codes: the element with coset
+        code a and central code b, and the entry of the code pair (a, b) in
+        ``_add`` and ``_cocycle``.  Widened before scaling: the tables' type
+        (int8 at p = 3) is too narrow."""
+        return np.multiply(a, self._p4, dtype=np.int64) + b
+
     def _mul_halves(self, qa, za, qb, zb):
         """(qa, za)(qb, zb) = (qa + qb, za + zb + c(qa, qb)) on broadcasting
         coset and central codes: the one place the product is written."""
-        p4, add = self._p4, self._add
-        # widen before scaling: the tables' type (int8 at p = 3) is too narrow
-        q = np.multiply(qa, p4, dtype=np.int64) + qb
-        z = add[np.multiply(za, p4, dtype=np.int64) + zb]
-        return add[q], add[np.multiply(z, p4, dtype=np.int64) + self._cocycle[q]]
+        add, q = self._add, self._pair(qa, qb)
+        z = add[self._pair(za, zb)]
+        return add[q], add[self._pair(z, self._cocycle[q])]
 
     def _inv_halves(self, q, z):
         """(q, z)^-1 = (-q, -z - c(q, -q)) on coset and central codes."""
-        p4, neg = self._p4, self._neg
-        nq = neg[q]
-        c = self._cocycle[np.multiply(q, p4, dtype=np.int64) + nq]
-        return nq, neg[self._add[np.multiply(z, p4, dtype=np.int64) + c]]
+        nq = self._neg[q]
+        c = self._cocycle[self._pair(q, nq)]
+        return nq, self._neg[self._add[self._pair(z, c)]]
 
     def mul_many(self, a, b):
         q, z = self._mul_halves(*np.divmod(a, self._p4), *np.divmod(b, self._p4))
-        return np.multiply(q, self._p4, dtype=np.int64) + z
+        return self._pair(q, z)
 
     def inv_many(self, a):
-        q, z = self._inv_halves(*np.divmod(a, self._p4))
-        return np.multiply(q, self._p4, dtype=np.int64) + z
+        return self._pair(*self._inv_halves(*np.divmod(a, self._p4)))
 
     def _associates(self, s: int) -> bool:
         """(x s) y == x (s y) for all x and y, decided on coset codes.
@@ -239,13 +251,9 @@ class JKGroup(GroupCarrier):
         False means the identity fails or the tables are not the ones this
         carrier is built on.
         """
-        p, p4, add, c = self.p, self._p4, self._add, self._cocycle
+        p, p4, add, c, pair = self.p, self._p4, self._add, self._cocycle, self._pair
         if min(add.min(), c.min()) < 0 or max(add.max(), c.max()) >= p4:
             return False  # an entry that is no code; past here every index is in range
-
-        def pair(a, b):  # index of the code pair (a, b) in either table
-            return np.multiply(a, p4, dtype=np.int64) + b
-
         codes = np.arange(p4, dtype=np.int64)
         digits = _digits(codes, p, 4)
         q_s = int(s) // p4
@@ -263,17 +271,14 @@ class JKGroup(GroupCarrier):
 
     def coset(self, x: int) -> int:
         """Index of the central coset of x, i.e. its (k1,k2,l1,l2) digits."""
-        return int(x) // self._p4
+        return int(self._elements(x)) // self._p4
 
 
 def jk_group(p: int, lam1: int, lam2: int, *, allow_large: bool = False) -> JKGroup:
     """Build J(p, lambda).  Primes beyond 3 are gated behind allow_large
-    since the order p^8 makes even linear scans expensive; from p = 11 on
-    the tables would exceed MAX_TABLE_CELLS and p is refused before its
-    primality test (trial division) or any allocation."""
+    since the order p^8 makes even linear scans expensive; JKParams refuses
+    p through _jk_prime before any allocation."""
     p = int(p)
-    if p > 0 and p**8 > MAX_TABLE_CELLS:
-        raise CapacityError(f"jk needs {p}**8 table cells > {MAX_TABLE_CELLS}")
     params = JKParams(p, int(lam1), int(lam2))
     if p > FULL_SCAN_PRIME and not allow_large:
         raise CapacityError(
@@ -292,7 +297,7 @@ def jk_pth_power(g: JKGroup, x) -> np.ndarray | int:
     lambda2 = 1 the map from (k1, k2, l1, l2) to those central coordinates
     is a bijection.
     """
-    res = _linear_codes(g.p, g._carry.T)[np.asarray(x, dtype=np.int64) // g._p4]
+    res = _linear_codes(g.p, g._carry.T)[g._elements(x) // g._p4]
     return int(res) if res.ndim == 0 else res
 
 
@@ -307,26 +312,12 @@ class SigmaMap:
     p: int
     matrix: tuple[tuple[int, ...], ...]
 
-    def apply(self, vecs) -> np.ndarray:
-        """Apply to row vectors of digits: sigma(v) = M v."""
-        m = np.array(self.matrix, dtype=np.int64)
-        return (np.asarray(vecs, dtype=np.int64) @ m.T) % self.p
-
-
-def _twist_prime(p: int) -> None:
-    """The gate of make_sigma and singer_sigma: p is a prime whose carrier
-    fits MAX_TABLE_CELLS, sized first so no p past it is trial-divided."""
-    if p > 0 and p**8 > MAX_TABLE_CELLS:
-        raise CapacityError(f"no carrier for sigma: {p}**8 cells > {MAX_TABLE_CELLS}")
-    if not _is_prime(p):
-        raise ParameterError(f"sigma needs a prime modulus, got {p}")
-
 
 def make_sigma(p: int, matrix) -> SigmaMap:
     """Validate a 4x4 matrix mod p as invertible and fixed-point-free, read
     off its ``_linear_codes`` table: v -> M v is injective, and code 0 is its
-    only fixed point, so M - I is injective too.  p must pass _twist_prime."""
-    _twist_prime(p)
+    only fixed point, so M - I is injective too.  p must pass _jk_prime."""
+    _jk_prime(p)
     arr = np.asarray(matrix, dtype=np.int64) % p
     if arr.shape != (4, 4):
         raise ParameterError(f"sigma must be a 4x4 matrix, got shape {arr.shape}")
@@ -366,8 +357,8 @@ def _prime_factors(n: int) -> list[int]:
 def singer_sigma(p: int) -> SigmaMap:
     """The companion matrix of the lexicographically first primitive
     quartic over F_p: a cyclic map of multiplicative order p^4 - 1, hence
-    invertible and fixed-point-free."""
-    _twist_prime(p)
+    invertible and fixed-point-free.  p must pass _jk_prime."""
+    _jk_prime(p)
     full = p**4 - 1
     factors = _prime_factors(full)
     eye = np.eye(4, dtype=np.int64)
@@ -425,6 +416,7 @@ def endo_reachable(g: JKGroup, d: int, e: int) -> bool:
     d = 0, {0, d} for central d, and (center union coset of d) otherwise.
     """
     g.params.require_classified()
+    d, e = g._elements(d), g._elements(e)
     return bool(_reachable_mask(*np.divmod(d, g._p4), *np.divmod(e, g._p4)))
 
 

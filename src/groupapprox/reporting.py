@@ -75,9 +75,7 @@ def parse_metric_label(label: str) -> str:
 # document builders
 # --------------------------------------------------------------------------
 
-def compute_document(
-    spec: str, cert: ApproxCertificate, *, cached: bool = False
-) -> dict:
+def compute_document(spec: str, cert: ApproxCertificate) -> dict:
     lb = cert.lower_bound
     return {
         "kind": "compute",
@@ -101,7 +99,7 @@ def compute_document(
             "thresholds": list(cert.stats.thresholds),
             "symmetries": cert.stats.symmetries,
         },
-        "cached": cached,
+        "cached": False,
     }
 
 

@@ -52,7 +52,6 @@ DEFAULT_BUDGET = 10**9
 
 @dataclass(frozen=True)
 class LowerBound:
-    metric: str
     value: int
     kind: str
     evidence: tuple | None = None
@@ -169,8 +168,8 @@ def lower_bound_certificates(g: GroupCarrier) -> Mapping[str, LowerBound]:
     n = g.order
     if n == 1:
         return MappingProxyType({
-            "endo": LowerBound("endo", 1, "trivial-group"),
-            "affine": LowerBound("affine", 1, "trivial-group"),
+            "endo": LowerBound(1, "trivial-group"),
+            "affine": LowerBound(1, "trivial-group"),
         })
     tup, orbits, l = None, (), 1
     try:
@@ -180,19 +179,19 @@ def lower_bound_certificates(g: GroupCarrier) -> Mapping[str, LowerBound]:
     except CapacityError:
         pass
     if tup is not None:
-        endo = LowerBound("endo", l - 1, "universal-tuple", tup)
-        affine = LowerBound("affine", l, "universal-tuple", tup)
+        endo = LowerBound(l - 1, "universal-tuple", tup)
+        affine = LowerBound(l, "universal-tuple", tup)
         return MappingProxyType({"endo": endo, "affine": affine})
     # two disjoint orbits cannot each hold more than half: there is at most one
     dominating = next((o for o in orbits if o != (0,) and 2 * len(o) > n - 1), None)
     abelian = g.is_abelian()
-    endo = LowerBound("endo", int(abelian), "abelian" if abelian else "none")
+    endo = LowerBound(int(abelian), "abelian" if abelian else "none")
     if dominating is not None:
-        affine = LowerBound("affine", 2, "dominating-orbit", dominating)
+        affine = LowerBound(2, "dominating-orbit", dominating)
     elif abelian:
-        affine = LowerBound("affine", 2, "abelian")
+        affine = LowerBound(2, "abelian")
     else:
-        affine = LowerBound("affine", 1, "constants")
+        affine = LowerBound(1, "constants")
     return MappingProxyType({"endo": endo, "affine": affine})
 
 

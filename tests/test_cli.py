@@ -672,6 +672,36 @@ def test_oversize_tokens_give_one_bounded_error_line():
         assert len(err.encode()) <= 600, (label, len(err.encode()))
 
 
+def _command_options():
+    """(command, action) for each option of each command the parser declares."""
+    [commands] = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            yield command, action
+
+
+def test_no_option_reads_a_number_by_a_builtin():
+    # int() takes "1_000", " 8 " and non-ASCII digits; float() takes more
+    for command, action in _command_options():
+        assert action.type not in (int, float), (command, action.dest)
+
+
+def test_integer_options_follow_the_spec_grammar(capsys):
+    options = [(c, a) for c, a in _command_options() if a.type is cli._int_option]
+    assert len(options) == 8
+    for command, action in options:
+        base = [command, *GATE_ARGS[command], action.option_strings[-1]]
+        for token in ("1_000", "\u0663", " 8 "):
+            code, out, err = run(capsys, *base, token)
+            assert code == 2 and out == "", (command, action.dest, token)
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1, (command, action.dest, err)
+        for token, value in (("+3", 3), ("007", 7)):
+            args = _build_parser().parse_args([*base, token])
+            assert getattr(args, action.dest) == value, (command, action.dest)
+
+
 # --------------------------------------------------------------------------
 # bounds / partition-avoid / witness
 # --------------------------------------------------------------------------
@@ -691,6 +721,15 @@ def test_bounds_command_branches(tmp_path, capsys):
         capsys, "bounds", "--m1", "8", "--m2", "2", "--f", str(ffile)
     )
     assert doc4["fval"] == 2.5
+
+
+def test_bounds_f_file_holds_exactly_one_number(tmp_path, capsys):
+    ffile = tmp_path / "f.txt"
+    for text in ("2 junk\n", "2\n3\n", ""):
+        ffile.write_text(text)
+        argv = ["bounds", "--m1", "8", "--m2", "2", "--f", str(ffile)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: --f "), (text, err)
 
 
 def test_bounds_digit_cap_is_exact(capsys):

@@ -54,6 +54,16 @@ def test_cyclic_is_modular_addition():
     assert g.is_abelian()
 
 
+def test_scalar_operations_refuse_non_elements():
+    g = cyclic(6)
+    for x in (-1, 6, 2**70, 1.0):
+        for call in (lambda: g.mul(x, 0), lambda: g.mul(0, x), lambda: g.inv(x),
+                     lambda: g.power(x, 2), lambda: g.power(x, 0)):
+            with pytest.raises(ParameterError):
+                call()
+    assert g.power(5, -1) == 1 and g.power(2, 0) == 0
+
+
 def test_cyclic_trivial_group():
     g = cyclic(1)
     assert g.order == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -51,9 +52,11 @@ def g11():
 # --------------------------------------------------------------------------
 
 def test_params_validation():
-    for p in (2, 4, 9):
+    for p in (2, 4):
         with pytest.raises(ParameterError):
             JKParams(p, 0, 1)
+    with pytest.raises(CapacityError):  # 9**8 table cells, sized before primality
+        JKParams(9, 0, 1)
     with pytest.raises(ParameterError):
         JKParams(3, 3, 1)
     with pytest.raises(ParameterError):
@@ -106,6 +109,27 @@ def test_primes_past_the_table_cell_limit_are_refused_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20, peak
     assert jk_group(7, 0, 1, allow_large=True).order == 7**8
+
+
+def test_params_refuse_a_huge_p_before_trial_division():
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        JKParams(2**61 - 1, 0, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_operations_refuse_non_elements(g01):
+    for x in (-1, 6561, np.array([0, 6561]), 2**70):
+        with pytest.raises(ParameterError):
+            jk_pth_power(g01, x)
+        with pytest.raises(ParameterError):
+            endo_reachable(g01, x, 0)
+        with pytest.raises(ParameterError):
+            endo_reachable(g01, 0, x)
+        with pytest.raises(ParameterError):
+            g01.mul(x, 0)
+        with pytest.raises(ParameterError):
+            g01.coset(x)
 
 
 def test_build_group_spec_integration(g11):
@@ -272,7 +296,7 @@ def test_singer_sigma_pins():
 def test_sigma_is_fixed_point_free_on_all_vectors():
     sigma = singer_sigma(3)
     vecs = np.array(np.meshgrid(*[range(3)] * 4, indexing="ij")).reshape(4, -1).T
-    fixed = (sigma.apply(vecs) == vecs).all(axis=1)
+    fixed = (vecs @ np.array(sigma.matrix).T % 3 == vecs).all(axis=1)
     assert fixed.sum() == 1  # only the zero vector
 
 
@@ -296,6 +320,16 @@ def test_make_sigma_refuses_a_modulus_without_a_carrier():
         make_sigma(0, 2 * np.eye(4, dtype=int))
     with pytest.raises(CapacityError):  # 11**8 cells: refused before any search
         singer_sigma(11)
+
+
+def test_sigma_builders_refuse_p_2():
+    # x^4 + x + 1 is primitive over F_2, but there is no J(2, lambda) to twist
+    companion = np.eye(4, k=-1, dtype=int)
+    companion[:, 3] = (1, 1, 0, 0)
+    with pytest.raises(ParameterError):
+        make_sigma(2, companion)
+    with pytest.raises(ParameterError):
+        singer_sigma(2)
 
 
 def test_twist_function_is_a_bijection_fixing_only_zero(g01):
