@@ -179,17 +179,20 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     of g is pruned.  So k and images are those of the unpruned search, and
     only node counts change.
 
-    The rows whose counter is already >= k (``full``, an index array) are
-    passed down the recursion, and each depth marks once the values they
-    take at its position.  A value is skipped exactly when one of its rows
-    is in ``full``, that is when the largest counter among its rows is
-    >= k, so every skip, node count and threshold is the one a per-value
-    maximum over the value's rows would give.  The rows of a value tried
-    are all below k, and the increment hands the child ``full`` plus those
-    that have just reached it, so undoing it touches only the counters.  A
-    (position, value) bucket of rows is listed by ``np.flatnonzero`` over
-    a contiguous column the first time the value is incremented there, and
-    kept for the rest of the search; values no row takes never get one.
+    The search is depth-first on an explicit stack of the depths above the
+    current one, so it goes as deep as m1 whatever Python's recursion
+    limit.  The rows whose counter is already >= k (``full``, an index
+    array) are handed from each depth to the next, and each depth marks
+    once the values they take at its position.  A value is skipped exactly
+    when one of its rows is in ``full``, that is when the largest counter
+    among its rows is >= k, so every skip, node count and threshold is the
+    one a per-value maximum over the value's rows would give.  The rows of
+    a value tried are all below k, and the increment hands the child
+    ``full`` plus those that have just reached it, so undoing it touches
+    only the counters.  A (position, value) bucket of rows is listed by
+    ``np.flatnonzero`` over a contiguous column the first time the value
+    is incremented there, and kept for the rest of the search; values no
+    row takes never get one.
     Counters are the narrowest unsigned type holding m1.
 
     Returns (k, images, nodes, thresholds, symmetries): images is a g
@@ -229,52 +232,69 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
             perms = perms[perms[:, v] == v]
         root, symmetries = symmetry(perms), len(perms)
     everything = range(m2)
+    last = len(positions) - 1
     assignment = [0] * len(positions)
     nodes = 0
     k = start
 
-    def feasible(i: int, counts, full, sym) -> bool:
-        nonlocal nodes
-        if i == len(positions):
-            return True
-        col, row, taken = columns[i], buckets[i], seen[i]
+    def enter(i, full, sym):
+        """An iterator over depth i's values and the values its ``full``
+        rows block there."""
         blocked = np.zeros(m2, dtype=bool)
-        blocked[col[full]] = True
-        blocked = blocked.tolist()
-        if sym is None:
-            values = everything
-        else:
-            stab, values, fixed = sym
-        for v in values:
-            if nodes >= budget:
-                raise _Budget
-            nodes += 1
-            if blocked[v]:
+        blocked[columns[i][full]] = True
+        return iter(everything if sym is None else sym[1]), blocked.tolist()
+
+    def feasible(counts, full) -> bool:
+        """Depth-first over the positions, the current depth in locals.
+        Going down pushes it on a stack with the bucket its value
+        incremented (None when no row takes the value); coming back up pops
+        it and undoes that increment."""
+        nonlocal nodes
+        if not positions:
+            return True
+        i, sym = 0, root
+        values, blocked = enter(0, full, sym)
+        stack = []
+        while True:
+            for v in values:
+                if nodes >= budget:
+                    raise _Budget
+                nodes += 1
+                if not blocked[v]:
+                    break
+            else:
+                if not stack:
+                    return False
+                i -= 1
+                values, blocked, full, sym, bucket = stack.pop()
+                if bucket is not None:
+                    counts[bucket] -= 1
                 continue
             assignment[i] = v
-            child_full = full
-            if taken[v]:
-                bucket = row.get(v)
+            child_full, bucket = full, None
+            if seen[i][v]:
+                bucket = buckets[i].get(v)
                 if bucket is None:
-                    bucket = row[v] = np.flatnonzero(col == v)
+                    bucket = buckets[i][v] = np.flatnonzero(columns[i] == v)
                 agree = counts[bucket] + 1
                 counts[bucket] = agree
                 child_full = np.concatenate((full, bucket[agree == k]))
-            child = sym
-            if sym is not None and not fixed[v]:
-                child = symmetry(stab[stab[:, v] == v])
-            if feasible(i + 1, counts, child_full, child):
+            if i == last:
                 return True
-            if taken[v]:
-                counts[bucket] -= 1
-        return False
+            stack.append((values, blocked, full, sym, bucket))
+            if sym is not None:
+                stab, _, fixed = sym
+                if not fixed[v]:
+                    sym = symmetry(stab[stab[:, v] == v])
+            i, full = i + 1, child_full
+            values, blocked = enter(i, full, sym)
 
     thresholds = []
     while True:
         thresholds.append(k)
         full = np.flatnonzero(base_counts >= k)
         try:
-            if feasible(0, base_counts.copy(), full, root):
+            if feasible(base_counts.copy(), full):
                 break
         except _Budget:
             return k, None, nodes, tuple(thresholds), symmetries

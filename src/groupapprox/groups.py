@@ -36,6 +36,7 @@ from .errors import CapacityError, FormatError, GroupAxiomError, ParameterError
 __all__ = [
     "DENSE_LIMIT",
     "GroupCarrier",
+    "MAX_TABLE_CELLS",
     "TableGroup",
     "ValidationReport",
     "alt",
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2048
+# the one cap on the cells of a table derived from a carrier: the batch of
+# the endomorphism enumeration, the affine table, each J(p, lambda) table
+MAX_TABLE_CELLS = 1 << 24
 # products per row block of TableGroup._associates
 _LIGHT_BLOCK_CELLS = 1 << 20
 # longest integer a user may type in a spec, Cayley header or CLI list

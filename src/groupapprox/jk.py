@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ScopeError
-from .groups import GroupCarrier, _is_prime
+from .groups import MAX_TABLE_CELLS, GroupCarrier, _is_prime
 from .morphisms import GroupFunction, _image_type
 
 __all__ = [
@@ -65,8 +65,6 @@ SCAN_CHUNK = 1 << 16
 # (128 KiB) are reused, where 2^16 int64 cells took fresh pages every time; a
 # pass with narrower temporaries fits proportionally more cells in a block
 SCAN_BLOCK = 1 << 14
-# the two p^4 x p^4 tables of a carrier hold p^8 cells each: p = 7 fits
-MAX_TABLE_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,10 @@ class JKParams:
 
 
 def _jk_prime(p: int) -> None:
-    """The one gate on p of J(p, lambda) and its twists: the p^8 cells of a
-    carrier's tables fit MAX_TABLE_CELLS, tested first so no p past it is
-    trial-divided, and p is an odd prime."""
+    """The one gate on p of J(p, lambda) and its twists: the p^8 cells of
+    each of a carrier's two p^4 x p^4 tables fit MAX_TABLE_CELLS (p = 7
+    does), tested first so no p past it is trial-divided, and p is an odd
+    prime."""
     if p > 0 and p**8 > MAX_TABLE_CELLS:
         raise CapacityError(f"jk needs {p}**8 table cells > {MAX_TABLE_CELLS}")
     if not _is_prime(p) or p == 2:

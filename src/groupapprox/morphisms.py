@@ -3,7 +3,8 @@
 Every map G -> G, whether the function being approximated or a member of
 a family, is a ``GroupFunction``: a read-only array holding the image of
 each element index, in the narrowest signed type that holds -order (int8
-through order 64).  The family tables hold their rows in the same type.
+through order 128, int16 through 32,768, int32 beyond).  The family
+tables hold their rows in the same type.
 
 End(G) is computed once, as a table with one row of images per map, and
 everything else reads that table.  Enumeration extends a batch of partial
@@ -16,8 +17,8 @@ far, and only the rows with img[x*s] = img[x]*img[s] on every such edge
 are kept.  Once the generators are exhausted every surviving row is an
 endomorphism, and every endomorphism survives; listed generators that do
 not reach every element are refused.  The batch is held in memory, in
-the image type (-1 marks an image not yet set), so its size is capped, as
-is the group order.
+the image type (-1 marks an image not yet set), so it is capped at
+``groups.MAX_TABLE_CELLS`` cells, as is the affine-map table.
 
 The table is sorted lexicographically by image tuple, which downstream
 code relies on for determinism.  It, the automorphism table (its
@@ -32,10 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .groups import GroupCarrier, _per_carrier
+from .groups import MAX_TABLE_CELLS, GroupCarrier, _per_carrier
 
 __all__ = [
-    "ENDO_LIMIT",
     "GroupFunction",
     "affine_tables",
     "automorphism_orbits",
@@ -43,10 +43,6 @@ __all__ = [
     "endomorphism_tables",
     "enumerate_endomorphisms",
 ]
-
-ENDO_LIMIT = 64
-# the candidate batch of the enumeration is held in memory as one array
-_BATCH_CELLS = 2**24
 
 
 def _image_type(order: int) -> np.dtype:
@@ -96,11 +92,6 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all endomorphisms, one row per map, in lexicographic
     order (read-only)."""
     n = g.order
-    if n > ENDO_LIMIT:
-        raise CapacityError(
-            f"endomorphism enumeration is limited to order {ENDO_LIMIT}, "
-            f"{g.name} has order {g.order}"
-        )
     idx = np.arange(n)
     dtype = _image_type(n)
     mul = g.mul_many(idx[:, None], idx[None, :]).astype(dtype)
@@ -114,10 +105,10 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
         if t in reached:
             continue
         images = np.flatnonzero(orders[t] % orders == 0).astype(dtype)
-        if len(rows) * len(images) * n > _BATCH_CELLS:
+        if len(rows) * len(images) * n > MAX_TABLE_CELLS:
             raise CapacityError(
                 f"endomorphism enumeration of {g.name} would hold more than "
-                f"{_BATCH_CELLS} candidate images"
+                f"{MAX_TABLE_CELLS} candidate images"
             )
         rows = np.repeat(rows, len(images), axis=0)
         rows[:, t] = np.tile(images, len(rows) // len(images))
@@ -178,6 +169,11 @@ def affine_tables(g: GroupCarrier) -> np.ndarray:
     at 1 to be c."""
     endo = endomorphism_tables(g)
     m, n = endo.shape
+    if n * m * n > MAX_TABLE_CELLS:
+        raise CapacityError(
+            f"the affine maps of {g.name} would fill {n * m * n} table cells "
+            f"> {MAX_TABLE_CELLS}"
+        )
     tables = np.empty((n * m, n), dtype=endo.dtype)
     for c in range(n):
         tables[c * m:(c + 1) * m] = g.mul_many(c, endo)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +135,13 @@ def test_brute_force_app_on_constant_families():
         constants = [[c] * m1 for c in range(m2)]
         assert brute_force_app(m1, m2, constants) == -(-m1 // m2)
     assert brute_force_app(3, 1, [[0, 0, 0]]) == 3
+
+
+def test_brute_force_app_deeper_than_the_recursion_limit():
+    # m2 = 1 passes the m2^m1 cap at any m1, and the search keeps its
+    # depths on its own stack, so Python's recursion limit does not bind
+    m1 = sys.getrecursionlimit() + 200
+    assert brute_force_app(m1, 1, [[0] * m1]) == m1
 
 
 @st.composite

@@ -30,6 +30,7 @@ from groupapprox.groups import (
     sym,
 )
 from groupapprox.jk import jk_group, verify_affapp_one
+from groupapprox.morphisms import GroupFunction
 from groupapprox.reporting import (
     cache_dir,
     cache_get,
@@ -39,6 +40,7 @@ from groupapprox.reporting import (
     metric_label,
     parse_metric_label,
 )
+from groupapprox.search import approximability
 
 from make_golden import LARGE_FAMILY_GROUPS
 
@@ -195,13 +197,13 @@ def test_compute_bounds_only(capsys):
 
 def test_compute_capacity_fallback(capsys):
     code, doc, err = run_json(
-        capsys, "compute", "--group", "cyclic(100)", "--metric", "enapp"
+        capsys, "compute", "--group", "dihedral(1024)", "--metric", "enapp"
     )
     assert code == 3
     assert "bounds only" in err
     assert doc["exact"] is False and doc["value"] is None
-    assert doc["lower_bound"]["kind"] == "abelian"
-    assert doc["lower"] == 1 and doc["upper"] == 35
+    assert doc["lower_bound"]["kind"] == "none"
+    assert doc["lower"] == 0 and doc["upper"] == 76
     code, doc, err = run_json(
         capsys, "compute", "--group", "elemabelian(2,5)", "--metric", "enapp"
     )
@@ -209,6 +211,31 @@ def test_compute_capacity_fallback(capsys):
     assert "bounds only" in err
     assert doc["exact"] is False and doc["value"] is None
     assert doc["lower_bound"]["kind"] == "abelian"
+
+
+def test_compute_past_order_64(capsys):
+    code, doc, _ = run_json(
+        capsys, "compute", "--group", "cyclic(100)", "--metric", "enapp"
+    )
+    assert code == 0 and doc["exact"] is True and doc["value"] == 1
+    witness = GroupFunction(cyclic(100), doc["witness"])
+    assert approximability(witness, "endo")[0] == 1
+
+
+def test_compute_affine_table_capacity_fallback(capsys):
+    # 2^26 affine cells are refused before any table is built; the
+    # endomorphism table (2^20 cells) still feeds a search
+    spec = "product(cyclic(2),product(cyclic(4),cyclic(8)))"
+    code, doc, err = run_json(
+        capsys, "compute", "--group", spec, "--metric", "affapp", "--budget", "0"
+    )
+    assert code == 3 and "bounds only" in err
+    assert doc["stats"]["nodes"] == 0 and doc["stats"]["thresholds"] == []
+    code, doc, err = run_json(
+        capsys, "compute", "--group", spec, "--metric", "enapp", "--budget", "1000"
+    )
+    assert code == 3 and "bounds only" not in err
+    assert doc["stats"]["nodes"] == 1000 and doc["stats"]["thresholds"] == [1]
 
 
 def test_compute_cache_follows_file_content(tmp_path, capsys):

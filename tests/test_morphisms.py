@@ -167,12 +167,25 @@ def test_results_are_cached_on_the_carrier():
 
 
 def test_enumeration_capacity_limit():
+    # the candidate batch is the one limit, at any order: elemabelian(2,5)
+    # (2^25 maps) and dihedral(1024) exceed it, cyclic(65) does not
     with pytest.raises(CapacityError):
-        enumerate_endomorphisms(cyclic(65))
+        endomorphism_tables(cached_group("dihedral(1024)"))
     assert len(enumerate_endomorphisms(cyclic(64))) == 64
-    # order 32 passes the order limit, but its 2^25 maps exceed the batch
+    assert len(enumerate_endomorphisms(cyclic(65))) == 65
     with pytest.raises(CapacityError):
         endomorphism_tables(elemabelian(2, 5))
+
+
+def test_affine_table_capacity_limit():
+    # n * |End| * n cells: C2 x C4 x C8 has 16,384 endomorphisms and 2^26
+    # affine cells, refused before the table is allocated; elemabelian(2,4)
+    # fills exactly 2^24 and is built
+    g = cached_group("product(cyclic(2),product(cyclic(4),cyclic(8)))")
+    assert endomorphism_tables(g).shape == (16_384, 64)
+    with pytest.raises(CapacityError, match="67108864 table cells"):
+        family_tables(g, "affine")
+    assert affine_tables(cached_group("elemabelian(2,4)")).shape == (2**20, 16)
 
 
 def test_automorphism_flags():

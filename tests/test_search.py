@@ -195,16 +195,16 @@ def test_lower_bound_certificates_dominating_orbit():
 
 
 def test_lower_bound_certificates_capacity_fallback():
-    lbs = lower_bound_certificates(cyclic(100))
+    lbs = lower_bound_certificates(cached_group("elemabelian(2,7)"))
     assert lbs["endo"].value == 1 and lbs["endo"].kind == "abelian"
     assert lbs["affine"].value == 2 and lbs["affine"].kind == "abelian"
-    lbs = lower_bound_certificates(dihedral(70))
+    lbs = lower_bound_certificates(dihedral(1024))
     assert lbs["endo"].value == 0 and lbs["endo"].kind == "none"
     assert lbs["affine"].value == 1 and lbs["affine"].kind == "constants"
 
 
 def test_bounds_certificate_brackets_without_a_search():
-    # a dense group and one past enumeration capacity: the lower bound, and
+    # two dense groups, one of order over 64: the lower bound, and
     # the closed-form upper bound floored (at most the order)
     brackets = {
         ("alt(4)", "endo"): (0, 11), ("alt(4)", "affine"): (2, 12),
@@ -315,6 +315,19 @@ def test_worst_case_value_alt4():
     assert cert.value == 3
     value, _ = approximability(cert.witness, "affine")
     assert value == 3
+
+
+def test_worst_case_value_past_order_64_pins():
+    # no order cap: these enapp values are exact, each re-measured; the
+    # search on cyclic(1024) goes 1,024 positions deep
+    expected = {
+        "dihedral(66)": 0, "sym(5)": 0, "alt(5)": 0, "cyclic(1024)": 1,
+    }
+    for spec, enapp in expected.items():
+        cert = worst_case_value(cached_group(spec), "endo")
+        assert cert.exact and cert.value == enapp, spec
+        assert approximability(cert.witness, "endo")[0] == enapp, spec
+    assert cert.stats.nodes == 2_047
 
 
 def test_negative_budget_is_refused():
