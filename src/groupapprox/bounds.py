@@ -181,14 +181,16 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
 
     The search is depth-first on an explicit stack of the depths above the
     current one, so it goes as deep as m1 whatever Python's recursion
-    limit.  The rows whose counter is already >= k (``full``, an index
-    array) are handed from each depth to the next, and each depth marks
-    once the values they take at its position.  A value is skipped exactly
-    when one of its rows is in ``full``, that is when the largest counter
-    among its rows is >= k, so every skip, node count and threshold is the
-    one a per-value maximum over the value's rows would give.  The rows of
-    a value tried are all below k, and the increment hands the child
-    ``full`` plus those that have just reached it, so undoing it touches
+    limit.  The rows whose counter is already >= k are listed in
+    ``full``, one index buffer of ``maps`` entries shared by every depth:
+    each depth owns a prefix of it and marks once, one byte per value,
+    the values those rows take at its position.  A value is skipped
+    exactly when one of its rows is in ``full``, that is when the largest
+    counter among its rows is >= k, so every skip, node count and
+    threshold is the one a per-value maximum over the value's rows would
+    give.  The rows of a value tried are all below k, so each row enters
+    ``full`` at most once on a path: the increment appends those that
+    have just reached k past the depth's prefix, and undoing it touches
     only the counters.  A (position, value) bucket of rows is listed by
     ``np.flatnonzero`` over a contiguous column the first time the value
     is incremented there, and kept for the rest of the search; values no
@@ -211,7 +213,7 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
         seen[x][columns[x]] = True
     positions = sorted(free, key=lambda x: (-np.count_nonzero(seen[x]), x))
     columns = [columns[x] for x in positions]
-    seen = [seen[x].tolist() for x in positions]
+    seen = [seen[x].tobytes() for x in positions]
     buckets = [{} for _ in positions]
     base_counts = np.zeros(maps, dtype=np.min_scalar_type(m1))
     for x, v in pinned.items():
@@ -224,7 +226,7 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
             return None
         low, high = stab.min(axis=0), stab.max(axis=0)
         leaders = np.flatnonzero(low == np.arange(m2)).tolist()
-        return stab, leaders, (low == high).tolist()
+        return stab, leaders, (low == high).tobytes()
 
     root, symmetries = None, 1
     if perms is not None:
@@ -239,21 +241,25 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
 
     def enter(i, full, sym):
         """An iterator over depth i's values and the values its ``full``
-        rows block there."""
+        rows block there, as one byte each."""
         blocked = np.zeros(m2, dtype=bool)
         blocked[columns[i][full]] = True
-        return iter(everything if sym is None else sym[1]), blocked.tolist()
+        return iter(everything if sym is None else sym[1]), blocked.tobytes()
 
-    def feasible(counts, full) -> bool:
+    def feasible(counts) -> bool:
         """Depth-first over the positions, the current depth in locals.
-        Going down pushes it on a stack with the bucket its value
-        incremented (None when no row takes the value); coming back up pops
-        it and undoes that increment."""
+        Going down pushes it on a stack with its length of ``full`` and the
+        bucket its value incremented (None when no row takes the value);
+        coming back up pops it and undoes that increment."""
         nonlocal nodes
         if not positions:
             return True
+        reached = np.flatnonzero(counts >= k)
+        size = len(reached)
+        full = np.empty(maps, dtype=np.intp)
+        full[:size] = reached
         i, sym = 0, root
-        values, blocked = enter(0, full, sym)
+        values, blocked = enter(0, full[:size], sym)
         stack = []
         while True:
             for v in values:
@@ -266,35 +272,36 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
                 if not stack:
                     return False
                 i -= 1
-                values, blocked, full, sym, bucket = stack.pop()
+                values, blocked, size, sym, bucket = stack.pop()
                 if bucket is not None:
                     counts[bucket] -= 1
                 continue
             assignment[i] = v
-            child_full, bucket = full, None
+            child_size, bucket = size, None
             if seen[i][v]:
                 bucket = buckets[i].get(v)
                 if bucket is None:
                     bucket = buckets[i][v] = np.flatnonzero(columns[i] == v)
                 agree = counts[bucket] + 1
                 counts[bucket] = agree
-                child_full = np.concatenate((full, bucket[agree == k]))
+                reached = bucket[agree == k]
+                child_size = size + len(reached)
+                full[size:child_size] = reached
             if i == last:
                 return True
-            stack.append((values, blocked, full, sym, bucket))
+            stack.append((values, blocked, size, sym, bucket))
             if sym is not None:
                 stab, _, fixed = sym
                 if not fixed[v]:
                     sym = symmetry(stab[stab[:, v] == v])
-            i, full = i + 1, child_full
-            values, blocked = enter(i, full, sym)
+            i, size = i + 1, child_size
+            values, blocked = enter(i, full[:size], sym)
 
     thresholds = []
     while True:
         thresholds.append(k)
-        full = np.flatnonzero(base_counts >= k)
         try:
-            if feasible(base_counts.copy(), full):
+            if feasible(base_counts.copy()):
                 break
         except _Budget:
             return k, None, nodes, tuple(thresholds), symmetries

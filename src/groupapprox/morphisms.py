@@ -16,9 +16,10 @@ filled in along the right multiplications x -> x*s by the generators so
 far, and only the rows with img[x*s] = img[x]*img[s] on every such edge
 are kept.  Once the generators are exhausted every surviving row is an
 endomorphism, and every endomorphism survives; listed generators that do
-not reach every element are refused.  The batch is held in memory, in
-the image type (-1 marks an image not yet set), so it is capped at
-``groups.MAX_TABLE_CELLS`` cells, as is the affine-map table.
+not reach every element are refused.  The Cayley table and the batch
+are held in memory, the batch in the image type (-1 marks an image not
+yet set), so each is capped at ``groups.MAX_TABLE_CELLS`` cells, as is
+the affine-map table.
 
 The table is sorted lexicographically by image tuple, which downstream
 code relies on for determinism.  It, the automorphism table (its
@@ -92,6 +93,11 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all endomorphisms, one row per map, in lexicographic
     order (read-only)."""
     n = g.order
+    if n * n > MAX_TABLE_CELLS:
+        raise CapacityError(
+            f"endomorphism enumeration of {g.name} would hold a Cayley table "
+            f"of more than {MAX_TABLE_CELLS} cells"
+        )
     idx = np.arange(n)
     dtype = _image_type(n)
     mul = g.mul_many(idx[:, None], idx[None, :]).astype(dtype)

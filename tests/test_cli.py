@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -211,6 +212,27 @@ def test_compute_capacity_fallback(capsys):
     assert "bounds only" in err
     assert doc["exact"] is False and doc["value"] is None
     assert doc["lower_bound"]["kind"] == "abelian"
+
+
+def test_compute_jk_past_the_cayley_cap(capsys):
+    # order 6,561: the Cayley table is refused before it is built, so both
+    # calls stay small and report the bracket
+    tracemalloc.start()
+    try:
+        code, doc, _ = run_json(
+            capsys, "compute", "--group", "jk(3,0,1)", "--metric", "enapp",
+            "--bounds-only",
+        )
+        assert code == 0 and (doc["lower"], doc["upper"]) == (0, 120)
+        code, doc, err = run_json(
+            capsys, "compute", "--group", "jk(3,0,1)", "--metric", "affapp"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "Cayley table" in err and "bounds only" in err
+    assert (doc["lower"], doc["upper"]) == (1, 129)
+    assert peak < 16 << 20, peak
 
 
 def test_compute_past_order_64(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from groupapprox import (
+    CapacityError,
     GroupFunction,
     ParameterError,
     approximability,
@@ -24,6 +25,7 @@ from groupapprox import (
     worst_case_value,
 )
 from groupapprox.bounds import _min_max
+from groupapprox.jk import jk_group
 from groupapprox.morphisms import (
     affine_tables,
     automorphism_tables,
@@ -198,9 +200,23 @@ def test_lower_bound_certificates_capacity_fallback():
     lbs = lower_bound_certificates(cached_group("elemabelian(2,7)"))
     assert lbs["endo"].value == 1 and lbs["endo"].kind == "abelian"
     assert lbs["affine"].value == 2 and lbs["affine"].kind == "abelian"
-    lbs = lower_bound_certificates(dihedral(1024))
-    assert lbs["endo"].value == 0 and lbs["endo"].kind == "none"
-    assert lbs["affine"].value == 1 and lbs["affine"].kind == "constants"
+    for g in (dihedral(1024), jk_group(5, 0, 1, allow_large=True)):
+        lbs = lower_bound_certificates(g)
+        assert lbs["endo"].value == 0 and lbs["endo"].kind == "none"
+        assert lbs["affine"].value == 1 and lbs["affine"].kind == "constants"
+
+
+def test_cayley_table_past_the_cap_is_refused_before_it_is_built():
+    # jk(3,0,1) has order 6,561, so its Cayley table would hold 43M cells
+    g = jk_group(3, 0, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="Cayley table"):
+            endomorphism_tables(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_bounds_certificate_brackets_without_a_search():
@@ -327,7 +343,24 @@ def test_worst_case_value_past_order_64_pins():
         cert = worst_case_value(cached_group(spec), "endo")
         assert cert.exact and cert.value == enapp, spec
         assert approximability(cert.witness, "endo")[0] == enapp, spec
-    assert cert.stats.nodes == 2_047
+        if spec == "cyclic(1024)":
+            assert cert.stats.nodes == 2_047
+
+
+def test_deep_search_memory_stays_within_its_tables():
+    # 1,024 positions deep: every depth shares one buffer of rows at the
+    # threshold and holds one byte per value, so the search stays within a
+    # few copies of the 2 MiB endomorphism table
+    g = cached_group("cyclic(1024)")
+    family_tables(g, "endo"), automorphism_tables(g), lower_bound_certificates(g)
+    tracemalloc.start()
+    try:
+        cert = worst_case_value(g, "endo")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.exact and cert.value == 1
+    assert peak < 8 << 20, peak
 
 
 def test_negative_budget_is_refused():
