@@ -192,10 +192,10 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     ``full`` at most once on a path: the increment appends those that
     have just reached k past the depth's prefix, and undoing it touches
     only the counters.  A (position, value) bucket of rows is listed by
-    ``np.flatnonzero`` over a contiguous column the first time the value
-    is incremented there, and kept for the rest of the search; values no
-    row takes never get one.
-    Counters are the narrowest unsigned type holding m1.
+    ``np.flatnonzero`` over the column, a view of tables (contiguous when
+    tables is column-major), the first time the value is incremented
+    there, and kept for the rest of the search; values no row takes never
+    get one.  Counters are the narrowest unsigned type holding m1.
 
     Returns (k, images, nodes, thresholds, symmetries): images is a g
     reaching k, nodes the search nodes (values tried) over all thresholds,
@@ -207,7 +207,7 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     maps, m1 = tables.shape
     pinned = pinned or {}
     free = [x for x in range(m1) if x not in pinned]
-    columns = {x: np.ascontiguousarray(tables[:, x]) for x in free}
+    columns = {x: tables[:, x] for x in free}
     seen = {x: np.zeros(m2, dtype=bool) for x in free}
     for x in free:
         seen[x][columns[x]] = True
@@ -325,7 +325,7 @@ def brute_force_app(m1: int, m2: int, family) -> int:
             f"brute force limited to m2^m1 <= {BRUTE_FORCE_LIMIT}, "
             f"got {m2}^{m1}"
         )
-    fam = np.asarray(list(family), dtype=np.int64)
+    fam = np.array(list(family), dtype=np.int64, order="F")
     if fam.ndim != 2 or fam.shape[0] == 0 or fam.shape[1] != m1:
         raise ParameterError("family must be a nonempty list of length-m1 maps")
     if fam.min() < 0 or fam.max() >= m2:

@@ -59,6 +59,7 @@ __all__ = [
 DENSE_LIMIT = 2048
 # the one cap on the cells of a table derived from a carrier: the batch of
 # the endomorphism enumeration, the affine table, each J(p, lambda) table
+# (a dense Cayley table, at most DENSE_LIMIT^2 = 2^22 cells, is under it)
 MAX_TABLE_CELLS = 1 << 24
 # products per row block of TableGroup._associates
 _LIGHT_BLOCK_CELLS = 1 << 20
@@ -119,15 +120,14 @@ class GroupCarrier:
         order = int(order)
         if order < 1:
             raise ParameterError(f"group order must be positive, got {order}")
-        generators = tuple(int(g) for g in generators)
-        if not generators:
-            raise ParameterError("a carrier needs at least one listed generator")
-        for g in generators:
-            if not 0 <= g < order:
-                raise ParameterError(f"generator index {g} out of range for order {order}")
         self.order = order
         self.name = name
-        self.generators = generators
+        # the type of every table of elements: each index and a -1 fit in it
+        self.index_type = np.min_scalar_type(-order)
+        generators = list(generators)
+        if not generators:
+            raise ParameterError("a carrier needs at least one listed generator")
+        self.generators = tuple(self._elements(generators).tolist())
         self._memo = {}  # written only by _per_carrier
 
     # -- operations (subclasses must provide the two vector forms) --
@@ -135,8 +135,8 @@ class GroupCarrier:
     def _elements(self, x) -> np.ndarray:
         """x, an index or an index array, refused with ParameterError unless
         every entry is an element index 0..order-1: the one check of the
-        public operations that take elements (the vector forms stay
-        unchecked, as the hot path)."""
+        listed generators and the public operations that take elements
+        (the vector forms stay unchecked, as the hot path)."""
         a = np.asarray(x)
         if a.dtype.kind not in "iu" or a.size and not (
             0 <= a.min() and a.max() < self.order
@@ -211,33 +211,34 @@ class GroupCarrier:
 
 
 class TableGroup(GroupCarrier):
-    """Dense carrier backed by an explicit (read-only) Cayley table."""
+    """Dense carrier backed by an explicit Cayley table, checked to hold
+    element indices and only then copied into a read-only table of the
+    carrier's index type (int8 through order 128, int16 beyond)."""
 
     def __init__(self, name: str, table, generators=None):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+        table = np.asarray(table)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupAxiomError("multiplication table must be square")
         n = int(table.shape[0])
         if n < 1:
             raise GroupAxiomError("empty multiplication table")
         _dense(name, n)
-        if int(table.min()) < 0 or int(table.max()) >= n:
+        super().__init__(n, name, range(n) if generators is None else generators)
+        if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= n:
             raise GroupAxiomError("table entries must be element indices")
-        ar = np.arange(n, dtype=np.int32)
+        table = table.astype(self.index_type, order="C")
+        ar = np.arange(n)
         if not (table[0] == ar).all() or not (table[:, 0] == ar).all():
             raise GroupAxiomError("the identity must sit at index 0")
         is_id = table == 0
         if not (is_id.sum(axis=1) == 1).all():
             raise GroupAxiomError("every element needs exactly one right inverse")
-        inv = is_id.argmax(axis=1).astype(np.int32)
+        inv = is_id.argmax(axis=1).astype(self.index_type)
         if not (table[inv, ar] == 0).all():
             raise GroupAxiomError("left and right inverses disagree")
         table.setflags(write=False)
         self._table = table
         self._inv = inv
-        if generators is None:
-            generators = tuple(range(n))
-        super().__init__(n, name, generators)
 
     @property
     def mul_table(self) -> np.ndarray:

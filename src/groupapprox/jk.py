@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, ScopeError
 from .groups import MAX_TABLE_CELLS, GroupCarrier, _is_prime
-from .morphisms import GroupFunction, _image_type
+from .morphisms import GroupFunction
 
 __all__ = [
     "JKGroup",
@@ -386,8 +386,8 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
         sigma = singer_sigma(g.p)
     if sigma.p != g.p:
         raise ParameterError(f"sigma is mod {sigma.p}, group needs mod {g.p}")
-    p4, dtype = g._p4, _image_type(g.order)
-    # the image type holds every element code, so the outer sum cannot wrap
+    p4, dtype = g._p4, g.index_type
+    # the index type holds every element code, so the outer sum cannot wrap
     table = _linear_codes(g.p, sigma.matrix).astype(dtype)
     images = np.empty(g.order, dtype=dtype)
     np.add.outer(table * p4, table, out=images.reshape(p4, p4))
@@ -566,7 +566,7 @@ def jk_enapp_zero_witness(g: JKGroup) -> GroupFunction:
     g.params.require_classified()
     p4 = g._p4
     # central x goes to 1 (x = 1 to 2), the rest to p^4 (its coset to 2p^4)
-    images = np.full(g.order, p4, dtype=_image_type(g.order))
+    images = np.full(g.order, p4, dtype=g.index_type)
     images[:p4] = 1
     images[1] = 2
     images[p4 : 2 * p4] = 2 * p4

@@ -2,9 +2,10 @@
 
 Every map G -> G, whether the function being approximated or a member of
 a family, is a ``GroupFunction``: a read-only array holding the image of
-each element index, in the narrowest signed type that holds -order (int8
-through order 128, int16 through 32,768, int32 beyond).  The family
-tables hold their rows in the same type.
+each element index in the carrier's ``index_type`` (int8 through order
+128, int16 through 32,768, int32 beyond), the type of its Cayley table.
+The family tables hold their rows in the same type, column-major, as the
+search reads them a column at a time.
 
 End(G) is computed once, as a table with one row of images per map, and
 everything else reads that table.  Enumeration extends a batch of partial
@@ -16,10 +17,10 @@ filled in along the right multiplications x -> x*s by the generators so
 far, and only the rows with img[x*s] = img[x]*img[s] on every such edge
 are kept.  Once the generators are exhausted every surviving row is an
 endomorphism, and every endomorphism survives; listed generators that do
-not reach every element are refused.  The Cayley table and the batch
-are held in memory, the batch in the image type (-1 marks an image not
-yet set), so each is capped at ``groups.MAX_TABLE_CELLS`` cells, as is
-the affine-map table.
+not reach every element are refused.  Enumeration reads the Cayley table
+of a dense carrier as stored and refuses any other carrier.  The batch is
+held in the index type (-1 marks an image not yet set) and capped at
+``groups.MAX_TABLE_CELLS`` cells, as is the affine-map table.
 
 The table is sorted lexicographically by image tuple, which downstream
 code relies on for determinism.  It, the automorphism table (its
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .groups import MAX_TABLE_CELLS, GroupCarrier, _per_carrier
+from .groups import MAX_TABLE_CELLS, GroupCarrier, TableGroup, _per_carrier
 
 __all__ = [
     "GroupFunction",
@@ -46,17 +47,11 @@ __all__ = [
 ]
 
 
-def _image_type(order: int) -> np.dtype:
-    """The narrowest signed type holding -order, so every element index and
-    the -1 of an unset image fit."""
-    return np.min_scalar_type(-order)
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class GroupFunction:
     """A self-map of a group, by its read-only image array.  An array of the
-    image type that owns its data is taken over and frozen (its caller keeps
-    no writable view of it); any other input is copied."""
+    carrier's index type that owns its data is taken over and frozen (its
+    caller keeps no writable view of it); any other input is copied."""
 
     group: GroupCarrier = field(repr=False)
     images: np.ndarray
@@ -75,8 +70,8 @@ class GroupFunction:
             images.min() < 0 or images.max() >= n
         ):
             raise ParameterError("function values must be element indices")
-        if images.dtype != _image_type(n) or not images.flags.owndata:
-            images = images.astype(_image_type(n))
+        if images.dtype != self.group.index_type or not images.flags.owndata:
+            images = images.astype(self.group.index_type)
         images.setflags(write=False)
         object.__setattr__(self, "images", images)
 
@@ -91,16 +86,12 @@ def _bijective(tables: np.ndarray) -> np.ndarray:
 @_per_carrier
 def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all endomorphisms, one row per map, in lexicographic
-    order (read-only)."""
-    n = g.order
-    if n * n > MAX_TABLE_CELLS:
-        raise CapacityError(
-            f"endomorphism enumeration of {g.name} would hold a Cayley table "
-            f"of more than {MAX_TABLE_CELLS} cells"
-        )
-    idx = np.arange(n)
-    dtype = _image_type(n)
-    mul = g.mul_many(idx[:, None], idx[None, :]).astype(dtype)
+    order (read-only, column-major), read off a dense carrier's Cayley
+    table; any other carrier is refused before anything is allocated."""
+    if not isinstance(g, TableGroup):
+        raise CapacityError(f"endomorphism enumeration of {g.name} needs a "
+                            "dense carrier's Cayley table")
+    n, dtype, mul = g.order, g.index_type, g.mul_table
     orders = np.array(g.element_orders())
     rows = np.full((1, n), -1, dtype=dtype)
     rows[0, 0] = 0
@@ -133,7 +124,7 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
         rows = rows[ok]
     if len(known) < n:
         raise ParameterError(f"the listed generators of {g.name} do not generate it")
-    tables = np.ascontiguousarray(rows[np.lexsort(rows.T[::-1])])
+    tables = np.take(rows.T, np.lexsort(rows.T[::-1]), axis=1).T
     tables.setflags(write=False)
     return tables
 
@@ -170,9 +161,9 @@ def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
 @_per_carrier
 def affine_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all affine maps x -> c * phi(x), constant-major:
-    row c * |End| + i is c times endomorphism row i (read-only).  Distinct
-    (c, phi) give distinct rows since phi(1) = 1 forces the map's value
-    at 1 to be c."""
+    row c * |End| + i is c times endomorphism row i (read-only,
+    column-major).  Distinct (c, phi) give distinct rows since phi(1) = 1
+    forces the map's value at 1 to be c."""
     endo = endomorphism_tables(g)
     m, n = endo.shape
     if n * m * n > MAX_TABLE_CELLS:
@@ -180,8 +171,8 @@ def affine_tables(g: GroupCarrier) -> np.ndarray:
             f"the affine maps of {g.name} would fill {n * m * n} table cells "
             f"> {MAX_TABLE_CELLS}"
         )
-    tables = np.empty((n * m, n), dtype=endo.dtype)
-    for c in range(n):
-        tables[c * m:(c + 1) * m] = g.mul_many(c, endo)
+    tables = np.empty((n * m, n), dtype=endo.dtype, order="F")
+    for x in range(n):  # column x: c * phi(x) for each c, then each phi
+        tables[:, x] = g.mul_table[:, endo[:, x]].ravel()
     tables.setflags(write=False)
     return tables

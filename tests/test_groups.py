@@ -282,6 +282,34 @@ def test_table_group_rejects_malformed_tables():
         TableGroup("bad", [[0, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1.5], [1.0, 0]],                                  # floats
+    [["0", "1"], ["1", "0"]],                              # strings
+    [[False, True], [True, False]],                        # bools
+    np.array([[0, 2**32 + 1], [1, 0]], dtype=np.int64),    # wraps to 1 in int32
+    [[0, 2**70], [1, 0]],                                  # past every integer type
+], ids=["float", "str", "bool", "int64-past-int32", "python-int-past-int64"])
+def test_table_group_refuses_entries_that_are_not_element_indices(table):
+    # each would read as the table of cyclic(2) if cast before the check
+    with pytest.raises(GroupAxiomError, match="table entries must be element indices"):
+        TableGroup("t", table)
+
+
+def test_listed_generators_must_be_element_indices():
+    table = cyclic(4).mul_table
+    for generators in ((1.5,), ("1",), (True,)):
+        with pytest.raises(ParameterError):
+            TableGroup("c4", table, generators)
+    assert TableGroup("c4", table, (np.int64(1),)).generators == (1,)
+
+
+def test_cayley_table_is_held_in_the_index_type():
+    g = build_group("cyclic(2048)")
+    assert g.index_type == g.mul_table.dtype == np.int16
+    assert g.mul_table.nbytes == 8 << 20
+    assert cyclic(128).mul_table.dtype == np.int8
+
+
 def test_validate_flags_associativity_only_on_nonassociative_loop():
     # a Latin square with two-sided identity and inverses that is not a group
     loop = [

@@ -55,7 +55,6 @@ PRIVATE_IMPORTS = {
     ("cli", "groups", "_read_text"),
     ("cli", "groups", "_shown"),
     ("jk", "groups", "_is_prime"),
-    ("jk", "morphisms", "_image_type"),
     ("morphisms", "groups", "_per_carrier"),
     ("reporting", "groups", "_spec_files"),
     ("search", "bounds", "_min_max"),

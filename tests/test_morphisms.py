@@ -324,12 +324,14 @@ def test_listed_generators_must_generate():
 
 
 def test_family_tables_are_read_only_image_rows():
-    # the tables hold rows in the maps' image type (int8 through order 64)
+    # the tables hold rows in the carrier's index type (int8 through order
+    # 128), and the family tables are column-major
     for spec in ("cyclic(6)", "sym(4)", "elemabelian(2,4)", "cyclic(64)"):
         g = cached_group(spec)
         tables = [family_tables(g, m) for m in ("endo", "affine")]
+        assert all(t.flags.f_contiguous for t in tables), spec
         for t in tables + [automorphism_tables(g)]:
-            assert t.dtype == np.min_scalar_type(-g.order), spec
+            assert t.dtype == np.min_scalar_type(-g.order) == g.index_type, spec
             assert not t.flags.writeable, spec
 
 

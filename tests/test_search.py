@@ -407,10 +407,27 @@ def test_capped_large_search_runs_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
-    # 2^20 rows: a contiguous int8 copy of each column (16 MiB) and the
-    # buckets of the values tried; an intp row list of every value at
-    # every position would alone hold 128 MiB
+    # 2^20 rows: the buckets of the values tried and the search's index
+    # buffers; an intp row list of every value at every position would
+    # alone hold 128 MiB
     assert peak < 64 << 20, peak
+
+
+def test_capped_large_search_reads_the_family_columns_in_place():
+    g = cached_group("elemabelian(2,4)")
+    tables = family_tables(g, "affine")
+    automorphism_tables(g), lower_bound_certificates(g)
+    assert tables.flags.f_contiguous
+    tracemalloc.start()
+    try:
+        cert = worst_case_value(g, "affine", budget=2_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
+    # a contiguous copy of each free column would add 15 MiB (2^20 int8
+    # rows, 15 free positions) to the ~39 MiB of buckets and buffers
+    assert peak < 48 << 20, peak
 
 
 def test_worst_case_search_statistics():
