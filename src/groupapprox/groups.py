@@ -216,8 +216,11 @@ class TableGroup(GroupCarrier):
     carrier's index type (int8 through order 128, int16 beyond)."""
 
     def __init__(self, name: str, table, generators=None):
-        table = np.asarray(table)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        try:
+            table = np.asarray(table)
+        except ValueError:  # ragged rows
+            table = None
+        if table is None or table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupAxiomError("multiplication table must be square")
         n = int(table.shape[0])
         if n < 1:

@@ -274,6 +274,8 @@ def test_derived_facts_match_the_table(spec):
 def test_table_group_rejects_malformed_tables():
     with pytest.raises(GroupAxiomError):
         TableGroup("bad", [[0, 1], [1, 0], [0, 1]])
+    with pytest.raises(GroupAxiomError, match="square"):
+        TableGroup("bad", [[0, 1], [1]])  # ragged rows
     with pytest.raises(GroupAxiomError):
         TableGroup("bad", [[1, 0], [0, 1]])
     with pytest.raises(GroupAxiomError):
