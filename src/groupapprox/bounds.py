@@ -149,12 +149,17 @@ class _Budget(Exception):
     pass
 
 
-def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
+def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None,
+             mul=None):
     """Least k such that some g: M1 -> M2 agrees with every family row on
     at most k points, by iterative deepening on k from ``start``.
 
     tables is the family as an (maps, m1) array of values in 0..m2-1, and
-    start must be a lower bound on the answer.  pinned maps positions to
+    start must be a lower bound on the answer.  With ``mul``, the Cayley
+    table of a group on M1 = M2 with identity 0, tables is instead that
+    group's endomorphism table, and the family is its affine maps
+    x -> c * phi_i(x), read as pairs and never built: row i * m2 + c
+    (endomorphism-major) stands for c * phi_i.  pinned maps positions to
     fixed values of g; each pinned agreement is counted up front.  Each
     threshold asks "is there a g keeping every family counter <= k?": the
     free positions are assigned in order of decreasing discrimination
@@ -191,11 +196,22 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     give.  The rows of a value tried are all below k, so each row enters
     ``full`` at most once on a path: the increment appends those that
     have just reached k past the depth's prefix, and undoing it touches
-    only the counters.  A (position, value) bucket of rows is listed by
-    ``np.flatnonzero`` over the column, a view of tables (contiguous when
-    tables is column-major), the first time the value is incremented
-    there, and kept for the rest of the search; values no row takes never
-    get one.  Counters are the narrowest unsigned type holding m1.
+    only the counters.  The buffer starts small and doubles when an
+    increment overflows it.
+
+    A depth blocks its values by one gather from its position's column,
+    taken on first entry to the depth, and a (position, value) bucket of
+    rows is listed the first time the value is incremented there; both
+    are kept for the rest of the call.  For a plain family the column is
+    a view of tables (contiguous when tables is column-major), a bucket is
+    ``np.flatnonzero`` over it, and values no row takes (marked once per
+    call) never get one.  For the pairs the column is ``mul.T[phi(x)]``
+    flattened, one m2-run per endomorphism; every value is taken, as the
+    family holds all constants; and bucket (x, v) lists, for each i, the
+    one agreeing constant c = v * phi_i(x)^-1, as
+    ``ldiv[v][phi(x)] + m2 * arange(|End|)`` with ``ldiv[v, w] = v * w^-1``:
+    ascending, and O(|End|) to list.  Counters are the narrowest unsigned
+    type holding m1.
 
     Returns (k, images, nodes, thresholds, symmetries): images is a g
     reaching k, nodes the search nodes (values tried) over all thresholds,
@@ -207,17 +223,37 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     maps, m1 = tables.shape
     pinned = pinned or {}
     free = [x for x in range(m1) if x not in pinned]
-    columns = {x: tables[:, x] for x in free}
-    seen = {x: np.zeros(m2, dtype=bool) for x in free}
-    for x in free:
-        seen[x][columns[x]] = True
-    positions = sorted(free, key=lambda x: (-np.count_nonzero(seen[x]), x))
-    columns = [columns[x] for x in positions]
-    seen = [seen[x].tobytes() for x in positions]
+    if mul is None:
+        def column(x):
+            return tables[:, x]
+
+        def rows(x, v):
+            return np.flatnonzero(tables[:, x] == v)
+
+        seen = {x: np.zeros(m2, dtype=bool) for x in free}
+        for x in free:
+            seen[x][tables[:, x]] = True
+        positions = sorted(free, key=lambda x: (-np.count_nonzero(seen[x]), x))
+        seen = [seen[x].tobytes() for x in positions]
+    else:
+        right = np.ascontiguousarray(mul.T)  # right[w, c] = c * w
+        inverse = mul.argmin(axis=1)         # where row w holds the identity 0
+        ldiv = mul[:, inverse]               # ldiv[v, w] = v * w^-1
+        offsets = m2 * np.arange(maps)
+
+        def column(x):
+            return right[tables[:, x]].ravel()
+
+        def rows(x, v):
+            return ldiv[v][tables[:, x]] + offsets
+
+        maps *= m2
+        positions, seen = free, None  # every column takes every value
+    columns = [None] * len(positions)
     buckets = [{} for _ in positions]
     base_counts = np.zeros(maps, dtype=np.min_scalar_type(m1))
     for x, v in pinned.items():
-        base_counts[tables[:, x] == v] += 1
+        base_counts[rows(x, v)] += 1
 
     def symmetry(stab):
         """A stabilizer with its orbit leaders and the values it fixes (its
@@ -242,8 +278,11 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
     def enter(i, full, sym):
         """An iterator over depth i's values and the values its ``full``
         rows block there, as one byte each."""
+        col = columns[i]
+        if col is None:
+            col = columns[i] = column(positions[i])
         blocked = np.zeros(m2, dtype=bool)
-        blocked[columns[i][full]] = True
+        blocked[col[full]] = True
         return iter(everything if sym is None else sym[1]), blocked.tobytes()
 
     def feasible(counts) -> bool:
@@ -256,7 +295,7 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
             return True
         reached = np.flatnonzero(counts >= k)
         size = len(reached)
-        full = np.empty(maps, dtype=np.intp)
+        full = np.empty(2 * size + 256, dtype=np.intp)
         full[:size] = reached
         i, sym = 0, root
         values, blocked = enter(0, full[:size], sym)
@@ -278,14 +317,18 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None):
                 continue
             assignment[i] = v
             child_size, bucket = size, None
-            if seen[i][v]:
+            if seen is None or seen[i][v]:
                 bucket = buckets[i].get(v)
                 if bucket is None:
-                    bucket = buckets[i][v] = np.flatnonzero(columns[i] == v)
+                    bucket = buckets[i][v] = rows(positions[i], v)
                 agree = counts[bucket] + 1
                 counts[bucket] = agree
                 reached = bucket[agree == k]
                 child_size = size + len(reached)
+                if child_size > len(full):
+                    longer = np.empty(2 * child_size, dtype=np.intp)
+                    longer[:size] = full[:size]
+                    full = longer
                 full[size:child_size] = reached
             if i == last:
                 return True

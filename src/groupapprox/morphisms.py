@@ -4,8 +4,8 @@ Every map G -> G, whether the function being approximated or a member of
 a family, is a ``GroupFunction``: a read-only array holding the image of
 each element index in the carrier's ``index_type`` (int8 through order
 128, int16 through 32,768, int32 beyond), the type of its Cayley table.
-The family tables hold their rows in the same type, column-major, as the
-search reads them a column at a time.
+The family tables hold their rows in the same type, column-major, so
+that each column is one contiguous run.
 
 End(G) is computed once, as a table with one row of images per map, and
 everything else reads that table.  Enumeration extends a batch of partial
@@ -20,7 +20,13 @@ endomorphism, and every endomorphism survives; listed generators that do
 not reach every element are refused.  Enumeration reads the Cayley table
 of a dense carrier as stored and refuses any other carrier.  The batch is
 held in the index type (-1 marks an image not yet set) and capped at
-``groups.MAX_TABLE_CELLS`` cells, as is the affine-map table.
+``groups.MAX_TABLE_CELLS`` cells, as is the affine family.
+
+The affine maps x -> c * phi(x) are the pairs (c, phi) of an element and
+an endomorphism, and ``affine_pairs`` hands them out as such: the
+endomorphism table and the Cayley table.  The search and
+``search.approximability`` read the pairs; ``affine_tables`` is the built
+view, one row per pair, kept for callers that want the rows themselves.
 
 The table is sorted lexicographically by image tuple, which downstream
 code relies on for determinism.  It, the automorphism table (its
@@ -39,6 +45,7 @@ from .groups import MAX_TABLE_CELLS, GroupCarrier, TableGroup, _per_carrier
 
 __all__ = [
     "GroupFunction",
+    "affine_pairs",
     "affine_tables",
     "automorphism_orbits",
     "automorphism_tables",
@@ -158,12 +165,11 @@ def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(orb.tolist()) for orb in np.split(members, starts))
 
 
-@_per_carrier
-def affine_tables(g: GroupCarrier) -> np.ndarray:
-    """Image tables of all affine maps x -> c * phi(x), constant-major:
-    row c * |End| + i is c times endomorphism row i (read-only,
-    column-major).  Distinct (c, phi) give distinct rows since phi(1) = 1
-    forces the map's value at 1 to be c."""
+def affine_pairs(g: GroupCarrier) -> tuple[np.ndarray, np.ndarray]:
+    """The affine maps x -> c * phi(x) as their pairs (c, phi): the
+    endomorphism table and the carrier's Cayley table, which is how the
+    search reads the family.  A family whose built table would fill more
+    than ``MAX_TABLE_CELLS`` cells is refused, built or not."""
     endo = endomorphism_tables(g)
     m, n = endo.shape
     if n * m * n > MAX_TABLE_CELLS:
@@ -171,8 +177,21 @@ def affine_tables(g: GroupCarrier) -> np.ndarray:
             f"the affine maps of {g.name} would fill {n * m * n} table cells "
             f"> {MAX_TABLE_CELLS}"
         )
+    return endo, g.mul_table
+
+
+@_per_carrier
+def affine_tables(g: GroupCarrier) -> np.ndarray:
+    """Image tables of all affine maps x -> c * phi(x), constant-major:
+    row c * |End| + i is c times endomorphism row i (read-only,
+    column-major).  Distinct (c, phi) give distinct rows since phi(1) = 1
+    forces the map's value at 1 to be c.  This is the built view of the
+    family, for callers that want its rows; the search and
+    ``approximability`` read the pairs instead."""
+    endo, mul = affine_pairs(g)
+    m, n = endo.shape
     tables = np.empty((n * m, n), dtype=endo.dtype, order="F")
     for x in range(n):  # column x: c * phi(x) for each c, then each phi
-        tables[:, x] = g.mul_table[:, endo[:, x]].ravel()
+        tables[:, x] = mul[:, endo[:, x]].ravel()
     tables.setflags(write=False)
     return tables

@@ -23,6 +23,7 @@ from .errors import CapacityError, ParameterError
 from .groups import GroupCarrier, _per_carrier
 from .morphisms import (
     GroupFunction,
+    affine_pairs,
     affine_tables,
     automorphism_orbits,
     automorphism_tables,
@@ -95,12 +96,28 @@ def family_tables(g: GroupCarrier, metric: str) -> np.ndarray:
 
 def approximability(f: GroupFunction, metric: str):
     """Best agreement count of f with the family, plus a map achieving it
-    (the first such map in canonical family order)."""
+    (the first such map in canonical family order).
+
+    The affine family is read as its pairs (c, phi), with no table built
+    and so no cap on its size: at each x exactly one constant agrees with
+    phi_i there, c = f(x) * phi_i(x)^-1, and that x counts for pair
+    c * |End| + i, the constant-major order of ``affine_tables``."""
+    _check_metric(metric)
     g = f.group
-    tables = family_tables(g, metric)
-    agree = (tables == f.images).sum(axis=1)
+    endo = endomorphism_tables(g)
+    if metric == "endo":
+        agree = (endo == f.images).sum(axis=1)
+        j = int(np.argmax(agree))
+        return int(agree[j]), GroupFunction(g, endo[j])
+    m, n = endo.shape
+    agree = np.zeros(n * m, dtype=np.min_scalar_type(n))
+    pairs = np.arange(m)
+    for x in range(n):
+        constants = g.mul_many(f.images[x], g.inv_many(endo[:, x]))
+        agree[constants.astype(np.intp) * m + pairs] += 1
     j = int(np.argmax(agree))
-    return int(agree[j]), GroupFunction(g, tables[j])
+    c, i = divmod(j, m)
+    return int(agree[j]), GroupFunction(g, g.mul_many(c, endo[i]))
 
 
 # --------------------------------------------------------------------------
@@ -243,13 +260,16 @@ def worst_case_value(
     if budget < 0:
         raise ParameterError(f"the search budget must be >= 0, got {budget}")
     t0 = time.perf_counter()
-    tables = family_tables(g, metric)
+    if metric == "endo":
+        tables, mul = endomorphism_tables(g), None
+    else:
+        tables, mul = affine_pairs(g)
     n = g.order
     lb = lower_bound_certificates(g)[metric]
     pinned = {0: 0} if metric == "affine" and n > 1 else None
     k, images, nodes, thresholds, symmetries = _min_max(
         tables, n, lb.value, budget=budget, pinned=pinned,
-        perms=automorphism_tables(g),
+        perms=automorphism_tables(g), mul=mul,
     )
     stats = SearchStats(
         nodes=nodes, elapsed=time.perf_counter() - t0, thresholds=thresholds,

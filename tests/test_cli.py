@@ -869,6 +869,15 @@ def test_witness_documents(capsys):
         assert len(doc["images"]) == doc["order"]
 
 
+def test_witness_past_the_affine_table_cap(capsys):
+    # cyclic(257) has 257^3 > 2^24 affine table cells; agreement reads
+    # the (constant, endomorphism) pairs and needs no table
+    code, doc, _ = run_json(capsys, "witness", "--name", "prime-square:257")
+    assert code == 0
+    assert doc["group"] == "cyclic(257)" and doc["metric"] == "affapp"
+    assert doc["agreement"] == 2
+
+
 # --------------------------------------------------------------------------
 # exit codes
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from groupapprox import (
     ParameterError,
     approximability,
     automorphism_orbits,
+    build_group,
     catalog_up_to,
     cyclic,
     difference_criterion,
@@ -31,7 +32,12 @@ from groupapprox.morphisms import (
     automorphism_tables,
     endomorphism_tables,
 )
-from groupapprox.search import METRICS, bounds_certificate, family_tables
+from groupapprox.search import (
+    DEFAULT_BUDGET,
+    METRICS,
+    bounds_certificate,
+    family_tables,
+)
 
 from _oracles import (
     brute_affine,
@@ -425,9 +431,68 @@ def test_capped_large_search_reads_the_family_columns_in_place():
     finally:
         tracemalloc.stop()
     assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
-    # a contiguous copy of each free column would add 15 MiB (2^20 int8
-    # rows, 15 free positions) to the ~39 MiB of buckets and buffers
+    # the search reads the (constant, endomorphism) pairs, not this table:
+    # ~40 MiB of pair columns, buckets and buffers; a contiguous copy of
+    # each free table column would add 15 MiB (2^20 int8 rows, 15 free
+    # positions)
     assert peak < 48 << 20, peak
+
+
+def test_capped_large_search_builds_no_affine_table():
+    # a fresh carrier with its endomorphisms, automorphisms and lower
+    # bounds but no affine table: building the 16 MiB table inside the
+    # search read 54.9 MiB, the pairs read ~40 MiB
+    g = build_group("elemabelian(2,4)")
+    endomorphism_tables(g), automorphism_tables(g), lower_bound_certificates(g)
+    tracemalloc.start()
+    try:
+        cert = worst_case_value(g, "affine", budget=2_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
+    assert peak < 48 << 20, peak
+
+
+@pytest.mark.parametrize("spec, budget", [
+    *((g.name, DEFAULT_BUDGET) for g in catalog_up_to(15)),
+    ("elemabelian(2,4)", 2_000),
+    ("elemabelian(3,3)", 2_000),
+    ("heis(3)", 2_000),
+])
+def test_affine_pairs_search_matches_the_built_table(spec, budget):
+    # the plain search over the built table is the oracle: the pairs
+    # number their rows differently, and nothing else may differ
+    g = cached_group(spec)
+    start = lower_bound_certificates(g)["affine"].value
+    pinned = {0: 0} if g.order > 1 else None
+    k, images, nodes, thresholds, _ = _min_max(
+        affine_tables(g), g.order, start, budget=budget, pinned=pinned,
+        perms=automorphism_tables(g),
+    )
+    cert = worst_case_value(g, "affine", budget=budget)
+    assert (cert.lower, cert.stats.nodes, cert.stats.thresholds) == (
+        k, nodes, thresholds
+    ), spec
+    if images is None:
+        assert cert.witness is None and not cert.exact, spec
+    else:
+        assert cert.witness.images.tolist() == list(images), spec
+
+
+def test_affine_approximability_matches_the_built_table():
+    # agreement and map, the first best in constant-major table order
+    rng = np.random.default_rng(3)
+    for spec in ("elemabelian(2,4)", "elemabelian(3,3)", "dihedral(12)", "alt(4)"):
+        g = cached_group(spec)
+        tables = affine_tables(g)
+        for _ in range(5):
+            f = GroupFunction(g, rng.integers(0, g.order, size=g.order))
+            agree = (tables == f.images).sum(axis=1)
+            value, member = approximability(f, "affine")
+            j = int(np.argmax(agree))
+            assert value == agree[j], spec
+            assert member.images.tolist() == tables[j].tolist(), spec
 
 
 def test_worst_case_search_statistics():
