@@ -241,11 +241,12 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None,
         ldiv = mul[:, inverse]               # ldiv[v, w] = v * w^-1
         offsets = m2 * np.arange(maps)
 
+        # np.take, not a[i]: fancy indexing by a narrow index array is ~2x slower
         def column(x):
-            return right[tables[:, x]].ravel()
+            return right.take(tables[:, x], axis=0).ravel()
 
         def rows(x, v):
-            return ldiv[v][tables[:, x]] + offsets
+            return ldiv[v].take(tables[:, x]) + offsets
 
         maps *= m2
         positions, seen = free, None  # every column takes every value

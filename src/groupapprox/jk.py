@@ -373,6 +373,12 @@ def singer_sigma(p: int) -> SigmaMap:
     raise AssertionError("no primitive quartic found")  # pragma: no cover
 
 
+def _require_modulus(g: JKGroup, sigma: SigmaMap) -> None:
+    """Refuse a sigma of another prime than g's."""
+    if sigma.p != g.p:
+        raise ParameterError(f"sigma is mod {sigma.p}, group needs mod {g.p}")
+
+
 def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
     """The function twisting both coordinate blocks by sigma:
     (k, l | r) -> (sigma(k, l) | sigma(r)).
@@ -384,8 +390,7 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
     g.params.require_classified()
     if sigma is None:
         sigma = singer_sigma(g.p)
-    if sigma.p != g.p:
-        raise ParameterError(f"sigma is mod {sigma.p}, group needs mod {g.p}")
+    _require_modulus(g, sigma)
     p4, dtype = g._p4, g.index_type
     # the index type holds every element code, so the outer sum cannot wrap
     table = _linear_codes(g.p, sigma.matrix).astype(dtype)
@@ -437,57 +442,51 @@ class JKVerification:
         return self.violations_total == 0
 
 
-def _affine_chunks(g: JKGroup, f: np.ndarray, mode: str, samples: int, seed: int):
-    """The chunks (ys, xs, hit, pairs) of the affine scan for _tally, hit
-    marking the pairs (y, x) for which an endomorphism carries d = y^-1 x
-    to e = f(y)^-1 f(x).
-
-    The coset halves decide each pair: qd = -q(y) + q(x) and
-    qe = -q(f(y)) + q(f(x)), read from ``_neg`` and ``_add`` with indices
-    in the narrowest type that holds every element.  Where qd != 0 the
-    pair is a hit exactly when qe is 0 or qd (_reachable_mask).  Only
-    where the computed qd is 0, so d is central if the tables are right,
-    does the full product form the central halves of d and e, on those
-    pairs alone; p^4 of the p^8 x in each row y.  The halves come from
-    divmod on each block, and full mode keeps just the coset codes of x
-    and f(x) for every x.  A block holds SCAN_BLOCK int64 cells' worth of
-    the index type.  Full mode takes rows y against every x as one 2-D
-    broadcast with the diagonal x = y cleared, sampled mode draws y and an
-    offset x - y."""
-    n, p4, add, neg = g.order, g._p4, g._add, g._neg
-    index = np.min_scalar_type(-n)
-    block = SCAN_BLOCK * 8 // index.itemsize
-
+def _coset_quotient(g: JKGroup, qa, qb) -> np.ndarray:
+    """The coset code of a^-1 b as the tables give it, -qa + qb read from
+    ``_neg`` and ``_add``, on broadcasting coset codes qa of a and qb of b.
+    The ``_add`` index is formed in the carrier's index type."""
     # np.take, not a[i]: fancy indexing by a narrow index array is ~2x slower
-    def coset_of_quotient(a, qb):
-        # coset code of a^-1 b, given the element a and the coset code of b
-        qa = np.take(neg, a // p4)
-        return np.take(add, np.multiply(qa, p4, dtype=index) + qb)
+    pair = np.multiply(np.take(g._neg, qa), g._p4, dtype=g.index_type) + qb
+    return np.take(g._add, pair)
 
-    def hits(ys, xs, qx, qfx):
-        # ys and xs broadcast; qx and qfx are the coset codes of xs, f(xs)
-        qd = coset_of_quotient(ys, qx)
-        qe = coset_of_quotient(np.take(f, ys), qfx)
-        hit = (qe == 0) | (qe == qd)
-        central = np.unravel_index(np.flatnonzero(qd == 0), hit.shape)
-        y = np.broadcast_to(ys, hit.shape)[central]
-        x = np.broadcast_to(xs, hit.shape)[central]
-        d = g._mul_halves(*g._inv_halves(*np.divmod(y, p4)), *np.divmod(x, p4))
-        e = g._mul_halves(
-            *g._inv_halves(*np.divmod(f[y], p4)), *np.divmod(f[x], p4)
-        )
-        hit[central] = _reachable_mask(*d, *e)
-        return hit
 
-    if mode == "full":
-        xs, rows = np.arange(n, dtype=index), max(1, block // n)
-        qx, qfx = xs // p4, f // p4
-        for lo in range(0, n, rows):
-            ys = xs[lo : lo + rows, None]
-            hit = hits(ys, xs, qx, qfx)
-            hit[np.arange(ys.size), ys[:, 0]] = False
-            yield ys, xs, hit, ys.size * (n - 1)
-        return
+def _reachable_pairs(g: JKGroup, f: np.ndarray, y, x) -> np.ndarray:
+    """_reachable_mask of d = y^-1 x and e = f(y)^-1 f(x) on broadcasting
+    element arrays y and x, both formed by the full product on halves."""
+    p4 = g._p4
+    d = g._mul_halves(*g._inv_halves(*np.divmod(y, p4)), *np.divmod(x, p4))
+    e = g._mul_halves(*g._inv_halves(*np.divmod(f[y], p4)), *np.divmod(f[x], p4))
+    return _reachable_mask(*d, *e)
+
+
+def _pair_hits(g: JKGroup, f: np.ndarray, ys, xs) -> np.ndarray:
+    """Mark the pairs (y, x) of broadcasting element arrays ys and xs for
+    which an endomorphism carries d = y^-1 x to e = f(y)^-1 f(x).
+
+    The coset halves qd of d and qe of e come from ``_coset_quotient``.
+    Where qd != 0 the pair is a hit exactly when qe is 0 or qd
+    (_reachable_mask).  Only where the computed qd is 0, so d is central if
+    the tables are right, does ``_reachable_pairs`` form the central
+    halves, on those pairs alone."""
+    p4 = g._p4
+    qd = _coset_quotient(g, ys // p4, xs // p4)
+    qe = _coset_quotient(g, np.take(f, ys) // p4, np.take(f, xs) // p4)
+    hit = (qe == 0) | (qe == qd)
+    central = np.unravel_index(np.flatnonzero(qd == 0), hit.shape)
+    y = np.broadcast_to(ys, hit.shape)[central]
+    x = np.broadcast_to(xs, hit.shape)[central]
+    hit[central] = _reachable_pairs(g, f, y, x)
+    return hit
+
+
+def _affine_chunks(g: JKGroup, f: np.ndarray, samples: int, seed: int):
+    """The chunks (ys, xs, hit, pairs) of the sampled affine scan for
+    _record: ``samples`` pairs drawn as y and an offset x - y, SCAN_CHUNK
+    per draw, and decided by _pair_hits in blocks of SCAN_BLOCK int64
+    cells' worth of the index type."""
+    n, index = g.order, g.index_type
+    block = SCAN_BLOCK * 8 // index.itemsize
     rng = np.random.default_rng(seed)
     for done in range(0, samples, SCAN_CHUNK):
         m = min(SCAN_CHUNK, samples - done)
@@ -497,15 +496,80 @@ def _affine_chunks(g: JKGroup, f: np.ndarray, mode: str, samples: int, seed: int
         ys, xs = ys.astype(index), xs.astype(index)
         for lo in range(0, m, block):
             y, x = ys[lo : lo + block], xs[lo : lo + block]
-            yield y, x, hits(y, x, x // p4, np.take(f, x) // p4), y.size
+            yield y, x, _pair_hits(g, f, y, x), y.size
 
 
-def _tally(g: JKGroup, check: str, mode: str, sigma, chunks) -> JKVerification:
-    """Time a scan over chunks (a, b, hit, pairs): hit marks where a
-    classified endomorphism maps d to e, a and b broadcast to its shape and
-    name each entry's pair, and the chunk covers pairs of them.  Record the
-    first MAX_RECORDED_VIOLATIONS hits as (a, b) in row-major order."""
-    start = time.perf_counter()
+def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
+    """(pairs, violations, hits) of the affine scan over all n(n - 1)
+    ordered pairs (y, x), as _record would give them for _pair_hits on
+    every pair in row-major order, counted without deciding every pair.
+
+    Where the computed coset code qd of y^-1 x is not 0, _pair_hits reads
+    only four coset codes: q(y), q(f(y)), q(x) and q(f(x)).  So each
+    element x gets the class q(x) * p^4 + q(f(x)), the class sizes are a
+    bincount over p^8 bins, and the predicate is evaluated once per pair
+    of occupied classes, in blocks of SCAN_BLOCK int64 cells' worth of the
+    index type, weighted by the sizes of the column classes.  The diagonal
+    pair of a class with qd != 0 stands for the pair (y, y) of every y in
+    it, so it is taken off each such row.  The pairs whose computed qd is
+    0 (those of coset pairs (q(y), q(x)) whose quotient code reads 0; with
+    right tables q(x) = q(y), p^4 of the p^8 x in each row) are decided
+    pair by pair by ``_reachable_pairs``, without the diagonal, a block of
+    coset pairs holding about SCAN_BLOCK pairs.  Nothing here reads sigma
+    or assumes anything about f.
+
+    That gives every row's hit count.  Only the first rows holding hits,
+    until MAX_RECORDED_VIOLATIONS are recorded, are scanned again pair by
+    pair with _pair_hits to name their hits; each such row's count must
+    equal its class count, or the scan raises AssertionError.
+    """
+    n, p4, index = g.order, g._p4, g.index_type
+    block = SCAN_BLOCK * 8 // index.itemsize
+    codes = np.arange(p4, dtype=index)
+    quotient = _coset_quotient(g, codes[:, None], codes)  # by coset code pair
+    xs = np.arange(n, dtype=index)
+    kind = np.multiply(xs // p4, p4, dtype=index) + f // p4  # a class code is < n
+    sizes = np.bincount(kind, minlength=n)
+    classes = np.flatnonzero(sizes)
+    qa, qfa, weights = classes // p4, classes % p4, sizes[classes]
+    by_class = np.zeros(n, dtype=np.int64)  # class hits of a row in each class
+    rows = max(1, block // classes.size)
+    for lo in range(0, classes.size, rows):
+        a = slice(lo, lo + rows)
+        qd = np.take(quotient[qa[a]], qa, axis=1)
+        qe = np.take(quotient[qfa[a]], qfa, axis=1)
+        hit = ((qe == 0) | (qe == qd)) & (qd != 0)
+        by_class[classes[a]] = hit @ weights - hit.diagonal(lo)
+    counts = by_class[kind]
+    # the coset pairs whose quotient reads 0, p^8 = n element pairs each
+    qy, qz = np.nonzero(quotient == 0)
+    step = max(1, SCAN_BLOCK // n)  # int64 temporaries
+    for lo in range(0, qy.size, step):
+        y = (qy[lo : lo + step, None] * p4 + codes)[:, :, None]
+        x = (qz[lo : lo + step, None] * p4 + codes)[:, None, :]
+        hit = _reachable_pairs(g, f, y, x) & (y != x)
+        np.add.at(counts, y[:, :, 0], np.count_nonzero(hit, axis=2))
+    bad: list[tuple[int, int]] = []
+    for y in np.flatnonzero(counts):
+        if len(bad) == MAX_RECORDED_VIOLATIONS:
+            break
+        hit = _pair_hits(g, f, xs[y : y + 1], xs)
+        hit[y] = False
+        found = np.flatnonzero(hit)
+        if found.size != counts[y]:
+            raise AssertionError(
+                f"row {y}: {found.size} hits pair by pair, {counts[y]} by class"
+            )
+        bad += [(int(y), int(x)) for x in found[: MAX_RECORDED_VIOLATIONS - len(bad)]]
+    return n * (n - 1), bad, int(counts.sum())
+
+
+def _record(chunks) -> tuple[int, list, int]:
+    """(pairs, violations, hits) over chunks (a, b, hit, pairs): hit marks
+    where a classified endomorphism maps d to e, a and b broadcast to its
+    shape and name each entry's pair, and the chunk covers pairs of them.
+    The violations are the first MAX_RECORDED_VIOLATIONS hits as (a, b),
+    in row-major order."""
     bad: list[tuple[int, int]] = []
     checked = total = 0
     for a, b, hit, pairs in chunks:
@@ -515,10 +579,29 @@ def _tally(g: JKGroup, check: str, mode: str, sigma, chunks) -> JKVerification:
         keep = np.unravel_index(hits[: MAX_RECORDED_VIOLATIONS - len(bad)], hit.shape)
         bad += zip(np.broadcast_to(a, hit.shape)[keep].tolist(),
                    np.broadcast_to(b, hit.shape)[keep].tolist())
+    return checked, bad, total
+
+
+def _tally(g: JKGroup, check: str, mode: str, sigma, scan) -> JKVerification:
+    """Time scan(), which returns (pairs, violations, hits) as _record
+    does, and report it."""
+    start = time.perf_counter()
+    checked, bad, total = scan()
     elapsed = time.perf_counter() - start
     return JKVerification(
         g.params, check, mode, sigma, checked, tuple(bad), total, elapsed
     )
+
+
+def _images(g: JKGroup, function: GroupFunction) -> np.ndarray:
+    """The images of a function to scan, refused unless its group has the
+    order of g: they index arrays of g's elements."""
+    if function.group.order != g.order:
+        raise ParameterError(
+            f"function is on a group of order {function.group.order}, "
+            f"{g.name} has order {g.order}"
+        )
+    return function.images
 
 
 def verify_affapp_one(
@@ -535,9 +618,12 @@ def verify_affapp_one(
     An affine map agreeing with f at two points x != y forces an
     endomorphism to carry d = y^-1 x to e = f(y)^-1 f(x), so the scan checks
     that endo_reachable fails on ordered pairs: all n(n-1) in full mode
-    (p = 3 only: about 4.3e7), random ones in sampled mode.  The coset
-    halves of d and e decide each pair; their central halves are computed
-    only where the coset half of d is 0 (see _affine_chunks).
+    (p = 3 only: about 4.3e7), random ones in sampled mode.  Sampled mode
+    decides each pair on its coset halves, forming the central halves only
+    where the coset half of d is 0 (_pair_hits).  Full mode counts the
+    pairs with that coset half nonzero by classes of elements, and decides
+    the rest pair by pair (_affine_full).  sigma, when given, and the
+    function, when given, must belong to g's prime and order.
     """
     g.params.require_classified()
     if mode not in ("full", "sampled"):
@@ -553,10 +639,16 @@ def verify_affapp_one(
         raise ParameterError(f"the seed must be >= 0, got {seed}")
     if sigma is None:
         sigma = singer_sigma(g.p)
+    _require_modulus(g, sigma)
     # a twist built here is dropped once its images are read
-    f = (twist_function(g, sigma) if function is None else function).images
-    chunks = _affine_chunks(g, f, mode, samples, seed)
-    return _tally(g, "affine-agreement", mode, sigma.matrix, chunks)
+    f = twist_function(g, sigma).images if function is None else _images(g, function)
+
+    def scan():
+        if mode == "full":
+            return _affine_full(g, f)
+        return _record(_affine_chunks(g, f, samples, seed))
+
+    return _tally(g, "affine-agreement", mode, sigma.matrix, scan)
 
 
 def jk_enapp_zero_witness(g: JKGroup) -> GroupFunction:
@@ -581,7 +673,7 @@ def verify_enapp_zero(
     g.params.require_classified()
     if function is None:
         function = jk_enapp_zero_witness(g)
-    n, p4, img = g.order, g._p4, function.images
+    n, p4, img = g.order, g._p4, _images(g, function)
 
     def chunks():  # SCAN_BLOCK arguments each, masked inside the tally's timing
         for lo in range(0, n, SCAN_BLOCK):
@@ -589,7 +681,7 @@ def verify_enapp_zero(
             fx = img[lo : lo + SCAN_BLOCK]
             yield x, fx, _reachable_mask(*np.divmod(x, p4), *np.divmod(fx, p4)), x.size
 
-    return _tally(g, "endo-agreement", "full", None, chunks())
+    return _tally(g, "endo-agreement", "full", None, lambda: _record(chunks()))
 
 
 def check_classified_maps(g: JKGroup) -> int:

@@ -28,6 +28,7 @@ from groupapprox import (
     verify_affapp_one,
     verify_enapp_zero,
 )
+from groupapprox import jk
 from groupapprox.jk import (
     SCAN_BLOCK,
     SCAN_CHUNK,
@@ -35,6 +36,8 @@ from groupapprox.jk import (
     _reachable_mask,
     check_classified_maps,
 )
+
+from _oracles import affine_row_blocks, affine_scan_by_rows
 
 
 @pytest.fixture(scope="module")
@@ -516,6 +519,11 @@ def test_sampled_scan_records_scattered_violations(g01, tampered_twist):
     assert report.violations == ((3976, 4000),)
 
 
+def _full_scan(g, f):
+    report = verify_affapp_one(g, mode="full", function=f)
+    return report.pairs_checked, report.violations_total, report.violations
+
+
 @pytest.mark.parametrize("tampered", [False, True])
 def test_affine_scan_hits_match_the_per_pair_formula(tampered):
     g = jk_group(3, 0, 1)  # a fresh carrier: the module fixtures stay intact
@@ -532,14 +540,65 @@ def test_affine_scan_hits_match_the_per_pair_formula(tampered):
         e = g.mul_many(g.inv_many(f[ys]), f[xs])
         return _reachable_mask(*np.divmod(d, 81), *np.divmod(e, 81)) & (ys != xs)
 
-    # the first full-mode row blocks hold coset 0 and the diagonal
-    full = list(itertools.islice(_affine_chunks(g, f, "full", 0, 0), 12))
+    # the class-counted full scan equals the reference, whose first row
+    # blocks hold coset 0 and the diagonal
+    assert _full_scan(g, GroupFunction(g, f)) == affine_scan_by_rows(g, f)
+    full = list(itertools.islice(affine_row_blocks(g, f), 12))
     assert any((ys == xs).any() for ys, xs, _, _ in full)
-    sampled = list(_affine_chunks(g, f, "sampled", SCAN_CHUNK, 5))
+    sampled = list(_affine_chunks(g, f, SCAN_CHUNK, 5))
     for ys, xs, hit, _ in full + sampled:
         ys, xs = np.broadcast_arrays(ys, xs)
         assert hit.shape == ys.shape
         assert (hit == per_pair(ys, xs)).all()
+
+
+def _random_function(g):
+    return GroupFunction(g, np.random.default_rng(1).integers(0, g.order, g.order))
+
+
+@pytest.mark.parametrize("case", ["twist", "tampered", "identity", "random"])
+def test_full_scan_matches_the_row_block_reference(g01, tampered_twist, case):
+    f = {
+        "twist": twist_function(g01),
+        "tampered": tampered_twist,
+        "identity": GroupFunction(g01, np.arange(g01.order)),
+        "random": _random_function(g01),
+    }[case]
+    assert _full_scan(g01, f) == affine_scan_by_rows(g01, f.images)
+
+
+def test_full_scan_drops_the_diagonal_where_the_tables_move_it():
+    g = jk_group(3, 0, 1)  # a fresh carrier: the module fixtures stay intact
+    # 0 + 0 reads 1: y^-1 y has coset code 1 for y in coset 0, so the pairs
+    # (y, y) fall into class pairs, which must still leave them out
+    g._add[0] = 1
+    f = GroupFunction(g, np.arange(g.order))  # the identity: every qe is qd
+    assert _full_scan(g, f) == affine_scan_by_rows(g, f.images)
+
+
+def test_full_scan_of_a_random_function_runs_in_bounded_memory(g01):
+    f = _random_function(g01)  # 4174 of the 6561 element classes occupied
+    tracemalloc.start()
+    try:
+        report = verify_affapp_one(g01, mode="full", function=f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.passed
+    # one block of class pairs or of coset pairs at a time; the 6561 x 6561
+    # class pairs at once would take 41 MiB of int8 codes
+    assert peak < 4 << 20, peak
+
+
+def test_full_scan_fails_loudly_when_a_row_disagrees(g01, monkeypatch):
+    # the rows re-scanned pair by pair to name their hits must match the
+    # class counts; here they find none where the counts hold 6560
+    monkeypatch.setattr(
+        jk, "_pair_hits",
+        lambda g, f, ys, xs: np.zeros(np.broadcast_shapes(ys.shape, xs.shape), bool),
+    )
+    with pytest.raises(AssertionError, match="row 0"):
+        verify_affapp_one(g01, IDENTITY_SIGMA, mode="full")
 
 
 def test_sampled_scan_of_a_tampered_twist_at_p5_is_pinned():
@@ -617,6 +676,25 @@ def test_full_scan_is_gated_to_small_primes():
     for samples in (0, -7):  # an empty scan would pass vacuously
         with pytest.raises(ParameterError):
             verify_affapp_one(jk_group(3, 0, 1), mode="sampled", samples=samples)
+
+
+def test_affine_scans_refuse_a_sigma_of_another_prime(g01):
+    # with or without a function, the report never carries a mod-5 sigma
+    for function in (None, twist_function(g01)):
+        for mode in ("full", "sampled"):
+            with pytest.raises(ParameterError, match="sigma is mod 5, group needs mod 3"):
+                verify_affapp_one(
+                    g01, singer_sigma(5), mode=mode, samples=10, function=function
+                )
+
+
+def test_scans_refuse_a_function_of_another_order(g01):
+    f = GroupFunction(build_group("cyclic(5)"), range(5))
+    for mode in ("full", "sampled"):
+        with pytest.raises(ParameterError, match="order 5, jk.3,0,1. has order 6561"):
+            verify_affapp_one(g01, mode=mode, samples=10, function=f)
+    with pytest.raises(ParameterError, match="order 5"):
+        verify_enapp_zero(g01, f)
 
 
 def test_enapp_zero_scan(g01):
