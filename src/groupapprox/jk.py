@@ -208,24 +208,27 @@ class JKGroup(GroupCarrier):
     # -- carrier interface --
 
     def _pair(self, a, b):
-        """a * p^4 + b in int64 on broadcasting codes: the element with coset
-        code a and central code b, and the entry of the code pair (a, b) in
-        ``_add`` and ``_cocycle``.  Widened before scaling: the tables' type
-        (int8 at p = 3) is too narrow."""
-        return np.multiply(a, self._p4, dtype=np.int64) + b
+        """a * p^4 + b in the index type on broadcasting codes: the element
+        with coset code a and central code b, and the entry of the code pair
+        (a, b) in ``_add`` and ``_cocycle``.  Widened before scaling: the
+        tables' type (int8 at p = 3) is too narrow.  The index type (int16
+        at p = 3, int32 at 5 and 7) holds any entry of the tables' type
+        times p^4, so an entry out of range indexes as it would in int64."""
+        return np.multiply(a, self._p4, dtype=self.index_type) + b
 
     def _mul_halves(self, qa, za, qb, zb):
         """(qa, za)(qb, zb) = (qa + qb, za + zb + c(qa, qb)) on broadcasting
         coset and central codes: the one place the product is written."""
         add, q = self._add, self._pair(qa, qb)
-        z = add[self._pair(za, zb)]
-        return add[q], add[self._pair(z, self._cocycle[q])]
+        z = np.take(add, self._pair(za, zb))
+        c = np.take(self._cocycle, q)
+        return np.take(add, q), np.take(add, self._pair(z, c))
 
     def _inv_halves(self, q, z):
         """(q, z)^-1 = (-q, -z - c(q, -q)) on coset and central codes."""
-        nq = self._neg[q]
-        c = self._cocycle[self._pair(q, nq)]
-        return nq, self._neg[self._add[self._pair(z, c)]]
+        nq = np.take(self._neg, q)
+        c = np.take(self._cocycle, self._pair(q, nq))
+        return nq, np.take(self._neg, np.take(self._add, self._pair(z, c)))
 
     def mul_many(self, a, b):
         q, z = self._mul_halves(*np.divmod(a, self._p4), *np.divmod(b, self._p4))
@@ -545,8 +548,8 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
     qy, qz = np.nonzero(quotient == 0)
     step = max(1, SCAN_BLOCK // n)  # int64 temporaries
     for lo in range(0, qy.size, step):
-        y = (qy[lo : lo + step, None] * p4 + codes)[:, :, None]
-        x = (qz[lo : lo + step, None] * p4 + codes)[:, None, :]
+        y = (np.multiply(qy[lo : lo + step, None], p4, dtype=index) + codes)[:, :, None]
+        x = (np.multiply(qz[lo : lo + step, None], p4, dtype=index) + codes)[:, None, :]
         hit = _reachable_pairs(g, f, y, x) & (y != x)
         np.add.at(counts, y[:, :, 0], np.count_nonzero(hit, axis=2))
     bad: list[tuple[int, int]] = []

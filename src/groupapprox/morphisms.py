@@ -14,12 +14,15 @@ already reached: every row is copied once per candidate image of the new
 generator t (candidates are pruned by the order criterion
 ord(phi(t)) | ord(t)), the images of the newly reached elements are
 filled in along the right multiplications x -> x*s by the generators so
-far, and only the rows with img[x*s] = img[x]*img[s] on every such edge
-are kept.  Once the generators are exhausted every surviving row is an
+far, and only the rows with img[x*s] = img[x]*img[s] on every edge not
+yet proven are kept: the edges of the newly reached elements that did not
+set an image (``endomorphism_tables`` says why no other edge needs a
+check).  Once the generators are exhausted every surviving row is an
 endomorphism, and every endomorphism survives; listed generators that do
 not reach every element are refused.  Enumeration reads the Cayley table
 of a dense carrier as stored and refuses any other carrier.  The batch is
-held in the index type (-1 marks an image not yet set) and capped at
+held column-major, one contiguous run of images per element, in the
+index type (-1 marks an image not yet set), and capped at
 ``groups.MAX_TABLE_CELLS`` cells, as is the affine family.
 
 The affine maps x -> c * phi(x) are the pairs (c, phi) of an element and
@@ -94,14 +97,33 @@ def _bijective(tables: np.ndarray) -> np.ndarray:
 def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all endomorphisms, one row per map, in lexicographic
     order (read-only, column-major), read off a dense carrier's Cayley
-    table; any other carrier is refused before anything is allocated."""
+    table; any other carrier is refused before anything is allocated.
+
+    The batch is an (n, rows) array: cols[x] holds the image of x in every
+    candidate row, so each image filled in along an edge (x, s) and each
+    edge checked is one gather ``mul.ravel().take(cols[x] * n + cols[s])``
+    of contiguous runs, its index formed in the narrowest signed type that
+    holds n * n.  The elements are walked in the order they are reached,
+    and the first edge into an element (its tree edge) sets its image.  A
+    generator round that adds t to the generators so far checks only the
+    other edges (x, s) from the elements x it reached.  The edges from the
+    old elements need no check.  Those elements form the subgroup H that
+    the old generators generate, and the old rows are copied unchanged, so
+    their edges by the old generators hold as the earlier round checked
+    them.  Each edge (x, t) from an old x is a tree edge: x * t is not in
+    H since t is not, the old elements are walked first, and x * t = x' * t
+    forces x = x'.  So once the round ends every row keeps
+    img[x*s] = img[x]*img[s] on every edge of the subgroup reached, and
+    img extends along words in the generators to a homomorphism on it."""
     if not isinstance(g, TableGroup):
         raise CapacityError(f"endomorphism enumeration of {g.name} needs a "
                             "dense carrier's Cayley table")
     n, dtype, mul = g.order, g.index_type, g.mul_table
+    flat = mul.ravel()
+    key = np.min_scalar_type(-n * n)  # holds every x * n + s
     orders = np.array(g.element_orders())
-    rows = np.full((1, n), -1, dtype=dtype)
-    rows[0, 0] = 0
+    cols = np.full((n, 1), -1, dtype=dtype)  # cols[x]: the image of x, by row
+    cols[0] = 0
     known = [0]  # elements with an image, each reached from an earlier one
     reached = {0}
     gens: list[int] = []
@@ -109,29 +131,32 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
         if t in reached:
             continue
         images = np.flatnonzero(orders[t] % orders == 0).astype(dtype)
-        if len(rows) * len(images) * n > MAX_TABLE_CELLS:
+        rows = cols.shape[1]
+        if rows * len(images) * n > MAX_TABLE_CELLS:
             raise CapacityError(
                 f"endomorphism enumeration of {g.name} would hold more than "
                 f"{MAX_TABLE_CELLS} candidate images"
             )
-        rows = np.repeat(rows, len(images), axis=0)
-        rows[:, t] = np.tile(images, len(rows) // len(images))
+        cols = np.tile(cols, len(images))
+        cols[t] = np.repeat(images, rows)
         gens.append(t)
-        for x in known:  # grows while it is walked
-            for s in gens:
+        old = len(known)
+        ok = np.ones(cols.shape[1], dtype=bool)
+        for i, x in enumerate(known):  # grows while it is walked
+            at = np.multiply(cols[x], n, dtype=key)
+            for s in gens if i >= old else (t,):  # an old x: only its tree edge
                 y = int(mul[x, s])
-                if y not in reached:
+                image = flat.take(at + cols[s])
+                if y not in reached:  # a tree edge: it sets the image of y
                     reached.add(y)
                     known.append(y)
-                    rows[:, y] = mul[rows[:, x], rows[:, s]]
-        xs = np.array(known)
-        ok = np.ones(len(rows), dtype=bool)
-        for s in gens:
-            ok &= (rows[:, mul[xs, s]] == mul[rows[:, xs], rows[:, [s]]]).all(axis=1)
-        rows = rows[ok]
+                    cols[y] = image
+                else:
+                    ok &= cols[y] == image
+        cols = np.compress(ok, cols, axis=1)  # C-contiguous, unlike cols[:, ok]
     if len(known) < n:
         raise ParameterError(f"the listed generators of {g.name} do not generate it")
-    tables = np.take(rows.T, np.lexsort(rows.T[::-1]), axis=1).T
+    tables = np.take(cols, np.lexsort(cols[::-1]), axis=1).T
     tables.setflags(write=False)
     return tables
 

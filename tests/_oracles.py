@@ -15,6 +15,8 @@ import itertools
 import numpy as np
 
 from groupapprox import build_group
+from groupapprox.errors import CapacityError, ParameterError
+from groupapprox.groups import MAX_TABLE_CELLS, TableGroup
 from groupapprox.jk import SCAN_BLOCK, _reachable_mask
 
 
@@ -55,6 +57,54 @@ def brute_endomorphisms(table: np.ndarray) -> np.ndarray:
         for y in range(n):
             keep &= cands[:, table[x, y]] == table[cands[:, x], cands[:, y]]
     return cands[keep]
+
+
+def endomorphism_tables_by_rows(g) -> np.ndarray:
+    """Image tables of all endomorphisms of a dense carrier, one row per
+    map, in lexicographic order (read-only, column-major), from a row-major
+    batch that re-checks every edge (x, x*s) of the reached elements by
+    every generator so far after each generator.  The reference for
+    ``morphisms.endomorphism_tables``, which checks only the edges of the
+    newly reached elements."""
+    if not isinstance(g, TableGroup):
+        raise CapacityError(f"endomorphism enumeration of {g.name} needs a "
+                            "dense carrier's Cayley table")
+    n, dtype, mul = g.order, g.index_type, g.mul_table
+    orders = np.array(g.element_orders())
+    rows = np.full((1, n), -1, dtype=dtype)
+    rows[0, 0] = 0
+    known = [0]  # elements with an image, each reached from an earlier one
+    reached = {0}
+    gens: list[int] = []
+    for t in g.generators:
+        if t in reached:
+            continue
+        images = np.flatnonzero(orders[t] % orders == 0).astype(dtype)
+        if len(rows) * len(images) * n > MAX_TABLE_CELLS:
+            raise CapacityError(
+                f"endomorphism enumeration of {g.name} would hold more than "
+                f"{MAX_TABLE_CELLS} candidate images"
+            )
+        rows = np.repeat(rows, len(images), axis=0)
+        rows[:, t] = np.tile(images, len(rows) // len(images))
+        gens.append(t)
+        for x in known:  # grows while it is walked
+            for s in gens:
+                y = int(mul[x, s])
+                if y not in reached:
+                    reached.add(y)
+                    known.append(y)
+                    rows[:, y] = mul[rows[:, x], rows[:, s]]
+        xs = np.array(known)
+        ok = np.ones(len(rows), dtype=bool)
+        for s in gens:
+            ok &= (rows[:, mul[xs, s]] == mul[rows[:, xs], rows[:, [s]]]).all(axis=1)
+        rows = rows[ok]
+    if len(known) < n:
+        raise ParameterError(f"the listed generators of {g.name} do not generate it")
+    tables = np.take(rows.T, np.lexsort(rows.T[::-1]), axis=1).T
+    tables.setflags(write=False)
+    return tables
 
 
 def brute_affine(table: np.ndarray, endos: np.ndarray) -> np.ndarray:

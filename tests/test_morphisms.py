@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -35,6 +36,7 @@ from _oracles import (
     brute_automorphisms,
     brute_endomorphisms,
     cached_group,
+    endomorphism_tables_by_rows,
     orbits_by_unique,
     orbits_under,
     table_of,
@@ -315,6 +317,37 @@ def test_file_style_carriers_give_the_constructors_tables():
         listed = TableGroup(spec, table_of(g))
         assert listed.generators == tuple(range(g.order)), spec
         assert np.array_equal(endomorphism_tables(listed), endomorphism_tables(g)), spec
+
+
+def test_enumeration_matches_the_row_major_reference():
+    # values, dtype, layout and row order, along the constructors'
+    # generators, along every element, and along generators listed out of
+    # index order with one already reached (10 = 9 + 1 in elemabelian(3,3))
+    specs = [g.name for g in catalog_up_to(15)] + list(LARGE_FAMILY_SPECS)
+    carriers = []
+    for spec in specs:
+        g = cached_group(spec)
+        carriers += [g, TableGroup(spec, table_of(g))]
+    for spec, gens in (("elemabelian(3,3)", (9, 1, 10, 3)), ("sym(4)", (9, 6))):
+        carriers.append(TableGroup(spec, cached_group(spec).mul_table, gens))
+    for g in carriers:
+        got, want = endomorphism_tables(g), endomorphism_tables_by_rows(g)
+        assert got.dtype == want.dtype == g.index_type, g.name
+        assert got.flags.f_contiguous and want.flags.f_contiguous, g.name
+        assert not got.flags.writeable, g.name
+        assert np.array_equal(got, want), (g.name, g.generators)
+
+
+def test_enumeration_of_elemabelian_2_4_stays_within_its_memory():
+    # 2^16 maps: the table is 1 MiB and the last round's batch as much
+    g = elemabelian(2, 4)
+    tracemalloc.start()
+    try:
+        endomorphism_tables(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
 
 
 def test_listed_generators_must_generate():
