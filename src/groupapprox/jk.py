@@ -213,7 +213,9 @@ class JKGroup(GroupCarrier):
         (a, b) in ``_add`` and ``_cocycle``.  Widened before scaling: the
         tables' type (int8 at p = 3) is too narrow.  The index type (int16
         at p = 3, int32 at 5 and 7) holds any entry of the tables' type
-        times p^4, so an entry out of range indexes as it would in int64."""
+        times p^4, so an entry out of range indexes as it would in int64.
+        The tables are read with np.take, which gathers by a narrow index
+        about twice as fast as a[i]."""
         return np.multiply(a, self._p4, dtype=self.index_type) + b
 
     def _mul_halves(self, qa, za, qb, zb):
@@ -546,10 +548,11 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
     counts = by_class[kind]
     # the coset pairs whose quotient reads 0, p^8 = n element pairs each
     qy, qz = np.nonzero(quotient == 0)
-    step = max(1, SCAN_BLOCK // n)  # int64 temporaries
+    step = max(1, SCAN_BLOCK // n)  # about SCAN_BLOCK pairs per block
     for lo in range(0, qy.size, step):
-        y = (np.multiply(qy[lo : lo + step, None], p4, dtype=index) + codes)[:, :, None]
-        x = (np.multiply(qz[lo : lo + step, None], p4, dtype=index) + codes)[:, None, :]
+        y = np.multiply(qy[lo : lo + step, None], p4, dtype=index) + codes
+        x = np.multiply(qz[lo : lo + step, None], p4, dtype=index) + codes
+        y, x = y[:, :, None], x[:, None, :]
         hit = _reachable_pairs(g, f, y, x) & (y != x)
         np.add.at(counts, y[:, :, 0], np.count_nonzero(hit, axis=2))
     bad: list[tuple[int, int]] = []
