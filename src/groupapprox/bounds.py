@@ -9,7 +9,10 @@ endomorphism/affine families of a group of order n gives closed-form
 bounds in the order alone, since |End(G)| <= |G|^(log2 |G|).
 
 The exact value app_F(M1, M2) is found by one decision search, shared by
-``brute_force_app`` here and ``search.worst_case_value`` for groups.
+``brute_force_app`` here and ``search.worst_case_value`` for groups.  The
+search reads a family only through a reader: ``_Rows`` here reads a table
+of rows, and ``morphisms.AffinePairs`` reads a group's affine maps as
+(endomorphism, constant) pairs; the search itself does no group arithmetic.
 """
 
 from __future__ import annotations
@@ -149,24 +152,44 @@ class _Budget(Exception):
     pass
 
 
-def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None,
-             mul=None):
+class _Rows:
+    """A family as the (maps, m1) table of its rows, the reader
+    ``brute_force_app`` and the endomorphism family use.  A reader has
+    ``maps`` and ``m1``, and ``values(x)``, an index of the values position
+    x takes (``slice(None)`` for every value); ``column(x)``, the value of
+    every row at x; ``rows(x, v)``, the rows taking v at x, ascending; and
+    ``row(j)``, the map of row j."""
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.maps, self.m1 = tables.shape
+
+    def values(self, x):
+        return self.tables[:, x]
+
+    def column(self, x):
+        return self.tables[:, x]
+
+    def rows(self, x, v):
+        return np.flatnonzero(self.tables[:, x] == v)
+
+    def row(self, j):
+        return self.tables[j]
+
+
+def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None):
     """Least k such that some g: M1 -> M2 agrees with every family row on
     at most k points, by iterative deepening on k from ``start``.
 
-    tables is the family as an (maps, m1) array of values in 0..m2-1, and
-    start must be a lower bound on the answer.  With ``mul``, the Cayley
-    table of a group on M1 = M2 with identity 0, tables is instead that
-    group's endomorphism table, and the family is its affine maps
-    x -> c * phi_i(x), read as pairs and never built: row i * m2 + c
-    (endomorphism-major) stands for c * phi_i.  pinned maps positions to
-    fixed values of g; each pinned agreement is counted up front.  Each
-    threshold asks "is there a g keeping every family counter <= k?": the
-    free positions are assigned in order of decreasing discrimination
-    (number of distinct family values there, ties by position), values in
-    increasing order, with one agreement counter per family row.  A value
-    is tried as one node, and skipped when some row taking it already
-    agrees at least k times.
+    family is a reader (see ``_Rows``) of maps M1 -> M2 with values in
+    0..m2-1, and start must be a lower bound on the answer.  pinned maps
+    positions to fixed values of g; each pinned agreement is counted up
+    front.  Each threshold asks "is there a g keeping every family counter
+    <= k?": the free positions are assigned in order of decreasing
+    discrimination (number of distinct family values there, ties by
+    position), values in increasing order, with one agreement counter per
+    family row.  A value is tried as one node, and skipped when some row
+    taking it already agrees at least k times.
 
     perms, when given, is a group of permutations of M2 (one per row) whose
     action on values, g -> a o g, maps the family rows onto themselves, so
@@ -199,19 +222,13 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None,
     only the counters.  The buffer starts small and doubles when an
     increment overflows it.
 
-    A depth blocks its values by one gather from its position's column,
-    taken on first entry to the depth, and a (position, value) bucket of
-    rows is listed the first time the value is incremented there; both
-    are kept for the rest of the call.  For a plain family the column is
-    a view of tables (contiguous when tables is column-major), a bucket is
-    ``np.flatnonzero`` over it, and values no row takes (marked once per
-    call) never get one.  For the pairs the column is ``mul.T[phi(x)]``
-    flattened, one m2-run per endomorphism; every value is taken, as the
-    family holds all constants; and bucket (x, v) lists, for each i, the
-    one agreeing constant c = v * phi_i(x)^-1, as
-    ``ldiv[v][phi(x)] + m2 * arange(|End|)`` with ``ldiv[v, w] = v * w^-1``:
-    ascending, and O(|End|) to list.  Counters are the narrowest unsigned
-    type holding m1.
+    A depth blocks its values by one gather from its position's
+    ``column``, taken on first entry to the depth, and a (position, value)
+    bucket of rows is listed by ``rows`` the first time the value is
+    incremented there; both are kept for the rest of the call, so a search
+    may come to hold every column.  Values no row takes at a position
+    (from ``values``, marked once per call) never get a bucket.  Counters
+    are the narrowest unsigned type holding m1.
 
     Returns (k, images, nodes, thresholds, symmetries): images is a g
     reaching k, nodes the search nodes (values tried) over all thresholds,
@@ -220,41 +237,19 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None,
     nodes are needed, k is the threshold the search stopped on, images is
     None and nodes is exactly ``budget``.
     """
-    maps, m1 = tables.shape
+    maps, m1 = family.maps, family.m1
     pinned = pinned or {}
     free = [x for x in range(m1) if x not in pinned]
-    if mul is None:
-        def column(x):
-            return tables[:, x]
-
-        def rows(x, v):
-            return np.flatnonzero(tables[:, x] == v)
-
-        seen = {x: np.zeros(m2, dtype=bool) for x in free}
-        for x in free:
-            seen[x][tables[:, x]] = True
-        positions = sorted(free, key=lambda x: (-np.count_nonzero(seen[x]), x))
-        seen = [seen[x].tobytes() for x in positions]
-    else:
-        right = np.ascontiguousarray(mul.T)  # right[w, c] = c * w
-        inverse = mul.argmin(axis=1)         # where row w holds the identity 0
-        ldiv = mul[:, inverse]               # ldiv[v, w] = v * w^-1
-        offsets = m2 * np.arange(maps)
-
-        # np.take, not a[i]: fancy indexing by a narrow index array is ~2x slower
-        def column(x):
-            return right.take(tables[:, x], axis=0).ravel()
-
-        def rows(x, v):
-            return ldiv[v].take(tables[:, x]) + offsets
-
-        maps *= m2
-        positions, seen = free, None  # every column takes every value
+    seen = {x: np.zeros(m2, dtype=bool) for x in free}
+    for x in free:
+        seen[x][family.values(x)] = True
+    positions = sorted(free, key=lambda x: (-np.count_nonzero(seen[x]), x))
+    seen = [seen[x].tobytes() for x in positions]
     columns = [None] * len(positions)
     buckets = [{} for _ in positions]
     base_counts = np.zeros(maps, dtype=np.min_scalar_type(m1))
     for x, v in pinned.items():
-        base_counts[rows(x, v)] += 1
+        base_counts[family.rows(x, v)] += 1
 
     def symmetry(stab):
         """A stabilizer with its orbit leaders and the values it fixes (its
@@ -281,7 +276,7 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None,
         rows block there, as one byte each."""
         col = columns[i]
         if col is None:
-            col = columns[i] = column(positions[i])
+            col = columns[i] = family.column(positions[i])
         blocked = np.zeros(m2, dtype=bool)
         blocked[col[full]] = True
         return iter(everything if sym is None else sym[1]), blocked.tobytes()
@@ -318,10 +313,10 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None,
                 continue
             assignment[i] = v
             child_size, bucket = size, None
-            if seen is None or seen[i][v]:
+            if seen[i][v]:
                 bucket = buckets[i].get(v)
                 if bucket is None:
-                    bucket = buckets[i][v] = rows(positions[i], v)
+                    bucket = buckets[i][v] = family.rows(positions[i], v)
                 agree = counts[bucket] + 1
                 counts[bucket] = agree
                 reached = bucket[agree == k]
@@ -361,7 +356,10 @@ def _min_max(tables, m2, start, budget=math.inf, pinned=None, perms=None,
 def brute_force_app(m1: int, m2: int, family) -> int:
     """Exact min over all m2^m1 functions of the max agreement with the
     family (m2^m1 <= 10^6).  The search starts at the pigeonhole bound
-    ceil(m1/m2) when the family holds all m2 constant maps, else at 0."""
+    ceil(m1/m2) when the family holds all m2 constant maps, else at 0.
+    A family that is not a nonempty 2-D integer array of length-m1 maps
+    with values in 0..m2-1 is refused with ParameterError; nothing is
+    coerced, so 1.5 or '1' is not read as 1."""
     if m1 < 1 or m2 < 1:
         raise ParameterError("m1 and m2 must be positive")
     if m2**m1 > BRUTE_FORCE_LIMIT:
@@ -369,11 +367,14 @@ def brute_force_app(m1: int, m2: int, family) -> int:
             f"brute force limited to m2^m1 <= {BRUTE_FORCE_LIMIT}, "
             f"got {m2}^{m1}"
         )
-    fam = np.array(list(family), dtype=np.int64, order="F")
+    try:
+        fam = np.array(list(family), order="F")
+    except ValueError as exc:  # ragged rows
+        raise ParameterError(f"family is not an array: {exc}") from None
     if fam.ndim != 2 or fam.shape[0] == 0 or fam.shape[1] != m1:
         raise ParameterError("family must be a nonempty list of length-m1 maps")
-    if fam.min() < 0 or fam.max() >= m2:
-        raise ParameterError("family values must lie in 0..m2-1")
+    if fam.dtype.kind not in "iu" or fam.min() < 0 or fam.max() >= m2:
+        raise ParameterError("family values must be integers in 0..m2-1")
     constants = fam[(fam == fam[:, :1]).all(axis=1), 0]
     start = -(-m1 // m2) if len(np.unique(constants)) == m2 else 0
-    return _min_max(fam, m2, start)[0]
+    return _min_max(_Rows(fam), m2, start)[0]

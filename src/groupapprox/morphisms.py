@@ -26,10 +26,14 @@ index type (-1 marks an image not yet set), and capped at
 ``groups.MAX_TABLE_CELLS`` cells, as is the affine family.
 
 The affine maps x -> c * phi(x) are the pairs (c, phi) of an element and
-an endomorphism, and ``affine_pairs`` hands them out as such: the
-endomorphism table and the Cayley table.  The search and
-``search.approximability`` read the pairs; ``affine_tables`` is the built
-view, one row per pair, kept for callers that want the rows themselves.
+an endomorphism, and ``AffinePairs`` reads them as such, with no table
+built; this is the one module that numbers and evaluates pairs.  Pair
+j = i * n + c (endomorphism-major) is c * phi_i, and the search,
+``search.approximability`` and the built ``affine_tables`` all number the
+family so.  A search or a built table comes to hold every column, so
+``affine_pairs``, which both read, refuses a family past
+``groups.MAX_TABLE_CELLS`` cells; that is the one place the cap is
+checked, and ``approximability``, which reads only buckets, has none.
 
 The table is sorted lexicographically by image tuple, which downstream
 code relies on for determinism.  It, the automorphism table (its
@@ -47,6 +51,7 @@ from .errors import CapacityError, ParameterError
 from .groups import MAX_TABLE_CELLS, GroupCarrier, TableGroup, _per_carrier
 
 __all__ = [
+    "AffinePairs",
     "GroupFunction",
     "affine_pairs",
     "affine_tables",
@@ -190,33 +195,64 @@ def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(orb.tolist()) for orb in np.split(members, starts))
 
 
-def affine_pairs(g: GroupCarrier) -> tuple[np.ndarray, np.ndarray]:
-    """The affine maps x -> c * phi(x) as their pairs (c, phi): the
-    endomorphism table and the carrier's Cayley table, which is how the
-    search reads the family.  A family whose built table would fill more
-    than ``MAX_TABLE_CELLS`` cells is refused, built or not."""
-    endo = endomorphism_tables(g)
-    m, n = endo.shape
-    if n * m * n > MAX_TABLE_CELLS:
+class AffinePairs:
+    """The affine maps of a group as a family reader (see ``bounds._Rows``
+    for the calls): pair j = i * n + c is the map x -> c * phi_i(x), for
+    endomorphism row i and constant c.  Every position takes every value,
+    as the family holds all constants.  Column x is ``mul.T[phi(x)]``
+    flattened, one n-run per endomorphism, and the bucket of (x, v) lists,
+    for each i, the one agreeing constant c = v * phi_i(x)^-1, as
+    ``ldiv[v][phi(x)] + n * arange(|End|)`` with ``ldiv[v, w] = v * w^-1``:
+    ascending, and O(|End|) to list.  Reading it builds no table, so it has
+    no cap; ``affine_pairs`` gives it with the cap checked."""
+
+    def __init__(self, g: GroupCarrier):
+        self.endo, self.mul = endomorphism_tables(g), g.mul_table
+        self.maps, self.m1 = len(self.endo) * g.order, g.order
+        self.right = np.ascontiguousarray(self.mul.T)  # right[w, c] = c * w
+        self.ldiv = self.mul[:, self.mul.argmin(axis=1)]  # ldiv[v, w] = v * w^-1
+        self.offsets = g.order * np.arange(len(self.endo))
+
+    def values(self, x):
+        return slice(None)
+
+    # np.take, not a[i]: fancy indexing by a narrow index array is ~2x slower
+    def column(self, x):
+        return self.right.take(self.endo[:, x], axis=0).ravel()
+
+    def rows(self, x, v):
+        return self.ldiv[v].take(self.endo[:, x]) + self.offsets
+
+    def row(self, j):
+        return self.mul[j % self.m1].take(self.endo[j // self.m1])
+
+
+def affine_pairs(g: GroupCarrier) -> AffinePairs:
+    """The affine maps as their reader, for a search or a built table.
+    Both come to hold every column, so a family whose table would fill
+    more than ``MAX_TABLE_CELLS`` cells is refused: the one place the cap
+    is checked."""
+    family = AffinePairs(g)
+    cells = family.maps * family.m1
+    if cells > MAX_TABLE_CELLS:
         raise CapacityError(
-            f"the affine maps of {g.name} would fill {n * m * n} table cells "
+            f"the affine maps of {g.name} would fill {cells} table cells "
             f"> {MAX_TABLE_CELLS}"
         )
-    return endo, g.mul_table
+    return family
 
 
 @_per_carrier
 def affine_tables(g: GroupCarrier) -> np.ndarray:
-    """Image tables of all affine maps x -> c * phi(x), constant-major:
-    row c * |End| + i is c times endomorphism row i (read-only,
-    column-major).  Distinct (c, phi) give distinct rows since phi(1) = 1
-    forces the map's value at 1 to be c.  This is the built view of the
-    family, for callers that want its rows; the search and
-    ``approximability`` read the pairs instead."""
-    endo, mul = affine_pairs(g)
-    m, n = endo.shape
-    tables = np.empty((n * m, n), dtype=endo.dtype, order="F")
-    for x in range(n):  # column x: c * phi(x) for each c, then each phi
-        tables[:, x] = mul[:, endo[:, x]].ravel()
+    """Image tables of all affine maps x -> c * phi(x), row j = i * n + c
+    being c times endomorphism row i: the columns of ``affine_pairs``, so
+    the reader's numbering (read-only, column-major).  Distinct (c, phi)
+    give distinct rows since phi(1) = 1 forces the map's value at 1 to be
+    c.  This is the built view of the family, for callers that want its
+    rows; the search and ``approximability`` read the pairs instead."""
+    family = affine_pairs(g)
+    tables = np.empty((family.maps, family.m1), dtype=g.index_type, order="F")
+    for x in range(family.m1):
+        tables[:, x] = family.column(x)
     tables.setflags(write=False)
     return tables

@@ -18,10 +18,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bounds import _min_max, worst_case_upper_bounds
+from .bounds import _min_max, _Rows, worst_case_upper_bounds
 from .errors import CapacityError, ParameterError
 from .groups import GroupCarrier, _per_carrier
 from .morphisms import (
+    AffinePairs,
     GroupFunction,
     affine_pairs,
     affine_tables,
@@ -89,35 +90,30 @@ def _check_metric(metric: str) -> None:
 
 def family_tables(g: GroupCarrier, metric: str) -> np.ndarray:
     _check_metric(metric)
-    if metric == "endo":
-        return endomorphism_tables(g)
-    return affine_tables(g)
+    return endomorphism_tables(g) if metric == "endo" else affine_tables(g)
+
+
+def _family(g: GroupCarrier, metric: str):
+    """The family's reader for counting agreements: the endomorphism rows,
+    or the affine pairs with no cap, as reading buckets and rows builds no
+    table (a search reads the capped ``affine_pairs`` instead)."""
+    _check_metric(metric)
+    return _Rows(endomorphism_tables(g)) if metric == "endo" else AffinePairs(g)
 
 
 def approximability(f: GroupFunction, metric: str):
-    """Best agreement count of f with the family, plus a map achieving it
-    (the first such map in canonical family order).
+    """Best agreement count of f with the family, plus a map achieving it:
+    the first such map in family order, the order of ``family_tables``.
 
-    The affine family is read as its pairs (c, phi), with no table built
-    and so no cap on its size: at each x exactly one constant agrees with
-    phi_i there, c = f(x) * phi_i(x)^-1, and that x counts for pair
-    c * |End| + i, the constant-major order of ``affine_tables``."""
-    _check_metric(metric)
-    g = f.group
-    endo = endomorphism_tables(g)
-    if metric == "endo":
-        agree = (endo == f.images).sum(axis=1)
-        j = int(np.argmax(agree))
-        return int(agree[j]), GroupFunction(g, endo[j])
-    m, n = endo.shape
-    agree = np.zeros(n * m, dtype=np.min_scalar_type(n))
-    pairs = np.arange(m)
-    for x in range(n):
-        constants = g.mul_many(f.images[x], g.inv_many(endo[:, x]))
-        agree[constants.astype(np.intp) * m + pairs] += 1
+    Argument x counts for every member in the bucket ``rows(x, f(x))`` of
+    the family's reader, which for the affine pairs is one constant per
+    endomorphism; the family is read, not built, so no cap applies."""
+    family = _family(f.group, metric)
+    agree = np.zeros(family.maps, dtype=np.min_scalar_type(family.m1))
+    for x, v in enumerate(f.images.tolist()):
+        agree[family.rows(x, v)] += 1
     j = int(np.argmax(agree))
-    c, i = divmod(j, m)
-    return int(agree[j]), GroupFunction(g, g.mul_many(c, endo[i]))
+    return int(agree[j]), GroupFunction(f.group, family.row(j))
 
 
 # --------------------------------------------------------------------------
@@ -260,16 +256,12 @@ def worst_case_value(
     if budget < 0:
         raise ParameterError(f"the search budget must be >= 0, got {budget}")
     t0 = time.perf_counter()
-    if metric == "endo":
-        tables, mul = endomorphism_tables(g), None
-    else:
-        tables, mul = affine_pairs(g)
-    n = g.order
+    family = _Rows(endomorphism_tables(g)) if metric == "endo" else affine_pairs(g)
     lb = lower_bound_certificates(g)[metric]
-    pinned = {0: 0} if metric == "affine" and n > 1 else None
+    pinned = {0: 0} if metric == "affine" and g.order > 1 else None
     k, images, nodes, thresholds, symmetries = _min_max(
-        tables, n, lb.value, budget=budget, pinned=pinned,
-        perms=automorphism_tables(g), mul=mul,
+        family, g.order, lb.value, budget=budget, pinned=pinned,
+        perms=automorphism_tables(g),
     )
     stats = SearchStats(
         nodes=nodes, elapsed=time.perf_counter() - t0, thresholds=thresholds,
@@ -291,14 +283,15 @@ def difference_criterion(f: GroupFunction, x_set) -> GroupFunction | None:
     f agrees with some affine map on X iff some endomorphism phi satisfies
     phi(y^-1 x) = f(y)^-1 f(x) for all y in X, with x in X fixed; the
     witness is then x -> (f(x) phi(x)^-1) * phi(.).  x is pinned to min(X)
-    and the first qualifying endomorphism (lex order) is returned.
+    and the first qualifying endomorphism (lex order) is returned.  x_set
+    is any nonempty iterable of element indices, read through the
+    carrier's one element check; anything else raises ParameterError.
     """
     g = f.group
-    xs = sorted({int(x) for x in x_set})
+    xs = list(x_set)
     if not xs:
         raise ParameterError("x_set must be nonempty")
-    if xs[0] < 0 or xs[-1] >= g.order:
-        raise ParameterError("x_set entries must be element indices")
+    xs = np.unique(g._elements(xs)).tolist()
     x0 = xs[0]
     fx0 = f.images[x0]
     cols = g.mul_many(g.inv_many(xs), x0)

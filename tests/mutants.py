@@ -1,0 +1,153 @@
+"""The mutant gate: every known mutant of a hot layer must fail its tests.
+
+Each entry of ``MUTANTS`` is a mutant: a name, a file under ``src/``, the
+exact text it replaces (which must occur there exactly once), the new
+text, and the test files that must fail with it.  The gate copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
+checks that every listed test file passes there unmutated, and then, one
+mutant at a time, applies it to the copy, runs its test files and puts
+the file back.  It never edits a test.
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 1 if a mutant survives (its tests
+all pass), if its old text is not found exactly once, or if the unmutated
+tests fail; else 0.  A survivor is a missing test.  pytest does not
+collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+BOUNDS = "src/groupapprox/bounds.py"
+JK = "src/groupapprox/jk.py"
+MORPHISMS = "src/groupapprox/morphisms.py"
+
+# (name, file, old text, new text, test files that must fail)
+MUTANTS = (
+    (
+        "affine pairs: bucket constant v * w, not v * w^-1",
+        MORPHISMS,
+        "self.ldiv = self.mul[:, self.mul.argmin(axis=1)]",
+        "self.ldiv = self.mul",
+        ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "affine pairs: row(j) reads i and c swapped",
+        MORPHISMS,
+        "return self.mul[j % self.m1].take(self.endo[j // self.m1])",
+        "return self.mul[j // self.m1].take(self.endo[j % self.m1])",
+        ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "plain rows: every position reported to take every value",
+        BOUNDS,
+        "    def values(self, x):\n        return self.tables[:, x]",
+        "    def values(self, x):\n        return slice(None)",
+        ("tests/test_bounds.py",),
+    ),
+    (
+        "J(p, lambda) class scan: diagonal left on its rows",
+        JK,
+        "hit @ weights - hit.diagonal(lo)",
+        "hit @ weights",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) class scan: pairs whose quotient reads 0 counted",
+        JK,
+        "hit = ((qe == 0) | (qe == qd)) & (qd != 0)",
+        "hit = (qe == 0) | (qe == qd)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) class scan: class sizes not weighed",
+        JK,
+        "hit @ weights - hit.diagonal(lo)",
+        "hit.sum(axis=1) - hit.diagonal(lo)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) central pass: the diagonal pairs (y, y) kept",
+        JK,
+        "hit = _reachable_pairs(g, f, y, x) & (y != x)",
+        "hit = _reachable_pairs(g, f, y, x)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "enumeration: no edge of a newly reached element checked",
+        MORPHISMS,
+        "ok &= cols[y] == image",
+        "pass",
+        ("tests/test_morphisms.py",),
+    ),
+    (
+        "enumeration: new elements' edges by the new generator only",
+        MORPHISMS,
+        "for s in gens if i >= old else (t,):",
+        "for s in (t,):",
+        ("tests/test_morphisms.py",),
+    ),
+)
+
+
+def _passes(copy: Path, files) -> bool:
+    """Whether the test files all pass in the copy (stopping at the first
+    failure)."""
+    # no bytecode cache: a mutant and its restore may share an mtime
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *files],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    return proc.returncode == 0
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for folder in ("src", "tests"):
+            shutil.copytree(ROOT / folder, copy / folder, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        files = sorted({f for mutant in MUTANTS for f in mutant[4]})
+        if not _passes(copy, files):
+            print(f"the unmutated tests fail: {' '.join(files)}")
+            return 1
+        failures = 0
+        for name, path, old, new, tests in MUTANTS:
+            target = copy / path
+            text = target.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"STALE     {name}: old text found {text.count(old)} "
+                      f"times in {path}")
+                failures += 1
+                continue
+            target.write_text(text.replace(old, new), encoding="utf-8")
+            t0 = time.perf_counter()
+            try:
+                survived = _passes(copy, tests)
+            finally:
+                target.write_text(text, encoding="utf-8")
+            verdict = "SURVIVED" if survived else "killed  "
+            print(f"{verdict}  {name} ({time.perf_counter() - t0:.1f} s)")
+            failures += survived
+    print(f"{len(MUTANTS)} mutants, {failures} not killed, "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ from groupapprox import (
     enumerate_endomorphisms,
     worst_case_upper_bounds,
 )
-from groupapprox.bounds import _min_max, ball_size, circle_size
+from groupapprox.bounds import _min_max, _Rows, ball_size, circle_size
 
 from _oracles import brute_app_tiny, max_agreement
 
@@ -176,7 +176,7 @@ def test_brute_force_app_wide_codomain():
     # and (c, c+1) block 0 and 1 at the second position once the first is
     # 0, and passing down the rows of another value would not
     family = [[c, c] for c in range(m2)] + [[c, (c + 1) % m2] for c in range(m2)]
-    k, images, _, thresholds, _ = _min_max(np.array(family), m2, 0)
+    k, images, _, thresholds, _ = _min_max(_Rows(np.array(family)), m2, 0)
     assert (k, images, thresholds) == (1, (0, 2), (0, 1))
 
 
@@ -184,7 +184,7 @@ def test_counters_hold_the_domain_size():
     # the one row agrees everywhere, so k reaches 300: a uint8 counter
     # would wrap to 0 and end the search early, at k = 256
     k, images, nodes, thresholds, _ = _min_max(
-        np.zeros((1, 300), dtype=np.int64), 1, 0
+        _Rows(np.zeros((1, 300), dtype=np.int64)), 1, 0
     )
     assert (k, nodes, thresholds) == (300, 45_450, tuple(range(301)))
     assert images == (0,) * 300
@@ -204,11 +204,34 @@ def test_brute_force_family_pins(seed, shape, m2, start, pinned, expected):
     # order and the skip rule alone
     family = np.random.default_rng(seed).integers(0, m2, size=shape)
     k, images, nodes, thresholds, symmetries = _min_max(
-        family, m2, start, pinned=pinned
+        _Rows(family), m2, start, pinned=pinned
     )
     assert (k, images, nodes, thresholds) == expected
     assert symmetries == 1
     assert max_agreement(images, family) == k
+
+
+def test_positions_taking_more_values_go_first():
+    # position 1 takes three values and position 0 one, so position 1 is
+    # assigned first: 3 + 3 nodes, where index order would take 9 + 6
+    family = _Rows(np.array([[0, 0], [0, 1], [0, 2]]))
+    assert _min_max(family, 3, 0) == (1, (1, 0), 6, (0, 1), 1)
+
+
+def test_brute_force_app_refuses_maps_that_are_not_integer_arrays():
+    # floats and strings used to be coerced to int (1.5 read as 1), and
+    # ragged rows raised a bare ValueError
+    for family in (
+        [[0, 1.5], [1, 1], [0, 0]],
+        [["0", "1"], [1, 1], [0, 0]],
+        [["0", "1"], ["1", "1"], ["0", "0"]],
+        [[0, 1], [1], [0, 0]],
+    ):
+        with pytest.raises(ParameterError):
+            brute_force_app(2, 2, family)
+    for dtype in (np.uint8, np.int16, np.int64):
+        family = np.array([[0, 1], [1, 1], [0, 0]], dtype=dtype)
+        assert brute_force_app(2, 2, family) == 1
 
 
 def test_brute_force_app_validation():

@@ -58,6 +58,7 @@ PRIVATE_IMPORTS = {
     ("morphisms", "groups", "_per_carrier"),
     ("reporting", "groups", "_spec_files"),
     ("search", "bounds", "_min_max"),
+    ("search", "bounds", "_Rows"),
     ("search", "groups", "_per_carrier"),
     ("witnesses", "groups", "_dense"),
     ("witnesses", "groups", "_is_prime"),

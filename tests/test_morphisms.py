@@ -22,7 +22,9 @@ from groupapprox import (
     twist_function,
     universal_elements,
 )
+from groupapprox.bounds import _Rows
 from groupapprox.morphisms import (
+    AffinePairs,
     _bijective,
     affine_tables,
     automorphism_tables,
@@ -136,16 +138,74 @@ def test_enumeration_is_lexicographic_with_zero_map_first():
         assert images[0] == [0] * g.order
 
 
-def test_affine_maps_are_constant_major():
+def test_affine_maps_are_endomorphism_major():
     g = cached_group("sym(3)")
     endos = endomorphism_tables(g).tolist()
     tables = affine_tables(g).tolist()
     assert len(tables) == g.order * len(endos)
     for c in range(g.order):
         for i, row in enumerate(endos):
-            assert tables[c * len(endos) + i] == [g.mul(c, v) for v in row]
+            assert tables[i * g.order + c] == [g.mul(c, v) for v in row]
     # distinct (constant, endomorphism) pairs give distinct maps
     assert len({tuple(t) for t in tables}) == len(tables)
+
+
+def _rows_in_reader_order(g, metric):
+    """The family's rows from the oracles, in the readers' numbering."""
+    n = g.order
+    # brute_endomorphisms filters all n^n maps: 16.7M rows (about 1 GB) at
+    # order 8, where the row-major reference enumeration stands in
+    if n <= 6:
+        endos = brute_endomorphisms(table_of(g))
+    else:
+        endos = endomorphism_tables_by_rows(g).astype(np.int64)
+    endos = endos[np.lexsort(endos.T[::-1])]
+    if metric == "endo":
+        return endos
+    # brute_affine is constant-major, c * |End| + i; pair j = i * n + c
+    affine = brute_affine(table_of(g), endos)
+    return affine.reshape(n, len(endos), n).swapaxes(0, 1).reshape(-1, n)
+
+
+READER_SPECS = ("cyclic(4)", "sym(3)", "dicyclic(8)", "elemabelian(2,3)")
+
+
+@pytest.mark.parametrize("metric", ("endo", "affine"))
+@pytest.mark.parametrize("spec", READER_SPECS)
+def test_family_readers_match_the_oracles(spec, metric):
+    g = cached_group(spec)
+    n = g.order
+    oracle = _rows_in_reader_order(g, metric)
+    if metric == "endo":
+        family = _Rows(endomorphism_tables(g))
+    else:
+        family = AffinePairs(g)
+    assert (family.maps, family.m1) == oracle.shape
+    for x in range(n):
+        col = oracle[:, x]
+        assert family.column(x).tolist() == col.tolist(), x
+        taken = np.zeros(n, dtype=bool)
+        taken[family.values(x)] = True
+        assert np.flatnonzero(taken).tolist() == np.unique(col).tolist(), x
+        for v in range(n):
+            expected = np.flatnonzero(col == v).tolist()
+            assert family.rows(x, v).tolist() == expected, (x, v)
+    for j in range(family.maps):
+        assert family.row(j).tolist() == oracle[j].tolist(), j
+
+
+@pytest.mark.parametrize("metric", ("endo", "affine"))
+@pytest.mark.parametrize("spec", READER_SPECS)
+def test_approximability_returns_the_first_best_in_family_order(spec, metric):
+    g = cached_group(spec)
+    oracle = _rows_in_reader_order(g, metric)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        f = GroupFunction(g, rng.integers(0, g.order, size=g.order))
+        agree = (oracle == f.images).sum(axis=1)
+        value, member = approximability(f, metric)
+        assert value == agree.max()
+        assert member.images.tolist() == oracle[np.argmax(agree)].tolist()
 
 
 def test_results_are_cached_on_the_carrier():

@@ -25,7 +25,7 @@ from groupapprox import (
     universal_elements,
     worst_case_value,
 )
-from groupapprox.bounds import _min_max
+from groupapprox.bounds import _min_max, _Rows
 from groupapprox.jk import jk_group
 from groupapprox.morphisms import (
     affine_tables,
@@ -280,7 +280,9 @@ def test_orbit_pruning_matches_brute_force_unpinned():
         auts = endos[(np.sort(endos, axis=1) == np.arange(g.order)).all(axis=1)]
         for metric in METRICS:
             fam = _oracle_family(g, metric)
-            k, images, _, _, symmetries = _min_max(fam, g.order, 0, perms=auts)
+            k, images, _, _, symmetries = _min_max(
+                _Rows(fam), g.order, 0, perms=auts
+            )
             assert k == brute_worst_case(g.order, fam), (spec, metric)
             assert max_agreement(images, fam) == k, (spec, metric)
             assert symmetries == len(auts)
@@ -296,9 +298,9 @@ def test_orbit_pruning_keeps_values_and_witnesses(metric):
         pinned = {0: 0} if metric == "affine" and g.order > 1 else None
         auts = automorphism_tables(g)
         k, images, nodes, thresholds, symmetries = _min_max(
-            tables, g.order, start, pinned=pinned, perms=auts
+            _Rows(tables), g.order, start, pinned=pinned, perms=auts
         )
-        plain = _min_max(tables, g.order, start, pinned=pinned)
+        plain = _min_max(_Rows(tables), g.order, start, pinned=pinned)
         assert (k, images, thresholds) == (plain[0], plain[1], plain[3]), g.name
         assert nodes <= plain[2], g.name
         assert plain[4] == 1
@@ -461,13 +463,14 @@ def test_capped_large_search_builds_no_affine_table():
     ("heis(3)", 2_000),
 ])
 def test_affine_pairs_search_matches_the_built_table(spec, budget):
-    # the plain search over the built table is the oracle: the pairs
-    # number their rows differently, and nothing else may differ
+    # the plain search over the built table is the oracle: both number
+    # pair (c, phi_i) as i * n + c, the table's buckets are found by
+    # flatnonzero and the pairs' by ldiv, and nothing may differ
     g = cached_group(spec)
     start = lower_bound_certificates(g)["affine"].value
     pinned = {0: 0} if g.order > 1 else None
     k, images, nodes, thresholds, _ = _min_max(
-        affine_tables(g), g.order, start, budget=budget, pinned=pinned,
+        _Rows(affine_tables(g)), g.order, start, budget=budget, pinned=pinned,
         perms=automorphism_tables(g),
     )
     cert = worst_case_value(g, "affine", budget=budget)
@@ -481,7 +484,7 @@ def test_affine_pairs_search_matches_the_built_table(spec, budget):
 
 
 def test_affine_approximability_matches_the_built_table():
-    # agreement and map, the first best in constant-major table order
+    # agreement and map, the first best in the built table's row order
     rng = np.random.default_rng(3)
     for spec in ("elemabelian(2,4)", "elemabelian(3,3)", "dihedral(12)", "alt(4)"):
         g = cached_group(spec)
@@ -559,6 +562,18 @@ def test_difference_criterion_input_validation():
         difference_criterion(f, [])
     with pytest.raises(ParameterError):
         difference_criterion(f, [4])
+
+
+def test_difference_criterion_reads_x_set_as_element_indices():
+    # int(x) used to read 1.5 and '1' as the element 1 and return a map
+    g = cached_group("cyclic(4)")
+    f = GroupFunction(g, (0, 0, 0, 0))
+    for x_set in ([1.5], ["1"], [0, 2.0]):
+        with pytest.raises(ParameterError, match="element indices"):
+            difference_criterion(f, x_set)
+    # any iterable of indices, repeats and order aside
+    for x_set in ({3, 1}, (1, 3, 1), np.array([3, 1], dtype=np.uint8)):
+        assert difference_criterion(f, x_set).images.tolist() == [0] * 4
 
 
 # --------------------------------------------------------------------------
