@@ -300,9 +300,8 @@ def difference_criterion(f: GroupFunction, x_set) -> GroupFunction | None:
     hits = np.flatnonzero((tables[:, cols] == want).all(axis=1))
     if not hits.size:
         return None
-    endo = tables[hits[0]]
-    constant = g.mul_many(fx0, g.inv_many(endo[x0]))
-    return GroupFunction(g, g.mul_many(constant, endo))
+    pairs = AffinePairs(g)  # the pair of that phi agreeing with f at x
+    return GroupFunction(g, pairs.row(pairs.rows(x0, fx0)[hits[0]]))
 
 
 def enapp_zero_witness(g: GroupCarrier) -> GroupFunction | None:
