@@ -177,7 +177,8 @@ class _Rows:
         return self.tables[j]
 
 
-def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None):
+def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
+             translations=None):
     """Least k such that some g: M1 -> M2 agrees with every family row on
     at most k points, by iterative deepening on k from ``start``.
 
@@ -200,12 +201,36 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None):
     itself when S fixes v.  Each stabilizer's orbit leaders are found once,
     when it is made, and it is dropped once it is the identity alone.
 
+    translations, when given, is (maps, anchors, quotient): a row rho of
+    maps permutes M1, its anchor is a position and quotient an m2 x m2
+    table, such that sigma(g): x -> quotient[g(anchor), g(rho(x))] keeps
+    the pinned values and agrees with the family as often as g (for the
+    affine maps of a group, g(a)^-1 g(a x) for a left translation by a;
+    see ``morphisms.AffinePairs.translations``).  These are lex-leader
+    constraints on the search order (Crawford, Ginsberg, Luks, Roy, KR
+    1996): a value is rejected, as one node, as soon as some sigma(g) is
+    decidably lex-smaller than g.  Comparing sigma(g) with g at depth c
+    needs g at depth c's position, at the anchor and at rho of that
+    position, so it becomes decidable at the deepest of their depths, and
+    each map waits, with the depth c of its next comparison, in the list
+    of the depth where that comparison becomes decidable.  A value tried at
+    depth i runs the maps filed at i: each compares on while it can decide,
+    a smaller sigma(g) rejects the value, a larger one drops the map below
+    it, and an equal prefix files it at the depth its next comparison
+    needs.  Those filings are undone when the value is rejected or left,
+    so no node scans all maps, and without translations no map is filed.
+
     This removes only duplicate subtrees.  Without pruning the search
     returns the lexicographically least feasible g in search order.  For
     every a in S, a o g is feasible with the same prefix, so g's next value
     is at most its image under a: it is least in its S-orbit, and no prefix
-    of g is pruned.  So k and images are those of the unpruned search, and
-    only node counts change.
+    of g is pruned.  Each sigma(g) is feasible too, so it is not
+    lex-smaller than g, and no comparison rejects a prefix of g.  So k and
+    images are those of the unpruned search, and only node counts change.
+    For the affine translations sigma_rho o sigma_rho' = sigma_(rho' rho),
+    and sigma commutes with g -> a o g, so in the same way every orbit of
+    the group both prunings generate keeps its lex-least member: only
+    duplicates go.
 
     The search is depth-first on an explicit stack of the depths above the
     current one, so it goes as deep as m1 whatever Python's recursion
@@ -271,6 +296,53 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None):
     nodes = 0
     k = start
 
+    filed_first = files = None
+    if translations is not None and positions:
+        rho, anchors, quotient = translations
+        rank = np.full(m1, -1)
+        rank[positions] = np.arange(len(positions))
+        need = np.maximum(rank[anchors], rank[rho[:, positions[0]]]).clip(0)
+        filed_first = [[] for _ in positions]
+        for row, anchor, d in zip(rho.tolist(), anchors.tolist(), need.tolist()):
+            filed_first[d].append((row, anchor, 0))
+        rank = rank.tolist()
+        quotient = quotient.tolist()
+        value = [0] * m1
+        for x, v in pinned.items():
+            value[x] = v
+
+    def translate(i, v):
+        """Whether g with v at depth i passes every comparison that becomes
+        decidable at depth i: the depths where it filed maps further, or
+        None when some translate of g is lex-smaller.  A map is filed as
+        (rho, its anchor, the depth it compares next); after its first
+        comparison the anchor is known, so the next one waits only for its
+        own depth and for rho of that depth's position."""
+        value[positions[i]] = v
+        filed = []
+        for row, anchor, c in files[i]:
+            shift = quotient[value[anchor]]
+            while True:
+                x = positions[c]
+                s, w = shift[value[row[x]]], value[x]
+                if s != w:
+                    break
+                c += 1
+                if c > last:
+                    break
+                d = rank[row[positions[c]]]
+                if d < c:
+                    d = c
+                if d > i:
+                    files[d].append((row, anchor, c))
+                    filed.append(d)
+                    break
+            if s < w:
+                for d in filed:
+                    files[d].pop()
+                return None
+        return filed
+
     def enter(i, full, sym):
         """An iterator over depth i's values and the values its ``full``
         rows block there, as one byte each."""
@@ -283,17 +355,20 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None):
 
     def feasible(counts) -> bool:
         """Depth-first over the positions, the current depth in locals.
-        Going down pushes it on a stack with its length of ``full`` and the
-        bucket its value incremented (None when no row takes the value);
-        coming back up pops it and undoes that increment."""
-        nonlocal nodes
+        Going down pushes it on a stack with its length of ``full``, the
+        bucket its value incremented (None when no row takes the value) and
+        the depths its value filed maps at; coming back up pops it and
+        undoes that increment and those filings."""
+        nonlocal nodes, files
         if not positions:
             return True
+        if filed_first is not None:
+            files = [list(entries) for entries in filed_first]
         reached = np.flatnonzero(counts >= k)
         size = len(reached)
         full = np.empty(2 * size + 256, dtype=np.intp)
         full[:size] = reached
-        i, sym = 0, root
+        i, sym, filed = 0, root, ()
         values, blocked = enter(0, full[:size], sym)
         stack = []
         while True:
@@ -301,15 +376,19 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None):
                 if nodes >= budget:
                     raise _Budget
                 nodes += 1
-                if not blocked[v]:
+                if not blocked[v] and (
+                    files is None or (filed := translate(i, v)) is not None
+                ):
                     break
             else:
                 if not stack:
                     return False
                 i -= 1
-                values, blocked, size, sym, bucket = stack.pop()
+                values, blocked, size, sym, bucket, filed = stack.pop()
                 if bucket is not None:
                     counts[bucket] -= 1
+                for d in filed:
+                    files[d].pop()
                 continue
             assignment[i] = v
             child_size, bucket = size, None
@@ -328,7 +407,7 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None):
                 full[size:child_size] = reached
             if i == last:
                 return True
-            stack.append((values, blocked, size, sym, bucket))
+            stack.append((values, blocked, size, sym, bucket, filed))
             if sym is not None:
                 stab, _, fixed = sym
                 if not fixed[v]:

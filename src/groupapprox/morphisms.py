@@ -43,6 +43,7 @@ memoized per carrier by ``groups._per_carrier``, the one cache.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,14 +205,20 @@ class AffinePairs:
     for each i, the one agreeing constant c = v * phi_i(x)^-1, as
     ``ldiv[v][phi(x)] + n * arange(|End|)`` with ``ldiv[v, w] = v * w^-1``:
     ascending, and O(|End|) to list.  Reading it builds no table, so it has
-    no cap; ``affine_pairs`` gives it with the cap checked."""
+    no cap; ``affine_pairs`` gives it with the cap checked.  It also lists
+    the family's position symmetries for the search (``translations``)."""
 
     def __init__(self, g: GroupCarrier):
         self.endo, self.mul = endomorphism_tables(g), g.mul_table
         self.maps, self.m1 = len(self.endo) * g.order, g.order
-        self.right = np.ascontiguousarray(self.mul.T)  # right[w, c] = c * w
         self.ldiv = self.mul[:, self.mul.argmin(axis=1)]  # ldiv[v, w] = v * w^-1
         self.offsets = g.order * np.arange(len(self.endo))
+
+    @functools.cached_property
+    def right(self):
+        """right[w, c] = c * w, built on the first ``column`` call: a
+        reader that lists only buckets and rows never holds it."""
+        return np.ascontiguousarray(self.mul.T)
 
     def values(self, x):
         return slice(None)
@@ -225,6 +232,19 @@ class AffinePairs:
 
     def row(self, j):
         return self.mul[j % self.m1].take(self.endo[j // self.m1])
+
+    def translations(self):
+        """The position symmetries of the family for ``bounds._min_max``,
+        as (maps, anchors, quotient): row t of maps is a left translation
+        rho(x) = a * x for a != 1, anchors[t] = rho(1) = a, and
+        quotient[u, v] = u^-1 * v.  The family is closed under g -> g o rho,
+        as c * phi(a x) = (c phi(a)) phi(x), and under g -> u * g, so the
+        search may prune by g(a)^-1 g(a x).  The right translations, and so
+        the two-sided ones, keep the family too, but their n * |Inn(G)|
+        maps cost more per search node than they save on searches that end
+        on their node budget."""
+        mul, n = self.mul, self.m1
+        return mul[1:], np.arange(1, n), mul[mul.argmin(axis=1)]
 
 
 def affine_pairs(g: GroupCarrier) -> AffinePairs:

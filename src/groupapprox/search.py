@@ -249,7 +249,12 @@ def worst_case_value(
     no such invariance (a forced f(1) = 1 would give every endomorphism a
     free agreement) and is searched unnormalized.  Both families are closed
     under f -> a o f for every automorphism a (a o (c phi) = a(c) (a o phi)),
-    so the search tries only automorphism-orbit leaders as values.  A
+    so the search tries only automorphism-orbit leaders as values.  The
+    affine family is also closed under f -> f(a)^-1 f(a .) for every
+    element a, which keeps f(1) = 1, so the affine search takes the
+    reader's ``translations`` and drops f as soon as one of those
+    translates is lex-smaller in search order.  Both prunings keep the
+    least feasible f, so only node counts change.  A
     negative budget raises ParameterError.
     """
     _check_metric(metric)
@@ -258,10 +263,12 @@ def worst_case_value(
     t0 = time.perf_counter()
     family = _Rows(endomorphism_tables(g)) if metric == "endo" else affine_pairs(g)
     lb = lower_bound_certificates(g)[metric]
-    pinned = {0: 0} if metric == "affine" and g.order > 1 else None
+    pinned = translations = None
+    if metric == "affine" and g.order > 1:
+        pinned, translations = {0: 0}, family.translations()
     k, images, nodes, thresholds, symmetries = _min_max(
         family, g.order, lb.value, budget=budget, pinned=pinned,
-        perms=automorphism_tables(g),
+        perms=automorphism_tables(g), translations=translations,
     )
     stats = SearchStats(
         nodes=nodes, elapsed=time.perf_counter() - t0, thresholds=thresholds,

@@ -48,17 +48,6 @@ def cube_associative(table) -> bool:
     return bool((T[T] == T[:, T]).all())
 
 
-def brute_endomorphisms(table: np.ndarray) -> np.ndarray:
-    """All endomorphism image tables, by filtering every candidate map."""
-    n = table.shape[0]
-    cands = np.array(list(itertools.product(range(n), repeat=n)), dtype=np.int64)
-    keep = cands[:, 0] == 0
-    for x in range(n):
-        for y in range(n):
-            keep &= cands[:, table[x, y]] == table[cands[:, x], cands[:, y]]
-    return cands[keep]
-
-
 def endomorphism_tables_by_rows(g) -> np.ndarray:
     """Image tables of all endomorphisms of a dense carrier, one row per
     map, in lexicographic order (read-only, column-major), from a row-major
@@ -184,15 +173,16 @@ def brute_app_tiny(m1: int, m2: int, family) -> int:
     return best
 
 
-def brute_automorphisms(table: np.ndarray, gens) -> np.ndarray:
-    """All automorphism image tables, by trying every tuple of images for
-    ``gens`` and keeping the bijective homomorphisms.
+def brute_endomorphisms(table: np.ndarray, gens) -> np.ndarray:
+    """All endomorphism image tables in lexicographic order, by trying
+    every tuple of images for ``gens`` and keeping the homomorphisms.
 
     Each element is reached from the identity by a word in ``gens`` (a
     breadth-first spanning tree of the Cayley graph), so a tuple of
     generator images fixes a unique candidate map; the candidate is kept
-    when it respects every product and is a bijection.  This costs
-    n^len(gens) candidates instead of the n^n of ``brute_endomorphisms``.
+    when it respects every one of the n^2 products.  This costs
+    n^len(gens) candidates instead of the n^n maps of a filter over every
+    map, and uses neither element orders nor a choice of edges to check.
     """
     table = np.asarray(table, dtype=np.int64)
     n = table.shape[0]
@@ -208,16 +198,25 @@ def brute_automorphisms(table: np.ndarray, gens) -> np.ndarray:
                 order.append(y)
     if len(order) != n:
         raise ValueError("gens do not generate the group")
-    keep = []
-    for imgs in itertools.product(range(n), repeat=len(gens)):
-        phi = np.empty(n, dtype=np.int64)
-        phi[ident] = ident
-        for x in order[1:]:
-            phi[x] = table[phi[parent[x]], imgs[via[x]]]
-        bijective = len(set(phi.tolist())) == n
-        if bijective and (phi[table] == table[phi[:, None], phi[None, :]]).all():
-            keep.append(phi)
-    return np.array(keep, dtype=np.int64).reshape(-1, n)
+    imgs = np.array(list(itertools.product(range(n), repeat=len(gens))),
+                    dtype=np.int64).reshape(-1, len(gens))
+    phi = np.empty((len(imgs), n), dtype=np.int64)
+    phi[:, ident] = ident
+    for x in order[1:]:
+        phi[:, x] = table[phi[:, parent[x]], imgs[:, via[x]]]
+    keep = np.ones(len(phi), dtype=bool)
+    for x in range(n):  # phi(x y) = phi(x) phi(y) for every y
+        keep &= (phi[:, table[x]] == table[phi[:, [x]], phi]).all(axis=1)
+    endos = phi[keep]
+    return endos[np.lexsort(endos.T[::-1])]
+
+
+def brute_automorphisms(table: np.ndarray, gens) -> np.ndarray:
+    """All automorphism image tables: the bijective rows of
+    ``brute_endomorphisms``, in its order."""
+    endos = brute_endomorphisms(table, gens)
+    n = endos.shape[1]
+    return endos[(np.sort(endos, axis=1) == np.arange(n)).all(axis=1)]
 
 
 def orbits_under(maps: np.ndarray) -> set[frozenset[int]]:

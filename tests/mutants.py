@@ -56,6 +56,43 @@ MUTANTS = (
         ("tests/test_bounds.py",),
     ),
     (
+        "translations: the value table read as the identity (no re-pinning)",
+        BOUNDS,
+        "quotient = quotient.tolist()",
+        "quotient = [list(range(m2))] * m2",
+        ("tests/test_search.py",),
+    ),
+    (
+        "translations: pruned when the translate is lex-larger",
+        BOUNDS,
+        "            if s < w:\n",
+        "            if s > w:\n",
+        ("tests/test_search.py",),
+    ),
+    (
+        "translations: a tied map not filed for its next comparison",
+        BOUNDS,
+        "files[d].append((row, anchor, c))",
+        "pass",
+        ("tests/test_search.py",),
+    ),
+    (
+        "translations: filings not undone on backtrack",
+        BOUNDS,
+        "                for d in filed:\n                    files[d].pop()\n"
+        "                continue",
+        "                continue",
+        ("tests/test_search.py",),
+    ),
+    (
+        "translations: filings not undone when a value is rejected",
+        BOUNDS,
+        "                for d in filed:\n                    files[d].pop()\n"
+        "                return None",
+        "                return None",
+        ("tests/test_search.py",),
+    ),
+    (
         "J(p, lambda) class scan: diagonal left on its rows",
         JK,
         "hit @ weights - hit.diagonal(lo)",

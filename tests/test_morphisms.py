@@ -66,7 +66,8 @@ SMALL_SPECS = [
 def test_endomorphisms_match_brute_force_filter():
     for spec in SMALL_SPECS:
         g = cached_group(spec)
-        expected = sorted(tuple(row) for row in brute_endomorphisms(table_of(g)))
+        endos = brute_endomorphisms(table_of(g), g.generators)
+        expected = sorted(tuple(row) for row in endos)
         got = [tuple(m.images.tolist()) for m in enumerate_endomorphisms(g)]
         assert got == expected, spec
 
@@ -74,7 +75,8 @@ def test_endomorphisms_match_brute_force_filter():
 def test_affine_tables_match_brute_force():
     for spec in ("cyclic(4)", "sym(3)"):
         g = cached_group(spec)
-        expected = brute_affine(table_of(g), brute_endomorphisms(table_of(g)))
+        endos = brute_endomorphisms(table_of(g), g.generators)
+        expected = brute_affine(table_of(g), endos)
         got = affine_tables(g)
         assert sorted(map(tuple, expected)) == sorted(map(tuple, got)), spec
 
@@ -153,13 +155,7 @@ def test_affine_maps_are_endomorphism_major():
 def _rows_in_reader_order(g, metric):
     """The family's rows from the oracles, in the readers' numbering."""
     n = g.order
-    # brute_endomorphisms filters all n^n maps: 16.7M rows (about 1 GB) at
-    # order 8, where the row-major reference enumeration stands in
-    if n <= 6:
-        endos = brute_endomorphisms(table_of(g))
-    else:
-        endos = endomorphism_tables_by_rows(g).astype(np.int64)
-    endos = endos[np.lexsort(endos.T[::-1])]
+    endos = brute_endomorphisms(table_of(g), g.generators)
     if metric == "endo":
         return endos
     # brute_affine is constant-major, c * |End| + i; pair j = i * n + c
@@ -192,6 +188,27 @@ def test_family_readers_match_the_oracles(spec, metric):
             assert family.rows(x, v).tolist() == expected, (x, v)
     for j in range(family.maps):
         assert family.row(j).tolist() == oracle[j].tolist(), j
+
+
+@pytest.mark.parametrize("spec", (*READER_SPECS, "dihedral(12)", "alt(4)"))
+def test_affine_translations_are_the_left_translations(spec):
+    # every x -> a x but the identity, once each, anchored at rho(1) = a;
+    # the search's translation pruning rests on the family being closed
+    # under f -> f o rho and f -> f(rho(1))^-1 f(rho(.)) for each of them
+    g = cached_group(spec)
+    n = g.order
+    table = table_of(g)
+    inverse = table.argmin(axis=1)
+    maps, anchors, quotient = AffinePairs(g).translations()
+    assert quotient.tolist() == table[inverse].tolist()
+    assert maps.tolist() == table[1:].tolist()
+    assert anchors.tolist() == maps[:, 0].tolist() == list(range(1, n))
+    family = _rows_in_reader_order(g, "affine")
+    rows = {tuple(f) for f in family.tolist()}
+    for rho, anchor in zip(maps, anchors):
+        assert {tuple(f) for f in family[:, rho].tolist()} == rows, rho.tolist()
+        moved = table[inverse[family[:, anchor]][:, None], family[:, rho]]
+        assert {tuple(f) for f in moved.tolist()} <= rows, rho.tolist()
 
 
 @pytest.mark.parametrize("metric", ("endo", "affine"))

@@ -22,12 +22,14 @@ from groupapprox import (
     enapp_zero_witness,
     find_universal_tuple,
     lower_bound_certificates,
+    prime_square_witness,
     universal_elements,
     worst_case_value,
 )
 from groupapprox.bounds import _min_max, _Rows
 from groupapprox.jk import jk_group
 from groupapprox.morphisms import (
+    affine_pairs,
     affine_tables,
     automorphism_tables,
     endomorphism_tables,
@@ -50,7 +52,7 @@ from _oracles import (
 
 
 def _oracle_family(g, metric):
-    endos = brute_endomorphisms(table_of(g))
+    endos = brute_endomorphisms(table_of(g), g.generators)
     if metric == "endo":
         return endos
     return brute_affine(table_of(g), endos)
@@ -159,7 +161,7 @@ def test_find_universal_tuple_large_pins():
 def test_universal_tuple_really_is_onto():
     g = cached_group("elemabelian(2,2)")
     tup = find_universal_tuple(g, 2)
-    endos = brute_endomorphisms(table_of(g))
+    endos = brute_endomorphisms(table_of(g), g.generators)
     images = {(int(row[tup[0]]), int(row[tup[1]])) for row in endos}
     assert len(images) == 16
 
@@ -276,7 +278,7 @@ def test_orbit_pruning_matches_brute_force_unpinned():
     # with automorphisms and families both from the oracle
     for spec in ("cyclic(4)", "elemabelian(2,2)", "cyclic(5)", "cyclic(6)", "sym(3)"):
         g = cached_group(spec)
-        endos = brute_endomorphisms(table_of(g))
+        endos = brute_endomorphisms(table_of(g), g.generators)
         auts = endos[(np.sort(endos, axis=1) == np.arange(g.order)).all(axis=1)]
         for metric in METRICS:
             fam = _oracle_family(g, metric)
@@ -307,12 +309,43 @@ def test_orbit_pruning_keeps_values_and_witnesses(metric):
         assert symmetries == len(auts), g.name  # every automorphism fixes 1
 
 
+TRANSLATION_SPECS = (
+    *(g.name for g in catalog_up_to(15)),
+    "dicyclic(16)",
+    "dihedral(16)",
+    "product(dihedral(8),cyclic(2))",
+)
+
+
+def test_translation_pruning_keeps_values_and_witnesses():
+    # the translations reject only duplicates: the affine search returns
+    # the least g it returns without them, in no more nodes
+    fewer = 0
+    for spec in TRANSLATION_SPECS:
+        g = cached_group(spec)
+        if g.order == 1:
+            continue
+        family = affine_pairs(g)
+        start = lower_bound_certificates(g)["affine"].value
+        common = dict(pinned={0: 0}, perms=automorphism_tables(g))
+        k, images, nodes, thresholds, _ = _min_max(
+            family, g.order, start, translations=family.translations(), **common
+        )
+        plain = _min_max(family, g.order, start, **common)
+        assert (k, images, thresholds) == (plain[0], plain[1], plain[3]), spec
+        assert nodes <= plain[2], spec
+        fewer += nodes < plain[2]
+        if g.order <= 6:
+            assert k == brute_worst_case(g.order, _oracle_family(g, "affine")), spec
+    assert fewer >= 8
+
+
 def test_q8_times_c2_affine_closes_at_three():
     g = cached_group("product(dicyclic(8),cyclic(2))")
     cert = worst_case_value(g, "affine")
     assert cert.exact and cert.value == 3
     assert cert.stats.thresholds == (2, 3)
-    assert cert.stats.nodes == 1_152_707
+    assert cert.stats.nodes == 937_656
     assert cert.stats.symmetries == 192
     value, _ = approximability(cert.witness, "affine")
     assert value == 3
@@ -391,10 +424,11 @@ def test_budget_exhaustion_yields_bracket():
 
 
 def test_branching_order_pins():
-    # node counts and thresholds follow from the branching order alone
+    # node counts and thresholds follow from the branching order and the
+    # symmetry pruning alone
     cert = worst_case_value(cached_group("product(cyclic(6),cyclic(2))"), "affine")
     assert cert.value == 3
-    assert cert.stats.nodes == 10_632
+    assert cert.stats.nodes == 8_364
     assert cert.stats.thresholds == (2, 3)
     for spec, lower, upper in (("elemabelian(2,4)", 5, 16),
                                ("elemabelian(3,3)", 4, 22)):
@@ -465,13 +499,16 @@ def test_capped_large_search_builds_no_affine_table():
 def test_affine_pairs_search_matches_the_built_table(spec, budget):
     # the plain search over the built table is the oracle: both number
     # pair (c, phi_i) as i * n + c, the table's buckets are found by
-    # flatnonzero and the pairs' by ldiv, and nothing may differ
+    # flatnonzero and the pairs' by ldiv, and nothing may differ; both
+    # prune by the same translations
     g = cached_group(spec)
     start = lower_bound_certificates(g)["affine"].value
-    pinned = {0: 0} if g.order > 1 else None
+    pinned = translations = None
+    if g.order > 1:
+        pinned, translations = {0: 0}, affine_pairs(g).translations()
     k, images, nodes, thresholds, _ = _min_max(
         _Rows(affine_tables(g)), g.order, start, budget=budget, pinned=pinned,
-        perms=automorphism_tables(g),
+        perms=automorphism_tables(g), translations=translations,
     )
     cert = worst_case_value(g, "affine", budget=budget)
     assert (cert.lower, cert.stats.nodes, cert.stats.thresholds) == (
@@ -481,6 +518,22 @@ def test_affine_pairs_search_matches_the_built_table(spec, budget):
         assert cert.witness is None and not cert.exact, spec
     else:
         assert cert.witness.images.tolist() == list(images), spec
+
+
+def test_affine_approximability_holds_no_column_table():
+    # x -> x^2 on cyclic(2039) against its 2039^2 pairs: the counters and
+    # the bucket table ldiv take 8 MiB each; the column table, which only
+    # a search or a built table reads, would add 8 MiB more
+    f = prime_square_witness(2039)
+    endomorphism_tables(f.group)
+    tracemalloc.start()
+    try:
+        value, _ = approximability(f, "affine")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 2
+    assert peak < 20 << 20, peak
 
 
 def test_affine_approximability_matches_the_built_table():
