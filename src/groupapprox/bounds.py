@@ -292,7 +292,9 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
         root, symmetries = symmetry(perms), len(perms)
     everything = range(m2)
     last = len(positions) - 1
-    assignment = [0] * len(positions)
+    images = [0] * m1
+    for x, v in pinned.items():
+        images[x] = v
     nodes = 0
     k = start
 
@@ -307,9 +309,6 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
             filed_first[d].append((row, anchor, 0))
         rank = rank.tolist()
         quotient = quotient.tolist()
-        value = [0] * m1
-        for x, v in pinned.items():
-            value[x] = v
 
     def translate(i, v):
         """Whether g with v at depth i passes every comparison that becomes
@@ -318,13 +317,13 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
         (rho, its anchor, the depth it compares next); after its first
         comparison the anchor is known, so the next one waits only for its
         own depth and for rho of that depth's position."""
-        value[positions[i]] = v
+        images[positions[i]] = v
         filed = []
         for row, anchor, c in files[i]:
-            shift = quotient[value[anchor]]
+            shift = quotient[images[anchor]]
             while True:
                 x = positions[c]
-                s, w = shift[value[row[x]]], value[x]
+                s, w = shift[images[row[x]]], images[x]
                 if s != w:
                     break
                 c += 1
@@ -390,7 +389,7 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
                 for d in filed:
                     files[d].pop()
                 continue
-            assignment[i] = v
+            images[positions[i]] = v
             child_size, bucket = size, None
             if seen[i][v]:
                 bucket = buckets[i].get(v)
@@ -424,11 +423,6 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
         except _Budget:
             return k, None, nodes, tuple(thresholds), symmetries
         k += 1
-    images = [0] * m1
-    for x, v in pinned.items():
-        images[x] = v
-    for x, v in zip(positions, assignment):
-        images[x] = v
     return k, tuple(images), nodes, tuple(thresholds), symmetries
 
 

@@ -179,16 +179,28 @@ class GroupCarrier:
         return acc
 
     def element_orders(self) -> list[int]:
-        # walk every power sequence x, x^2, ... at once until all hit 1
-        ar = np.arange(self.order)
-        orders = np.zeros(self.order, dtype=np.int64)
-        orders[0] = 1
-        cur = ar
-        k = 1
-        while (orders == 0).any():
-            k += 1
-            cur = self.mul_many(cur, ar)
-            orders[(cur == 0) & (orders == 0)] = k
+        """The order of x is the least divisor d of the order with x^d = 1
+        (Lagrange).  The divisors are tried in increasing order on the
+        elements whose order is still open, each x^d by square-and-multiply
+        with one ``mul_many`` per step."""
+        n = self.order
+        orders = np.ones(n, dtype=np.int64)
+        left = np.arange(1, n)  # the elements whose order is still open
+        for d in range(2, n + 1):
+            if not len(left):
+                break
+            if n % d:
+                continue
+            power, square, e = np.zeros_like(left), left, d
+            while e:
+                if e & 1:
+                    power = self.mul_many(power, square)
+                e >>= 1
+                if e:
+                    square = self.mul_many(square, square)
+            done = power == 0
+            orders[left[done]] = d
+            left = left[~done]
         return orders.tolist()
 
     def exponent(self) -> int:
@@ -249,32 +261,6 @@ class TableGroup(GroupCarrier):
 
     def mul_many(self, a, b):
         return self._table[np.asarray(a), np.asarray(b)]
-
-    def element_orders(self) -> list[int]:
-        """The order of x is the least divisor d of the order with x^d = 1
-        (Lagrange).  The divisors are tried in increasing order on the
-        elements whose order is still open, each x^d by square-and-multiply
-        with one flat ``take`` from the Cayley table per step."""
-        n = self.order
-        flat = self._table.ravel()
-        orders = np.ones(n, dtype=np.int64)
-        left = np.arange(1, n)  # the elements whose order is still open
-        for d in range(2, n + 1):
-            if not len(left):
-                break
-            if n % d:
-                continue
-            power, square, e = np.zeros_like(left), left, d
-            while e:
-                if e & 1:
-                    power = flat.take(np.multiply(power, n, dtype=np.intp) + square)
-                e >>= 1
-                if e:
-                    square = flat.take(np.multiply(square, n, dtype=np.intp) + square)
-            done = power == 0
-            orders[left[done]] = d
-            left = left[~done]
-        return orders.tolist()
 
     def inv_many(self, a):
         return self._inv[np.asarray(a)]

@@ -72,7 +72,8 @@ MUTANTS = (
     (
         "translations: a tied map not filed for its next comparison",
         BOUNDS,
-        "files[d].append((row, anchor, c))",
+        "files[d].append((row, anchor, c))\n"
+        "                    filed.append(d)",
         "pass",
         ("tests/test_search.py",),
     ),
