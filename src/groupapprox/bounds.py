@@ -185,12 +185,13 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     family is a reader (see ``_Rows``) of maps M1 -> M2 with values in
     0..m2-1, and start must be a lower bound on the answer.  pinned maps
     positions to fixed values of g; each pinned agreement is counted up
-    front.  Each threshold asks "is there a g keeping every family counter
-    <= k?": the free positions are assigned in order of decreasing
-    discrimination (number of distinct family values there, ties by
-    position), values in increasing order, with one agreement counter per
-    family row.  A value is tried as one node, and skipped when some row
-    taking it already agrees at least k times.
+    front, and the deepening starts at no less than the largest such
+    count, which is a lower bound too.  Each threshold asks "is there a g
+    keeping every family counter <= k?": the free positions are assigned
+    in order of decreasing discrimination (number of distinct family
+    values there, ties by position), values in increasing order, with one
+    agreement counter per family row.  A value is tried as one node, and
+    skipped when some row taking it already agrees at least k times.
 
     perms, when given, is a group of permutations of M2 (one per row) whose
     action on values, g -> a o g, maps the family rows onto themselves, so
@@ -296,7 +297,7 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     for x, v in pinned.items():
         images[x] = v
     nodes = 0
-    k = start
+    k = max(start, int(base_counts.max(initial=0)))  # no row may start above k
 
     filed_first = files = None
     if translations is not None and positions:

@@ -326,6 +326,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        # argparse drops an attached value '--' (as in --f=--), leaving []
+        if any(isinstance(value, list) for value in vars(args).values()):
+            raise ParameterError("an option's value may not be '--'")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

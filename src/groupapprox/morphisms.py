@@ -26,19 +26,20 @@ index type (-1 marks an image not yet set), and capped at
 ``groups.MAX_TABLE_CELLS`` cells, as is the affine family.
 
 The affine maps x -> c * phi(x) are the pairs (c, phi) of an element and
-an endomorphism, and ``AffinePairs`` reads them as such, with no table
-built; this is the one module that numbers and evaluates pairs.  Pair
-j = i * n + c (endomorphism-major) is c * phi_i, and the search,
-``search.approximability`` and the built ``affine_tables`` all number the
-family so.  A search or a built table comes to hold every column, so
-``affine_pairs``, which both read, refuses a family past
-``groups.MAX_TABLE_CELLS`` cells; that is the one place the cap is
-checked, and ``approximability``, which reads only buckets, has none.
+an endomorphism, and ``AffinePairs``, the family's one home, reads them
+as such, with no table built: it is the one place that numbers and
+evaluates pairs.  Pair j = i * n + c (endomorphism-major) is c * phi_i,
+and the search, ``search.approximability`` and ``search.family_tables``
+all number the family so.  Only a search or a built table reads the
+family's columns, and either comes to hold every one, so the reader's
+first ``column`` call refuses a family past ``groups.MAX_TABLE_CELLS``
+cells: the one place the cap is checked.  Listing buckets and rows, all
+that ``approximability`` and ``difference_criterion`` read, has no cap.
 
 The table is sorted lexicographically by image tuple, which downstream
 code relies on for determinism.  It, the automorphism table (its
-bijective rows), the orbits and the affine-map table are read-only and
-memoized per carrier by ``groups._per_carrier``, the one cache.
+bijective rows) and the orbits are read-only and memoized per carrier by
+``groups._per_carrier``, the one cache.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from .groups import MAX_TABLE_CELLS, GroupCarrier, TableGroup, _per_carrier
 __all__ = [
     "AffinePairs",
     "GroupFunction",
-    "affine_pairs",
-    "affine_tables",
     "automorphism_orbits",
     "automorphism_tables",
     "endomorphism_tables",
@@ -204,12 +203,12 @@ class AffinePairs:
     flattened, one n-run per endomorphism, and the bucket of (x, v) lists,
     for each i, the one agreeing constant c = v * phi_i(x)^-1, as
     ``ldiv[v][phi(x)] + n * arange(|End|)`` with ``ldiv[v, w] = v * w^-1``:
-    ascending, and O(|End|) to list.  Reading it builds no table, so it has
-    no cap; ``affine_pairs`` gives it with the cap checked.  It also lists
-    the family's position symmetries for the search (``translations``)."""
+    ascending, and O(|End|) to list.  Buckets and rows build no table and
+    have no cap; columns do (see ``right``).  It also lists the family's
+    position symmetries for the search (``translations``)."""
 
     def __init__(self, g: GroupCarrier):
-        self.endo, self.mul = endomorphism_tables(g), g.mul_table
+        self.name, self.endo, self.mul = g.name, endomorphism_tables(g), g.mul_table
         self.maps, self.m1 = len(self.endo) * g.order, g.order
         self.ldiv = self.mul[:, self.mul.argmin(axis=1)]  # ldiv[v, w] = v * w^-1
         self.offsets = g.order * np.arange(len(self.endo))
@@ -217,7 +216,17 @@ class AffinePairs:
     @functools.cached_property
     def right(self):
         """right[w, c] = c * w, built on the first ``column`` call: a
-        reader that lists only buckets and rows never holds it."""
+        reader that lists only buckets and rows never holds it.  Only a
+        search or a built table reads columns, and either comes to hold
+        every one, so a family whose columns would fill more than
+        ``MAX_TABLE_CELLS`` cells is refused here, before any column is
+        taken: the one place the affine cap is checked."""
+        cells = self.maps * self.m1
+        if cells > MAX_TABLE_CELLS:
+            raise CapacityError(
+                f"the affine maps of {self.name} would fill {cells} table "
+                f"cells > {MAX_TABLE_CELLS}"
+            )
         return np.ascontiguousarray(self.mul.T)
 
     def values(self, x):
@@ -245,34 +254,3 @@ class AffinePairs:
         on their node budget."""
         mul, n = self.mul, self.m1
         return mul[1:], np.arange(1, n), mul[mul.argmin(axis=1)]
-
-
-def affine_pairs(g: GroupCarrier) -> AffinePairs:
-    """The affine maps as their reader, for a search or a built table.
-    Both come to hold every column, so a family whose table would fill
-    more than ``MAX_TABLE_CELLS`` cells is refused: the one place the cap
-    is checked."""
-    family = AffinePairs(g)
-    cells = family.maps * family.m1
-    if cells > MAX_TABLE_CELLS:
-        raise CapacityError(
-            f"the affine maps of {g.name} would fill {cells} table cells "
-            f"> {MAX_TABLE_CELLS}"
-        )
-    return family
-
-
-@_per_carrier
-def affine_tables(g: GroupCarrier) -> np.ndarray:
-    """Image tables of all affine maps x -> c * phi(x), row j = i * n + c
-    being c times endomorphism row i: the columns of ``affine_pairs``, so
-    the reader's numbering (read-only, column-major).  Distinct (c, phi)
-    give distinct rows since phi(1) = 1 forces the map's value at 1 to be
-    c.  This is the built view of the family, for callers that want its
-    rows; the search and ``approximability`` read the pairs instead."""
-    family = affine_pairs(g)
-    tables = np.empty((family.maps, family.m1), dtype=g.index_type, order="F")
-    for x in range(family.m1):
-        tables[:, x] = family.column(x)
-    tables.setflags(write=False)
-    return tables

@@ -24,8 +24,6 @@ from .groups import GroupCarrier, _per_carrier
 from .morphisms import (
     AffinePairs,
     GroupFunction,
-    affine_pairs,
-    affine_tables,
     automorphism_orbits,
     automorphism_tables,
     endomorphism_tables,
@@ -88,17 +86,29 @@ def _check_metric(metric: str) -> None:
         raise ParameterError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def family_tables(g: GroupCarrier, metric: str) -> np.ndarray:
-    _check_metric(metric)
-    return endomorphism_tables(g) if metric == "endo" else affine_tables(g)
-
-
 def _family(g: GroupCarrier, metric: str):
-    """The family's reader for counting agreements: the endomorphism rows,
-    or the affine pairs with no cap, as reading buckets and rows builds no
-    table (a search reads the capped ``affine_pairs`` instead)."""
+    """The family's reader, the one place a metric becomes one: the
+    endomorphism rows, or the affine pairs, which refuse a family past the
+    table cap on their first ``column`` call (a search's or a built
+    table's) and list buckets and rows with no cap."""
     _check_metric(metric)
     return _Rows(endomorphism_tables(g)) if metric == "endo" else AffinePairs(g)
+
+
+def family_tables(g: GroupCarrier, metric: str) -> np.ndarray:
+    """The family's table, one row per map in its reader's numbering
+    (read-only, column-major), built from the reader's columns on every
+    call; the first column is read before anything is allocated, so a
+    capped family is refused first.  Nothing is memoized on the carrier.
+    This view stays only for the benchmark and the tests, as
+    ``enumerate_endomorphisms`` does."""
+    family = _family(g, metric)
+    first = family.column(0)  # a capped family is refused here
+    tables = np.empty((family.maps, family.m1), dtype=first.dtype, order="F")
+    for x in range(family.m1):
+        tables[:, x] = family.column(x)
+    tables.setflags(write=False)
+    return tables
 
 
 def approximability(f: GroupFunction, metric: str):
@@ -254,14 +264,16 @@ def worst_case_value(
     element a, which keeps f(1) = 1, so the affine search takes the
     reader's ``translations`` and drops f as soon as one of those
     translates is lex-smaller in search order.  Both prunings keep the
-    least feasible f, so only node counts change.  A
-    negative budget raises ParameterError.
+    least feasible f, so only node counts change.  The family is read
+    through ``_family``, so an affine family past the table cap raises
+    CapacityError when the search reads its first column.  A negative
+    budget raises ParameterError.
     """
     _check_metric(metric)
     if budget < 0:
         raise ParameterError(f"the search budget must be >= 0, got {budget}")
     t0 = time.perf_counter()
-    family = _Rows(endomorphism_tables(g)) if metric == "endo" else affine_pairs(g)
+    family = _family(g, metric)
     lb = lower_bound_certificates(g)[metric]
     pinned = translations = None
     if metric == "affine" and g.order > 1:

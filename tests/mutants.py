@@ -49,6 +49,20 @@ MUTANTS = (
         ("tests/test_morphisms.py", "tests/test_search.py"),
     ),
     (
+        "affine pairs: the table cell cap not checked",
+        MORPHISMS,
+        "if cells > MAX_TABLE_CELLS:",
+        "if False:",
+        ("tests/test_morphisms.py",),
+    ),
+    (
+        "search: the deepening started at start whatever the pinned counts",
+        BOUNDS,
+        "k = max(start, int(base_counts.max(initial=0)))",
+        "k = start",
+        ("tests/test_bounds.py",),
+    ),
+    (
         "plain rows: every position reported to take every value",
         BOUNDS,
         "    def values(self, x):\n        return self.tables[:, x]",

@@ -193,10 +193,11 @@ def test_counters_hold_the_domain_size():
 @pytest.mark.parametrize("seed, shape, m2, start, pinned, expected", [
     (1, (60, 7), 3, 0, None,
      (4, (0, 0, 0, 0, 0, 1, 2), 355, (0, 1, 2, 3, 4))),
-    (3, (80, 6), 4, 0, {2: 1}, (3, (0, 0, 1, 3, 0, 0), 60, (0, 1, 2, 3))),
-    # two pins and a start of 1: some rows begin above the threshold
+    # a pin and a start of 0: the deepening starts at the pinned count 1
+    (3, (80, 6), 4, 0, {2: 1}, (3, (0, 0, 1, 3, 0, 0), 56, (1, 2, 3))),
+    # two pins and a start of 1: some rows agree on both, so it starts at 2
     (4, (120, 7), 3, 1, {0: 0, 5: 2},
-     (4, (0, 0, 0, 0, 2, 2, 2), 39, (1, 2, 3, 4))),
+     (4, (0, 0, 0, 0, 2, 2, 2), 36, (2, 3, 4))),
     (5, (3000, 4), 300, 0, None, (1, (0, 0, 2, 0), 306, (0, 1))),
 ])
 def test_brute_force_family_pins(seed, shape, m2, start, pinned, expected):
@@ -209,6 +210,16 @@ def test_brute_force_family_pins(seed, shape, m2, start, pinned, expected):
     assert (k, images, nodes, thresholds) == expected
     assert symmetries == 1
     assert max_agreement(images, family) == k
+
+
+def test_the_deepening_starts_at_the_largest_pinned_count():
+    # a row that agrees on the pins needs k at least that count: started
+    # below it, the search returned k = 0 for both
+    rows = _Rows(np.array([[0, 0], [1, 1]]))
+    assert _min_max(rows, 3, 0, pinned={0: 0}) == (1, (0, 1), 2, (1,), 1)
+    # every position pinned: no node, and k is the one row's agreement
+    rows = _Rows(np.array([[0, 1]]))
+    assert _min_max(rows, 2, 0, pinned={0: 0, 1: 1}) == (2, (0, 1), 0, (2,), 1)
 
 
 def test_positions_taking_more_values_go_first():

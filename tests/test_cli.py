@@ -626,6 +626,18 @@ def test_bounds_exit_codes_on_any_arguments(m1, m2, f):
     assert len(err.encode()) <= 300, (m1, m2, f, err[:200])
 
 
+def test_an_attached_double_dash_value_is_a_usage_error():
+    # argparse reads --f=-- as an empty list, which used to escape main
+    # as a TypeError (found by the test above)
+    for argv in (
+        ["bounds", "--m1=3", "--m2=2", "--f=--"],
+        ["bounds", "--m1=--", "--m2=2", "--f=1"],
+        ["compute", "--group=--", "--metric", "affapp", "--bounds-only", "--no-cache"],
+    ):
+        code, err = _main_quietly(argv)
+        assert code == 2 and "may not be '--'" in err, argv
+
+
 _TOKENS = st.one_of(
     st.integers(min_value=-3, max_value=40).map(str),
     st.sampled_from(["", " 7 ", "x", "+2", "1_0", "1e3", "9" * 31, MERSENNE_61]),

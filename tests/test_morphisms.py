@@ -21,12 +21,12 @@ from groupapprox import (
     lower_bound_certificates,
     twist_function,
     universal_elements,
+    worst_case_value,
 )
 from groupapprox.bounds import _Rows
 from groupapprox.morphisms import (
     AffinePairs,
     _bijective,
-    affine_tables,
     automorphism_tables,
     endomorphism_tables,
 )
@@ -77,7 +77,7 @@ def test_affine_tables_match_brute_force():
         g = cached_group(spec)
         endos = brute_endomorphisms(table_of(g), g.generators)
         expected = brute_affine(table_of(g), endos)
-        got = affine_tables(g)
+        got = family_tables(g, "affine")
         assert sorted(map(tuple, expected)) == sorted(map(tuple, got)), spec
 
 
@@ -143,7 +143,7 @@ def test_enumeration_is_lexicographic_with_zero_map_first():
 def test_affine_maps_are_endomorphism_major():
     g = cached_group("sym(3)")
     endos = endomorphism_tables(g).tolist()
-    tables = affine_tables(g).tolist()
+    tables = family_tables(g, "affine").tolist()
     assert len(tables) == g.order * len(endos)
     for c in range(g.order):
         for i, row in enumerate(endos):
@@ -228,7 +228,7 @@ def test_approximability_returns_the_first_best_in_family_order(spec, metric):
 def test_results_are_cached_on_the_carrier():
     g = cyclic(6)
     attributes = set(vars(g))
-    for fact in (endomorphism_tables, automorphism_tables, affine_tables):
+    for fact in (endomorphism_tables, automorphism_tables):
         assert fact(g) is fact(g), fact.__name__
         with pytest.raises(ValueError):
             fact(g)[0, 0] = 1
@@ -258,13 +258,33 @@ def test_enumeration_capacity_limit():
 
 def test_affine_table_capacity_limit():
     # n * |End| * n cells: C2 x C4 x C8 has 16,384 endomorphisms and 2^26
-    # affine cells, refused before the table is allocated; elemabelian(2,4)
-    # fills exactly 2^24 and is built
+    # affine cells.  Its reader refuses its first column, so a search or a
+    # built table is refused before it holds one; buckets and rows have no
+    # cap, so the agreement counts still answer
     g = cached_group("product(cyclic(2),product(cyclic(4),cyclic(8)))")
     assert endomorphism_tables(g).shape == (16_384, 64)
-    with pytest.raises(CapacityError, match="67108864 table cells"):
+    refused = "would fill 67108864 table cells"
+    with pytest.raises(CapacityError, match=refused):
+        AffinePairs(g).column(0)
+    with pytest.raises(CapacityError, match=refused):
+        worst_case_value(g, "affine")
+    with pytest.raises(CapacityError, match=refused):
         family_tables(g, "affine")
-    assert affine_tables(cached_group("elemabelian(2,4)")).shape == (2**20, 16)
+    f = GroupFunction(g, AffinePairs(g).row(12_345))
+    value, member = approximability(f, "affine")
+    assert value == 64 and member.images.tolist() == f.images.tolist()
+    amap = difference_criterion(f, range(0, 64, 3))
+    assert amap is not None and amap.images.tolist() == f.images.tolist()
+    f = GroupFunction(g, np.random.default_rng(7).integers(0, 64, size=64))
+    value, member = approximability(f, "affine")
+    assert value == np.count_nonzero(member.images == f.images) >= 1
+    # elemabelian(2,4) fills exactly 2^24 cells: its table is built, and
+    # nothing that size is kept on the carrier
+    h = cached_group("elemabelian(2,4)")
+    tables = family_tables(h, "affine")
+    assert tables.shape == (2**20, 16)
+    assert all(getattr(fact, "shape", None) != tables.shape
+               for fact in h._memo.values())
 
 
 def test_automorphism_flags():
@@ -458,7 +478,7 @@ def test_maps_are_read_only_narrow_image_rows():
         assert approximability(f, metric)[1].images.tolist() == best.tolist()
     amap = difference_criterion(f, [0, 1])
     assert amap is not None
-    assert amap.images.tolist() in affine_tables(g).tolist()
+    assert amap.images.tolist() in family_tables(g, "affine").tolist()
 
 
 def test_maps_take_over_only_an_owned_array_of_the_image_type():

@@ -29,8 +29,7 @@ from groupapprox import (
 from groupapprox.bounds import _min_max, _Rows
 from groupapprox.jk import jk_group
 from groupapprox.morphisms import (
-    affine_pairs,
-    affine_tables,
+    AffinePairs,
     automorphism_tables,
     endomorphism_tables,
 )
@@ -325,7 +324,7 @@ def test_translation_pruning_keeps_values_and_witnesses():
         g = cached_group(spec)
         if g.order == 1:
             continue
-        family = affine_pairs(g)
+        family = AffinePairs(g)
         start = lower_bound_certificates(g)["affine"].value
         common = dict(pinned={0: 0}, perms=automorphism_tables(g))
         k, images, nodes, thresholds, _ = _min_max(
@@ -441,7 +440,7 @@ def test_branching_order_pins():
 
 def test_capped_large_search_runs_in_bounded_memory():
     g = cached_group("elemabelian(2,4)")
-    family_tables(g, "affine"), automorphism_tables(g), lower_bound_certificates(g)
+    endomorphism_tables(g), automorphism_tables(g), lower_bound_certificates(g)
     tracemalloc.start()
     try:
         cert = worst_case_value(g, "affine", budget=2_000)
@@ -505,10 +504,10 @@ def test_affine_pairs_search_matches_the_built_table(spec, budget):
     start = lower_bound_certificates(g)["affine"].value
     pinned = translations = None
     if g.order > 1:
-        pinned, translations = {0: 0}, affine_pairs(g).translations()
+        pinned, translations = {0: 0}, AffinePairs(g).translations()
     k, images, nodes, thresholds, _ = _min_max(
-        _Rows(affine_tables(g)), g.order, start, budget=budget, pinned=pinned,
-        perms=automorphism_tables(g), translations=translations,
+        _Rows(family_tables(g, "affine")), g.order, start, budget=budget,
+        pinned=pinned, perms=automorphism_tables(g), translations=translations,
     )
     cert = worst_case_value(g, "affine", budget=budget)
     assert (cert.lower, cert.stats.nodes, cert.stats.thresholds) == (
@@ -541,7 +540,7 @@ def test_affine_approximability_matches_the_built_table():
     rng = np.random.default_rng(3)
     for spec in ("elemabelian(2,4)", "elemabelian(3,3)", "dihedral(12)", "alt(4)"):
         g = cached_group(spec)
-        tables = affine_tables(g)
+        tables = family_tables(g, "affine")
         for _ in range(5):
             f = GroupFunction(g, rng.integers(0, g.order, size=g.order))
             agree = (tables == f.images).sum(axis=1)
@@ -568,7 +567,7 @@ def test_difference_criterion_matches_full_scan():
     for spec in ("cyclic(6)", "sym(3)"):
         g = cached_group(spec)
         n = g.order
-        tables = affine_tables(g)
+        tables = family_tables(g, "affine")
         for _ in range(200):
             images = tuple(int(v) for v in rng.integers(0, n, size=n))
             f = GroupFunction(g, images)
