@@ -157,8 +157,13 @@ class _Rows:
     ``brute_force_app`` and the endomorphism family use.  A reader has
     ``maps`` and ``m1``, and ``values(x)``, an index of the values position
     x takes (``slice(None)`` for every value); ``column(x)``, the value of
-    every row at x; ``rows(x, v)``, the rows taking v at x, ascending; and
-    ``row(j)``, the map of row j."""
+    every row at x; ``rows(x, v)``, the rows taking v at x, ascending;
+    ``row(j)``, the map of row j; and ``reaching``, None or a function
+    ``(x, v, xs, gs, k)`` listing, ascending, the rows taking v at x that
+    agree with a path g(xs) = gs on at least k of its points (here None:
+    the search keeps counters)."""
+
+    reaching = None
 
     def __init__(self, tables):
         self.tables = tables
@@ -187,11 +192,11 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     positions to fixed values of g; each pinned agreement is counted up
     front, and the deepening starts at no less than the largest such
     count, which is a lower bound too.  Each threshold asks "is there a g
-    keeping every family counter <= k?": the free positions are assigned
-    in order of decreasing discrimination (number of distinct family
-    values there, ties by position), values in increasing order, with one
-    agreement counter per family row.  A value is tried as one node, and
-    skipped when some row taking it already agrees at least k times.
+    agreeing with every family row at most k times?": the free positions
+    are assigned in order of decreasing discrimination (number of distinct
+    family values there, ties by position), values in increasing order.  A
+    value is tried as one node, and skipped when some row taking it
+    already agrees at least k times.
 
     perms, when given, is a group of permutations of M2 (one per row) whose
     action on values, g -> a o g, maps the family rows onto themselves, so
@@ -235,26 +240,41 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
 
     The search is depth-first on an explicit stack of the depths above the
     current one, so it goes as deep as m1 whatever Python's recursion
-    limit.  The rows whose counter is already >= k are listed in
-    ``full``, one index buffer of ``maps`` entries shared by every depth:
-    each depth owns a prefix of it and marks once, one byte per value,
-    the values those rows take at its position.  A value is skipped
-    exactly when one of its rows is in ``full``, that is when the largest
-    counter among its rows is >= k, so every skip, node count and
-    threshold is the one a per-value maximum over the value's rows would
-    give.  The rows of a value tried are all below k, so each row enters
-    ``full`` at most once on a path: the increment appends those that
-    have just reached k past the depth's prefix, and undoing it touches
-    only the counters.  The buffer starts small and doubles when an
-    increment overflows it.
+    limit.  The rows whose agreement with the path (the pins and the
+    values assigned so far) is already >= k are listed in ``full``, one
+    index buffer of ``maps`` entries shared by every depth: each depth
+    owns a prefix of it and marks once, one byte per value, the values
+    those rows take at its position.  A value is skipped exactly when one
+    of its rows is in ``full``, that is when the largest agreement among
+    its rows is >= k, so every skip, node count and threshold is the one a
+    per-value maximum over the value's rows would give.  The rows of a
+    value tried are all below k, so each row enters ``full`` at most once
+    on a path: assigning the value appends those of its rows that have
+    just reached k past the depth's prefix, and backtracking drops them
+    with the prefix.  The buffer starts small and doubles when it
+    overflows.
 
-    A depth blocks its values by one gather from its position's
-    ``column``, taken on first entry to the depth, and a (position, value)
-    bucket of rows is listed by ``rows`` the first time the value is
-    incremented there; both are kept for the rest of the call, so a search
-    may come to hold every column.  Values no row takes at a position
-    (from ``values``, marked once per call) never get a bucket.  Counters
-    are the narrowest unsigned type holding m1.
+    A family whose reader has a ``reaching`` function is counted along
+    the path.  Only ``morphisms.AffinePairs`` has one, from
+    ``PATH_COUNT_ENDOS`` endomorphisms on, where its buckets are so long
+    that recounting the path costs less than keeping a counter per row
+    and undoing it.  When v goes to position x, ``reaching`` lists the
+    rows taking v at x that agree with the path, this point included, at
+    least k times; they are exactly the rows that have just reached k,
+    since none of them was in ``full``.  For the affine pairs the count is
+    exact by the difference identity: row (phi, c) takes v at x when
+    c = v phi(x)^-1, and then c phi(y) = v phi(x^-1 y), so it agrees with
+    g at a path point y exactly when phi(x^-1 y) = v^-1 g(y).  Such a
+    family keeps no counters, no buckets and nothing to undo.  Every
+    other family keeps one agreement counter per row, and a value tried
+    increments its bucket of rows, listed by ``rows`` the first time the
+    value is tried at that position and kept for the rest of the call;
+    backtracking decrements it.  Values no row takes at a position (from
+    ``values``, marked once per call) never get a bucket.  Counters are
+    the narrowest unsigned type holding m1.  A depth blocks its values by
+    one gather from its position's ``column``, taken on first entry to the
+    depth and kept for the rest of the call, so a search may come to hold
+    every column.
 
     Returns (k, images, nodes, thresholds, symmetries): images is a g
     reaching k, nodes the search nodes (values tried) over all thresholds,
@@ -276,6 +296,12 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     base_counts = np.zeros(maps, dtype=np.min_scalar_type(m1))
     for x, v in pinned.items():
         base_counts[family.rows(x, v)] += 1
+    reaching = family.reaching
+    if reaching is not None:  # the path's positions and values, pins first
+        path = np.array([*pinned, *positions], dtype=np.intp)
+        path_values = np.zeros(len(path), dtype=np.intp)
+        path_values[:len(pinned)] = list(pinned.values())
+        on_path = len(pinned) + 1  # points on the path at depth 0
 
     def symmetry(stab):
         """A stabilizer with its orbit leaders and the values it fixes (its
@@ -356,9 +382,10 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     def feasible(counts) -> bool:
         """Depth-first over the positions, the current depth in locals.
         Going down pushes it on a stack with its length of ``full``, the
-        bucket its value incremented (None when no row takes the value) and
-        the depths its value filed maps at; coming back up pops it and
-        undoes that increment and those filings."""
+        bucket its value incremented (None when no row takes the value or
+        the family is counted along the path) and the depths its value
+        filed maps at; coming back up pops it and undoes that increment and
+        those filings."""
         nonlocal nodes, files
         if not positions:
             return True
@@ -391,14 +418,20 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
                     files[d].pop()
                 continue
             images[positions[i]] = v
-            child_size, bucket = size, None
-            if seen[i][v]:
+            child_size, bucket, reached = size, None, None
+            if reaching is not None:
+                end = on_path + i
+                path_values[end - 1] = v
+                reached = reaching(positions[i], v, path[:end],
+                                   path_values[:end], k)
+            elif seen[i][v]:
                 bucket = buckets[i].get(v)
                 if bucket is None:
                     bucket = buckets[i][v] = family.rows(positions[i], v)
                 agree = counts[bucket] + 1
                 counts[bucket] = agree
                 reached = bucket[agree == k]
+            if reached is not None:
                 child_size = size + len(reached)
                 if child_size > len(full):
                     longer = np.empty(2 * child_size, dtype=np.intp)
@@ -419,7 +452,9 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     while True:
         thresholds.append(k)
         try:
-            if feasible(base_counts.copy()):
+            # a family counted along the path only reads its base counts
+            if feasible(base_counts if reaching is not None
+                        else base_counts.copy()):
                 break
         except _Budget:
             return k, None, nodes, tuple(thresholds), symmetries

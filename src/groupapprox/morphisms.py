@@ -53,6 +53,7 @@ from .errors import CapacityError, ParameterError
 from .groups import MAX_TABLE_CELLS, GroupCarrier, TableGroup, _per_carrier
 
 __all__ = [
+    "PATH_COUNT_ENDOS",
     "AffinePairs",
     "GroupFunction",
     "automorphism_orbits",
@@ -195,6 +196,21 @@ def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(orb.tolist()) for orb in np.split(members, starts))
 
 
+# |End(G)| from which the search counts the affine rows along its path
+# (``AffinePairs.reaching``) instead of keeping one counter per row.  Affine
+# searches on a warm carrier, median of 7 alternating calls on a shared
+# 2-core Xeon, counters against path counts:
+#
+#   group                  |End(G)|   counters   path counts
+#   elemabelian(2,4)         65,536   140 ms     41 ms      (budget 2,000)
+#   elemabelian(3,3)         19,683   33 ms      17 ms      (budget 2,000)
+#   C8 x C8                   4,096   8.3 ms     7.9 ms     (budget 2,000)
+#   C2^2 x C8                 2,048   5.1 ms     7.1 ms     (budget 2,000)
+#   D8 x C2                   1,088   8.3 ms     14.1 ms    (budget 2,000)
+#   catalog, order <= 15     <= 512   0.12 s     0.36 s     (all 28, median of 5)
+PATH_COUNT_ENDOS = 2**12
+
+
 class AffinePairs:
     """The affine maps of a group as a family reader (see ``bounds._Rows``
     for the calls): pair j = i * n + c is the map x -> c * phi_i(x), for
@@ -203,15 +219,26 @@ class AffinePairs:
     flattened, one n-run per endomorphism, and the bucket of (x, v) lists,
     for each i, the one agreeing constant c = v * phi_i(x)^-1, as
     ``ldiv[v][phi(x)] + n * arange(|End|)`` with ``ldiv[v, w] = v * w^-1``:
-    ascending, and O(|End|) to list.  Buckets and rows build no table and
-    have no cap; columns do (see ``right``).  It also lists the family's
-    position symmetries for the search (``translations``)."""
+    ascending, and O(|End|) to list.  So row i of that bucket agrees with
+    g at a point y exactly when phi_i(x^-1 y) = v^-1 g(y), and
+    ``path_rows`` counts a bucket's agreements with a path from the
+    endomorphism columns alone; from ``PATH_COUNT_ENDOS`` endomorphisms on
+    the search lists the rows reaching its threshold so (``reaching``) and
+    never lists a bucket.  Buckets and rows build no table and have no
+    cap; columns do (see ``right``).  It also lists the family's position
+    symmetries for the search (``translations``)."""
 
     def __init__(self, g: GroupCarrier):
         self.name, self.endo, self.mul = g.name, endomorphism_tables(g), g.mul_table
         self.maps, self.m1 = len(self.endo) * g.order, g.order
         self.ldiv = self.mul[:, self.mul.argmin(axis=1)]  # ldiv[v, w] = v * w^-1
         self.offsets = g.order * np.arange(len(self.endo))
+
+    @functools.cached_property
+    def quotient(self):
+        """quotient[u, v] = u^-1 * v, built on first use: only a search
+        reads it."""
+        return self.mul[self.mul.argmin(axis=1)]
 
     @functools.cached_property
     def right(self):
@@ -242,6 +269,25 @@ class AffinePairs:
     def row(self, j):
         return self.mul[j % self.m1].take(self.endo[j // self.m1])
 
+    @property
+    def reaching(self):
+        """``path_rows`` for a family of ``PATH_COUNT_ENDOS`` endomorphisms
+        or more, else None (see ``bounds._min_max``)."""
+        return self.path_rows if len(self.endo) >= PATH_COUNT_ENDOS else None
+
+    def path_rows(self, x, v, xs, gs, k):
+        """The rows of the bucket of (x, v) that agree with g(xs) = gs on
+        at least k of the path's points, ascending.  Row i of the bucket
+        agrees at y exactly when phi_i(x^-1 y) = v^-1 g(y), so each point
+        compares one contiguous endomorphism column with one value, and
+        the counts take the narrowest unsigned type that holds m1."""
+        quotient = self.quotient
+        agree = np.zeros(len(self.endo), dtype=np.min_scalar_type(self.m1))
+        for y, w in zip(quotient[x].take(xs).tolist(), quotient[v].take(gs).tolist()):
+            agree += self.endo[:, y] == w
+        i = np.flatnonzero(agree >= k)
+        return self.ldiv[v].take(self.endo[:, x].take(i)) + self.offsets.take(i)
+
     def translations(self):
         """The position symmetries of the family for ``bounds._min_max``,
         as (maps, anchors, quotient): row t of maps is a left translation
@@ -252,5 +298,4 @@ class AffinePairs:
         the two-sided ones, keep the family too, but their n * |Inn(G)|
         maps cost more per search node than they save on searches that end
         on their node budget."""
-        mul, n = self.mul, self.m1
-        return mul[1:], np.arange(1, n), mul[mul.argmin(axis=1)]
+        return self.mul[1:], np.arange(1, self.m1), self.quotient

@@ -56,6 +56,36 @@ MUTANTS = (
         ("tests/test_morphisms.py",),
     ),
     (
+        "affine path counts: the right quotient x_t x^-1 for x^-1 x_t",
+        MORPHISMS,
+        "quotient[x].take(xs)",
+        "self.ldiv[:, x].take(xs)",
+        ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "affine path counts: g(x_t) v^-1 for v^-1 g(x_t)",
+        MORPHISMS,
+        "quotient[v].take(gs)",
+        "self.ldiv[:, v].take(gs)",
+        ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "affine path counts: a row listed past k, not at it",
+        MORPHISMS,
+        "i = np.flatnonzero(agree >= k)",
+        "i = np.flatnonzero(agree > k)",
+        ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "search: the pins left off the path a family is counted along",
+        BOUNDS,
+        "reaching(positions[i], v, path[:end],\n"
+        "                                   path_values[:end], k)",
+        "reaching(positions[i], v, path[len(pinned):end],\n"
+        "                                   path_values[len(pinned):end], k)",
+        ("tests/test_search.py",),
+    ),
+    (
         "search: the deepening started at start whatever the pinned counts",
         BOUNDS,
         "k = max(start, int(base_counts.max(initial=0)))",

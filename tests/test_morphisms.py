@@ -25,6 +25,7 @@ from groupapprox import (
 )
 from groupapprox.bounds import _Rows
 from groupapprox.morphisms import (
+    PATH_COUNT_ENDOS,
     AffinePairs,
     _bijective,
     automorphism_tables,
@@ -188,6 +189,65 @@ def test_family_readers_match_the_oracles(spec, metric):
             assert family.rows(x, v).tolist() == expected, (x, v)
     for j in range(family.maps):
         assert family.row(j).tolist() == oracle[j].tolist(), j
+
+
+PATH_SPECS = ("sym(3)", "dihedral(8)", "dicyclic(8)", "alt(4)", "heis(3)",
+              "elemabelian(2,3)")
+
+
+@pytest.mark.parametrize("spec", PATH_SPECS)
+def test_affine_path_rows_match_an_explicit_count(spec):
+    # the rows taking v at x that agree with a path g(xs) = gs, pin first
+    # and (x, v) on it, at k or more points, counted over the built
+    # table's rows; the nonabelian groups tell x^-1 y from y x^-1 and
+    # v^-1 g(y) from g(y) v^-1.  Half the paths follow a map of the family
+    # with some values changed, so that rows agree at many points
+    g = cached_group(spec)
+    n = g.order
+    tables = family_tables(g, "affine")
+    family = AffinePairs(g)
+    rng = np.random.default_rng(11)
+    for trial in range(24):
+        length = int(rng.integers(2, n + 1))
+        xs = np.concatenate(([0], 1 + rng.permutation(n - 1)[:length - 1]))
+        gs = rng.integers(0, n, size=length)
+        if trial % 2:  # a map with constant 1, so that it keeps the pin
+            near = tables[n * rng.integers(len(tables) // n)][xs]
+            gs = np.where(rng.random(length) < 0.8, near, gs)
+        gs[0] = 0
+        t = int(rng.integers(length))
+        x, v = int(xs[t]), int(gs[t])
+        bucket = np.flatnonzero(tables[:, x] == v)
+        agree = (tables[bucket][:, xs] == gs).sum(axis=1)
+        for k in range(1, length + 1):
+            expected = bucket[agree >= k].tolist()
+            got = family.path_rows(x, v, xs, gs, k).tolist()
+            assert got == expected, (trial, k)
+
+
+def test_affine_path_rows_count_past_a_byte():
+    # a map of the family on all 257 points of cyclic(257) agrees with
+    # itself 257 times: a uint8 count would wrap to 1 and miss it, and two
+    # affine maps of a group of prime order agree at most once
+    g = cached_group("cyclic(257)")
+    family = AffinePairs(g)
+    j = 12_345
+    gs = family.row(j)
+    xs = np.arange(257)
+    for x in (0, 100):
+        assert family.path_rows(x, int(gs[x]), xs, gs, 257).tolist() == [j]
+        assert len(family.path_rows(x, int(gs[x]), xs, gs, 2)) == 1
+        assert len(family.path_rows(x, int(gs[x]), xs, gs, 1)) == 257
+
+
+def test_only_big_affine_families_are_counted_along_the_path():
+    # the search lists rows along its path for |End(G)| >= PATH_COUNT_ENDOS
+    # (2^12) and keeps counters below it and for every table of rows
+    assert _Rows(endomorphism_tables(cached_group("sym(3)"))).reaching is None
+    assert AffinePairs(cached_group("product(elemabelian(2,2),cyclic(8))")).reaching is None
+    big = AffinePairs(cached_group("product(cyclic(8),cyclic(8))"))
+    assert len(big.endo) == PATH_COUNT_ENDOS == 2**12
+    assert big.reaching == big.path_rows
 
 
 @pytest.mark.parametrize("spec", (*READER_SPECS, "dihedral(12)", "alt(4)"))

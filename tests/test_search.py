@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import tracemalloc
 import weakref
 
@@ -26,6 +27,7 @@ from groupapprox import (
     universal_elements,
     worst_case_value,
 )
+from groupapprox import morphisms
 from groupapprox.bounds import _min_max, _Rows
 from groupapprox.jk import jk_group
 from groupapprox.morphisms import (
@@ -48,6 +50,7 @@ from _oracles import (
     max_agreement,
     table_of,
 )
+from make_golden import PATH, ops, record
 
 
 def _oracle_family(g, metric):
@@ -448,9 +451,9 @@ def test_capped_large_search_runs_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
-    # 2^20 rows: the buckets of the values tried and the search's index
-    # buffers; an intp row list of every value at every position would
-    # alone hold 128 MiB
+    # 2^20 rows, counted along the search path: the family columns of the
+    # depths entered and the search's index buffers; an intp row list of
+    # every value at every position would alone hold 128 MiB
     assert peak < 64 << 20, peak
 
 
@@ -467,16 +470,16 @@ def test_capped_large_search_reads_the_family_columns_in_place():
         tracemalloc.stop()
     assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
     # the search reads the (constant, endomorphism) pairs, not this table:
-    # ~40 MiB of pair columns, buckets and buffers; a contiguous copy of
-    # each free table column would add 15 MiB (2^20 int8 rows, 15 free
-    # positions)
-    assert peak < 48 << 20, peak
+    # ~12 MiB of pair columns and buffers, as it counts the pairs along
+    # its path; a contiguous copy of each free table column would add
+    # 15 MiB (2^20 int8 rows, 15 free positions)
+    assert peak < 24 << 20, peak
 
 
 def test_capped_large_search_builds_no_affine_table():
     # a fresh carrier with its endomorphisms, automorphisms and lower
     # bounds but no affine table: building the 16 MiB table inside the
-    # search read 54.9 MiB, the pairs read ~40 MiB
+    # search read 54.9 MiB, the pairs counted along the path read ~12 MiB
     g = build_group("elemabelian(2,4)")
     endomorphism_tables(g), automorphism_tables(g), lower_bound_certificates(g)
     tracemalloc.start()
@@ -486,7 +489,7 @@ def test_capped_large_search_builds_no_affine_table():
     finally:
         tracemalloc.stop()
     assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
-    assert peak < 48 << 20, peak
+    assert peak < 24 << 20, peak
 
 
 @pytest.mark.parametrize("spec, budget", [
@@ -517,6 +520,21 @@ def test_affine_pairs_search_matches_the_built_table(spec, budget):
         assert cert.witness is None and not cert.exact, spec
     else:
         assert cert.witness.images.tolist() == list(images), spec
+
+
+GOLDEN = json.loads(PATH.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("spec, budget", list(ops()))
+def test_affine_searches_counted_along_the_path_match_golden(spec, budget,
+                                                             monkeypatch):
+    # with the gate at 0 every affine family is counted along the search
+    # path, so the catalog's exact nonabelian witnesses go through it too:
+    # bracket, witness, nodes and thresholds must be the counters' records
+    monkeypatch.setattr(morphisms, "PATH_COUNT_ENDOS", 0)
+    g = cached_group(spec)
+    assert AffinePairs(g).reaching is not None
+    assert record(g, "affine", budget) == GOLDEN[f"{spec}:affine"]
 
 
 def test_affine_approximability_holds_no_column_table():
