@@ -161,7 +161,8 @@ class _Rows:
     ``row(j)``, the map of row j; and ``reaching``, None or a function
     ``(x, v, xs, gs, k)`` listing, ascending, the rows taking v at x that
     agree with a path g(xs) = gs on at least k of its points (here None:
-    the search keeps counters)."""
+    the search keeps counters).  A reader with ``reaching`` also has
+    ``at(rows, x)``, the values of the given rows at x."""
 
     reaching = None
 
@@ -271,10 +272,14 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     value is tried at that position and kept for the rest of the call;
     backtracking decrements it.  Values no row takes at a position (from
     ``values``, marked once per call) never get a bucket.  Counters are
-    the narrowest unsigned type holding m1.  A depth blocks its values by
-    one gather from its position's ``column``, taken on first entry to the
-    depth and kept for the rest of the call, so a search may come to hold
-    every column.
+    the narrowest unsigned type holding m1.  A depth blocks the values
+    that the rows in ``full`` take at its position.  A family counted
+    along the path reads just those values (``at``), so its search takes
+    no column and holds no more than the rows in ``full``.  Every other
+    family gathers them from the position's ``column``, taken on first
+    entry to the depth and kept for the rest of the call, so such a search
+    may come to hold every column: over a short ``full`` a gather from a
+    cached column costs less than ``at``.
 
     Returns (k, images, nodes, thresholds, symmetries): images is a g
     reaching k, nodes the search nodes (values tried) over all thresholds,
@@ -372,11 +377,15 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     def enter(i, full, sym):
         """An iterator over depth i's values and the values its ``full``
         rows block there, as one byte each."""
-        col = columns[i]
-        if col is None:
-            col = columns[i] = family.column(positions[i])
+        if reaching is not None:
+            taken = family.at(full, positions[i])
+        else:
+            col = columns[i]
+            if col is None:
+                col = columns[i] = family.column(positions[i])
+            taken = col[full]
         blocked = np.zeros(m2, dtype=bool)
-        blocked[col[full]] = True
+        blocked[taken] = True
         return iter(everything if sym is None else sym[1]), blocked.tobytes()
 
     def feasible(counts) -> bool:

@@ -30,11 +30,14 @@ an endomorphism, and ``AffinePairs``, the family's one home, reads them
 as such, with no table built: it is the one place that numbers and
 evaluates pairs.  Pair j = i * n + c (endomorphism-major) is c * phi_i,
 and the search, ``search.approximability`` and ``search.family_tables``
-all number the family so.  Only a search or a built table reads the
-family's columns, and either comes to hold every one, so the reader's
-first ``column`` call refuses a family past ``groups.MAX_TABLE_CELLS``
-cells: the one place the cap is checked.  Listing buckets and rows, all
-that ``approximability`` and ``difference_criterion`` read, has no cap.
+all number the family so.  Only a counter search or a built table reads
+the family's columns, and either comes to hold every one, so the
+reader's first ``column`` call refuses a family past
+``groups.MAX_TABLE_CELLS`` cells: the one place the cap is checked.
+Everything else builds no table and has no cap: listing buckets and
+rows, all that ``approximability`` and ``difference_criterion`` read,
+and a search counted along its path, which reads the values of single
+rows (``at``).
 
 The table is sorted lexicographically by image tuple, which downstream
 code relies on for determinism.  It, the automorphism table (its
@@ -223,10 +226,12 @@ class AffinePairs:
     g at a point y exactly when phi_i(x^-1 y) = v^-1 g(y), and
     ``path_rows`` counts a bucket's agreements with a path from the
     endomorphism columns alone; from ``PATH_COUNT_ENDOS`` endomorphisms on
-    the search lists the rows reaching its threshold so (``reaching``) and
-    never lists a bucket.  Buckets and rows build no table and have no
-    cap; columns do (see ``right``).  It also lists the family's position
-    symmetries for the search (``translations``)."""
+    the search lists the rows reaching its threshold so (``reaching``),
+    reads the values of those rows alone (``at``), and never lists a
+    bucket or takes a column.  Buckets, rows and ``at`` build no table and
+    have no cap; columns do (see ``right``), so only a counter search or a
+    built table meets it.  It also lists the family's position symmetries
+    for the search (``translations``)."""
 
     def __init__(self, g: GroupCarrier):
         self.name, self.endo, self.mul = g.name, endomorphism_tables(g), g.mul_table
@@ -243,11 +248,12 @@ class AffinePairs:
     @functools.cached_property
     def right(self):
         """right[w, c] = c * w, built on the first ``column`` call: a
-        reader that lists only buckets and rows never holds it.  Only a
-        search or a built table reads columns, and either comes to hold
-        every one, so a family whose columns would fill more than
-        ``MAX_TABLE_CELLS`` cells is refused here, before any column is
-        taken: the one place the affine cap is checked."""
+        reader that lists only buckets, rows and the values of given rows
+        never holds it.  Only a counter search or a built table reads
+        columns, and either comes to hold every one, so a family whose
+        columns would fill more than ``MAX_TABLE_CELLS`` cells is refused
+        here, before any column is taken: the one place the affine cap is
+        checked."""
         cells = self.maps * self.m1
         if cells > MAX_TABLE_CELLS:
             raise CapacityError(
@@ -269,6 +275,12 @@ class AffinePairs:
     def row(self, j):
         return self.mul[j % self.m1].take(self.endo[j // self.m1])
 
+    def at(self, rows, x):
+        """The values of the given rows at x: row j = i * n + c takes
+        c * phi_i(x), read with no column built."""
+        n = self.m1
+        return self.mul.ravel().take(rows % n * n + self.endo[:, x].take(rows // n))
+
     @property
     def reaching(self):
         """``path_rows`` for a family of ``PATH_COUNT_ENDOS`` endomorphisms
@@ -279,12 +291,20 @@ class AffinePairs:
         """The rows of the bucket of (x, v) that agree with g(xs) = gs on
         at least k of the path's points, ascending.  Row i of the bucket
         agrees at y exactly when phi_i(x^-1 y) = v^-1 g(y), so each point
-        compares one contiguous endomorphism column with one value, and
-        the counts take the narrowest unsigned type that holds m1."""
+        compares one contiguous endomorphism column with one value, into
+        one bool buffer whose bytes are added to counts of the narrowest
+        unsigned type that holds m1.  Only y = x has x^-1 y = 1, where
+        every phi_i is 1: that point adds 1 to every row exactly when
+        v^-1 g(x) = 1, so the counts start at that and it is not compared."""
         quotient = self.quotient
-        agree = np.zeros(len(self.endo), dtype=np.min_scalar_type(self.m1))
-        for y, w in zip(quotient[x].take(xs).tolist(), quotient[v].take(gs).tolist()):
-            agree += self.endo[:, y] == w
+        ys, ws = quotient[x].take(xs), quotient[v].take(gs)
+        same = ys == 0
+        agree = np.full(len(self.endo), np.count_nonzero(ws[same] == 0),
+                        dtype=np.min_scalar_type(self.m1))
+        hit = np.empty(len(self.endo), dtype=bool)
+        for y, w in zip(ys[~same].tolist(), ws[~same].tolist()):
+            np.equal(self.endo[:, y], w, out=hit)
+            agree += hit.view(np.uint8)
         i = np.flatnonzero(agree >= k)
         return self.ldiv[v].take(self.endo[:, x].take(i)) + self.offsets.take(i)
 

@@ -89,8 +89,8 @@ def _check_metric(metric: str) -> None:
 def _family(g: GroupCarrier, metric: str):
     """The family's reader, the one place a metric becomes one: the
     endomorphism rows, or the affine pairs, which refuse a family past the
-    table cap on their first ``column`` call (a search's or a built
-    table's) and list buckets and rows with no cap."""
+    table cap on their first ``column`` call (a counter search's or a built
+    table's) and list buckets, rows and single values with no cap."""
     _check_metric(metric)
     return _Rows(endomorphism_tables(g)) if metric == "endo" else AffinePairs(g)
 
@@ -132,47 +132,77 @@ def approximability(f: GroupFunction, metric: str):
 
 @_per_carrier
 def universal_elements(g: GroupCarrier) -> tuple[int, ...]:
-    """Elements u whose endomorphism images {phi(u)} cover the whole group."""
+    """Elements u whose endomorphism images {phi(u)} cover the whole group,
+    ascending.  phi -> phi o a permutes End(G) for an automorphism a, so
+    a(u) has the images of u: one element of each automorphism orbit is
+    tested, one endomorphism column each, and universal orbits are taken
+    whole."""
     tables = endomorphism_tables(g)
     n = g.order
-    return tuple(
-        u for u in range(n) if np.bincount(tables[:, u], minlength=n).all()
-    )
+    return tuple(sorted(
+        u for orbit in automorphism_orbits(g)
+        if np.bincount(tables[:, orbit[0]], minlength=n).all() for u in orbit
+    ))
+
+
+def _universal_tuples(g: GroupCarrier):
+    """The lexicographically first universal tuple of each length 1, 2, ...
+    in turn, from one depth-first search, up to the largest length l with
+    n^l <= |End(G)|: a tuple (u1..ul) is universal when
+    phi -> (phi(u1)..phi(ul)) maps End(G) onto G^l.
+
+    Every coordinate of such a tuple is universal, and the first one may
+    be taken to lead its automorphism orbit (composing with an
+    automorphism permutes End(G)).  Every prefix of a universal tuple is
+    universal, so the tuples are grown one coordinate at a time in
+    lexicographic order, carrying the codes sum_j n^j * phi(u_j) of the
+    prefix, and a prefix is dropped as soon as some code in 0..n^j - 1 is
+    missing.
+
+    In this preorder a prefix comes before its extensions, and the nodes
+    at one depth come in lexicographic order.  So the first node reached
+    at depth l is the first universal l-tuple t, and the search goes on
+    below it.  A universal (l+1)-tuple has a universal l-prefix, which is
+    t or comes after it, so the tuple itself comes after t: every prefix
+    before t was refuted at depth l and has no node at depth l + 1.  The
+    first node reached at depth l + 1 is therefore the first universal
+    (l+1)-tuple, with no restart."""
+    tables = endomorphism_tables(g)
+    m, n = tables.shape
+    univ = universal_elements(g)
+    firsts = [orb[0] for orb in automorphism_orbits(g) if orb[0] in univ]
+    prefix, codes, choices = [], [np.zeros(m, dtype=np.int64)], [iter(firsts)]
+    deepest = 0  # the longest tuple yielded so far
+    while choices:
+        j = len(prefix)
+        for u in choices[-1]:
+            longer = codes[-1] + n**j * tables[:, u].astype(np.int64)
+            if np.bincount(longer, minlength=n ** (j + 1)).all():
+                break
+        else:  # every extension refuted: back up one coordinate
+            choices.pop()
+            codes.pop()
+            prefix = prefix[:-1]
+            continue
+        prefix = prefix + [u]
+        codes.append(longer)
+        if j + 1 > deepest:
+            deepest = j + 1
+            yield tuple(prefix)
+            if n ** (j + 2) > m:
+                return
+        choices.append(iter(univ))
 
 
 def find_universal_tuple(g: GroupCarrier, l: int) -> tuple[int, ...] | None:
-    """A tuple (u1..ul) such that phi -> (phi(u1)..phi(ul)) maps End(G) onto
-    G^l, or None.  Every coordinate of such a tuple must itself be universal,
-    and the first coordinate may be normalized to an automorphism-orbit
-    representative (composing with an automorphism permutes End(G)).
-
-    Every prefix of a universal tuple is universal, so the tuples are grown
-    one coordinate at a time in lexicographic order, carrying the codes
-    sum_j n^j * phi(u_j) of the prefix, and a prefix is dropped as soon as
-    some code in 0..n^j - 1 is missing.  The first full-length hit is the
-    lexicographically first universal tuple of the normalized space."""
+    """The lexicographically first universal l-tuple (u1..ul), with u1
+    leading its automorphism orbit, or None (see ``_universal_tuples``)."""
     if l < 1:
         raise ParameterError(f"tuple length must be >= 1, got {l}")
-    tables = endomorphism_tables(g)
-    m, n = tables.shape
-    if n**l > m:
-        return None
-    univ = universal_elements(g)
-    firsts = [orb[0] for orb in automorphism_orbits(g) if orb[0] in univ]
-
-    def extend(prefix, codes):
-        j = len(prefix)
-        if j == l:
-            return prefix
-        for u in firsts if j == 0 else univ:
-            longer = codes + n**j * tables[:, u].astype(np.int64)
-            if np.bincount(longer, minlength=n ** (j + 1)).all():
-                hit = extend(prefix + (u,), longer)
-                if hit is not None:
-                    return hit
-        return None
-
-    return extend((), np.zeros(m, dtype=np.int64))
+    for tup in _universal_tuples(g):
+        if len(tup) == l:
+            return tup
+    return None
 
 
 @_per_carrier
@@ -194,16 +224,16 @@ def lower_bound_certificates(g: GroupCarrier) -> Mapping[str, LowerBound]:
             "endo": LowerBound(1, "trivial-group"),
             "affine": LowerBound(1, "trivial-group"),
         })
-    tup, orbits, l = None, (), 1
+    tup, orbits = None, ()
     try:
         orbits = automorphism_orbits(g)
-        while (longer := find_universal_tuple(g, l)) is not None:
-            tup, l = longer, l + 1
+        for tup in _universal_tuples(g):  # keeps the longest
+            pass
     except CapacityError:
         pass
     if tup is not None:
-        endo = LowerBound(l - 1, "universal-tuple", tup)
-        affine = LowerBound(l, "universal-tuple", tup)
+        endo = LowerBound(len(tup), "universal-tuple", tup)
+        affine = LowerBound(len(tup) + 1, "universal-tuple", tup)
         return MappingProxyType({"endo": endo, "affine": affine})
     # two disjoint orbits cannot each hold more than half: there is at most one
     dominating = next((o for o in orbits if o != (0,) and 2 * len(o) > n - 1), None)
@@ -265,9 +295,10 @@ def worst_case_value(
     reader's ``translations`` and drops f as soon as one of those
     translates is lex-smaller in search order.  Both prunings keep the
     least feasible f, so only node counts change.  The family is read
-    through ``_family``, so an affine family past the table cap raises
-    CapacityError when the search reads its first column.  A negative
-    budget raises ParameterError.
+    through ``_family``: an affine family counted along the search path
+    (``morphisms.PATH_COUNT_ENDOS``) reads no column and meets no cap, and
+    any other past the table cap raises CapacityError when the search
+    reads its first column.  A negative budget raises ParameterError.
     """
     _check_metric(metric)
     if budget < 0:

@@ -18,6 +18,7 @@ from groupapprox import build_group
 from groupapprox.errors import CapacityError, ParameterError
 from groupapprox.groups import MAX_TABLE_CELLS, TableGroup
 from groupapprox.jk import SCAN_BLOCK, _reachable_mask
+from groupapprox.morphisms import automorphism_orbits, endomorphism_tables
 
 
 @functools.cache
@@ -310,3 +311,55 @@ def affine_scan_by_rows(g, f):
         bad += zip(np.broadcast_to(ys, hit.shape)[keep].tolist(),
                    np.broadcast_to(xs, hit.shape)[keep].tolist())
     return checked, total, tuple(bad)
+
+
+def universal_elements_per_element(g) -> tuple[int, ...]:
+    """Elements u whose endomorphism images {phi(u)} cover the group, by one
+    count of every element's column: the reference for
+    ``search.universal_elements``, which counts one column per
+    automorphism orbit."""
+    tables = endomorphism_tables(g)
+    n = g.order
+    return tuple(
+        u for u in range(n) if np.bincount(tables[:, u], minlength=n).all()
+    )
+
+
+def universal_tuple_restarted(g, l: int) -> tuple[int, ...] | None:
+    """The lexicographically first universal l-tuple whose first coordinate
+    leads its automorphism orbit, or None, by a depth-first search from the
+    empty prefix for this l alone: the reference for
+    ``search.find_universal_tuple``, which reads one search for every
+    length."""
+    tables = endomorphism_tables(g)
+    m, n = tables.shape
+    if n**l > m:
+        return None
+    univ = universal_elements_per_element(g)
+    firsts = [orb[0] for orb in automorphism_orbits(g) if orb[0] in univ]
+
+    def extend(prefix, codes):
+        j = len(prefix)
+        if j == l:
+            return prefix
+        for u in firsts if j == 0 else univ:
+            longer = codes + n**j * tables[:, u].astype(np.int64)
+            if np.bincount(longer, minlength=n ** (j + 1)).all():
+                hit = extend(prefix + (u,), longer)
+                if hit is not None:
+                    return hit
+        return None
+
+    return extend((), np.zeros(m, dtype=np.int64))
+
+
+def universal_tuples_restarted(g, most: int) -> list[tuple[int, ...]]:
+    """The first universal tuple of each length 1, 2, ... until a length has
+    none or ``most`` are found, one restarted search per length: the
+    reference for the one search that ``lower_bound_certificates`` reads."""
+    tuples = []
+    while len(tuples) < most and (
+        tup := universal_tuple_restarted(g, len(tuples) + 1)
+    ) is not None:
+        tuples.append(tup)
+    return tuples

@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BOUNDS = "src/groupapprox/bounds.py"
 JK = "src/groupapprox/jk.py"
 MORPHISMS = "src/groupapprox/morphisms.py"
+SEARCH = "src/groupapprox/search.py"
 
 # (name, file, old text, new text, test files that must fail)
 MUTANTS = (
@@ -75,6 +76,34 @@ MUTANTS = (
         "i = np.flatnonzero(agree >= k)",
         "i = np.flatnonzero(agree > k)",
         ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "affine pairs: at(rows, x) reads i and c swapped",
+        MORPHISMS,
+        "rows % n * n + self.endo[:, x].take(rows // n)",
+        "rows // n * n + self.endo[:, x].take(rows % n)",
+        ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "affine path counts: the point x^-1 y = 1 not counted",
+        MORPHISMS,
+        "np.full(len(self.endo), np.count_nonzero(ws[same] == 0),",
+        "np.full(len(self.endo), 0,",
+        ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "universal elements: only each orbit's leader taken",
+        SEARCH,
+        "minlength=n).all() for u in orbit\n",
+        "minlength=n).all() for u in orbit[:1]\n",
+        ("tests/test_search.py",),
+    ),
+    (
+        "universal tuples: a later hit at a depth recorded",
+        SEARCH,
+        "if j + 1 > deepest:",
+        "if j + 1 >= deepest:",
+        ("tests/test_search.py",),
     ),
     (
         "search: the pins left off the path a family is counted along",

@@ -245,14 +245,16 @@ def test_compute_past_order_64(capsys):
 
 
 def test_compute_affine_table_capacity_fallback(capsys):
-    # 2^26 affine cells are refused before any table is built; the
-    # endomorphism table (2^20 cells) still feeds a search
+    # the 2^26 affine cells are never built: the affapp search counts the
+    # pairs along its path, so it runs to its budget like the enapp search
+    # on the endomorphism table (2^20 cells)
     spec = "product(cyclic(2),product(cyclic(4),cyclic(8)))"
     code, doc, err = run_json(
-        capsys, "compute", "--group", spec, "--metric", "affapp", "--budget", "0"
+        capsys, "compute", "--group", spec, "--metric", "affapp", "--budget", "2000"
     )
-    assert code == 3 and "bounds only" in err
-    assert doc["stats"]["nodes"] == 0 and doc["stats"]["thresholds"] == []
+    assert code == 3 and err == ""
+    assert (doc["lower"], doc["upper"], doc["value"]) == (2, 33, None)
+    assert doc["stats"]["nodes"] == 2000 and doc["stats"]["thresholds"] == [2]
     code, doc, err = run_json(
         capsys, "compute", "--group", spec, "--metric", "enapp", "--budget", "1000"
     )

@@ -225,6 +225,20 @@ def test_affine_path_rows_match_an_explicit_count(spec):
             assert got == expected, (trial, k)
 
 
+@pytest.mark.parametrize("spec", ("sym(3)", "dicyclic(8)", "heis(3)",
+                                  "elemabelian(2,3)"))
+def test_affine_at_reads_the_column_entries(spec):
+    # the values of random rows, repeats and no rows included, read
+    # without the column; the nonabelian groups tell c * phi(x) from
+    # phi(x) * c
+    g = cached_group(spec)
+    family = AffinePairs(g)
+    rng = np.random.default_rng(13)
+    for x in range(g.order):
+        rows = rng.integers(0, family.maps, size=int(rng.integers(0, 200)))
+        assert family.at(rows, x).tolist() == family.column(x)[rows].tolist(), x
+
+
 def test_affine_path_rows_count_past_a_byte():
     # a map of the family on all 257 points of cyclic(257) agrees with
     # itself 257 times: a uint8 count would wrap to 1 and miss it, and two
@@ -318,16 +332,18 @@ def test_enumeration_capacity_limit():
 
 def test_affine_table_capacity_limit():
     # n * |End| * n cells: C2 x C4 x C8 has 16,384 endomorphisms and 2^26
-    # affine cells.  Its reader refuses its first column, so a search or a
-    # built table is refused before it holds one; buckets and rows have no
-    # cap, so the agreement counts still answer
+    # affine cells.  Its reader refuses its first column, so a built table
+    # is refused before it holds one; its search is counted along the path
+    # and takes no column, and buckets and rows have no cap, so the search
+    # and the agreement counts still answer
     g = cached_group("product(cyclic(2),product(cyclic(4),cyclic(8)))")
     assert endomorphism_tables(g).shape == (16_384, 64)
     refused = "would fill 67108864 table cells"
     with pytest.raises(CapacityError, match=refused):
         AffinePairs(g).column(0)
-    with pytest.raises(CapacityError, match=refused):
-        worst_case_value(g, "affine")
+    cert = worst_case_value(g, "affine", budget=2_000)
+    assert (cert.lower, cert.upper, cert.exact) == (2, 33, False)
+    assert (cert.stats.nodes, cert.stats.thresholds) == (2_000, (2,))
     with pytest.raises(CapacityError, match=refused):
         family_tables(g, "affine")
     f = GroupFunction(g, AffinePairs(g).row(12_345))

@@ -38,6 +38,7 @@ from groupapprox.morphisms import (
 from groupapprox.search import (
     DEFAULT_BUDGET,
     METRICS,
+    _universal_tuples,
     bounds_certificate,
     family_tables,
 )
@@ -49,6 +50,8 @@ from _oracles import (
     cached_group,
     max_agreement,
     table_of,
+    universal_elements_per_element,
+    universal_tuples_restarted,
 )
 from make_golden import PATH, ops, record
 
@@ -158,6 +161,33 @@ def test_find_universal_tuple_matches_exhaustive_scan():
 def test_find_universal_tuple_large_pins():
     assert find_universal_tuple(cached_group("elemabelian(2,4)"), 4) == (1, 2, 4, 8)
     assert find_universal_tuple(cached_group("elemabelian(3,3)"), 3) == (1, 3, 9)
+
+
+@pytest.mark.parametrize("spec", [
+    *(spec for spec, _ in ops()), "product(cyclic(4),dihedral(8))",
+])
+def test_lower_bounds_match_the_per_length_searches(spec):
+    # one column per automorphism orbit against one per element, and the
+    # one search's first tuple of each length against a search restarted
+    # for that length; the trivial group has a tuple of every length.
+    # C4 x D8 has 1-tuples but no 2-tuple though |End| >= 32^2, so the
+    # search refutes later 1-tuples after the first
+    g = cached_group(spec)
+    assert universal_elements(g) == universal_elements_per_element(g)
+    most = 3 if g.order == 1 else g.order
+    tuples = universal_tuples_restarted(g, most)
+    assert list(itertools.islice(_universal_tuples(g), most)) == tuples
+    for l, tup in enumerate(tuples, start=1):
+        assert find_universal_tuple(g, l) == tup, l
+    if g.order == 1:
+        return
+    assert find_universal_tuple(g, len(tuples) + 1) is None
+    if tuples:
+        lbs = lower_bound_certificates(g)
+        assert lbs["endo"].evidence == lbs["affine"].evidence == tuples[-1]
+        assert (lbs["endo"].value, lbs["affine"].value) == (
+            len(tuples), len(tuples) + 1
+        )
 
 
 def test_universal_tuple_really_is_onto():
@@ -451,10 +481,10 @@ def test_capped_large_search_runs_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
-    # 2^20 rows, counted along the search path: the family columns of the
-    # depths entered and the search's index buffers; an intp row list of
-    # every value at every position would alone hold 128 MiB
-    assert peak < 64 << 20, peak
+    # 2^20 rows, counted along the search path: the search's index buffers
+    # and the values of the rows at the threshold (2.8 MiB); an intp row
+    # list of every value at every position would alone hold 128 MiB
+    assert peak < 6 << 20, peak
 
 
 def test_capped_large_search_reads_the_family_columns_in_place():
@@ -470,16 +500,17 @@ def test_capped_large_search_reads_the_family_columns_in_place():
         tracemalloc.stop()
     assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
     # the search reads the (constant, endomorphism) pairs, not this table:
-    # ~12 MiB of pair columns and buffers, as it counts the pairs along
-    # its path; a contiguous copy of each free table column would add
+    # ~2.8 MiB of buffers, as it counts the pairs along its path and reads
+    # no column; a contiguous copy of each free table column would add
     # 15 MiB (2^20 int8 rows, 15 free positions)
-    assert peak < 24 << 20, peak
+    assert peak < 6 << 20, peak
 
 
 def test_capped_large_search_builds_no_affine_table():
     # a fresh carrier with its endomorphisms, automorphisms and lower
     # bounds but no affine table: building the 16 MiB table inside the
-    # search read 54.9 MiB, the pairs counted along the path read ~12 MiB
+    # search read 54.9 MiB, the pairs counted along the path with a column
+    # per depth ~12 MiB, and with no column ~2.8 MiB
     g = build_group("elemabelian(2,4)")
     endomorphism_tables(g), automorphism_tables(g), lower_bound_certificates(g)
     tracemalloc.start()
@@ -489,7 +520,22 @@ def test_capped_large_search_builds_no_affine_table():
     finally:
         tracemalloc.stop()
     assert (cert.lower, cert.upper, cert.stats.nodes) == (5, 16, 2_000)
-    assert peak < 24 << 20, peak
+    assert peak < 6 << 20, peak
+
+
+def test_path_counted_search_takes_no_column():
+    # the values the rows in ``full`` block are read row by row, so the
+    # n x n table that every column is gathered from is never built
+    g = cached_group("elemabelian(2,4)")
+    family = AffinePairs(g)
+    assert family.reaching is not None
+    k, images, nodes, thresholds, _ = _min_max(
+        family, g.order, lower_bound_certificates(g)["affine"].value,
+        budget=2_000, pinned={0: 0}, perms=automorphism_tables(g),
+        translations=family.translations(),
+    )
+    assert (k, images, nodes, thresholds) == (5, None, 2_000, (5,))
+    assert "right" not in vars(family)
 
 
 @pytest.mark.parametrize("spec, budget", [
