@@ -154,10 +154,13 @@ class _Budget(Exception):
 
 class _Rows:
     """A family as the (maps, m1) table of its rows, the reader
-    ``brute_force_app`` and the endomorphism family use.  A reader has
-    ``maps`` and ``m1``, and ``values(x)``, an index of the values position
-    x takes (``slice(None)`` for every value); ``column(x)``, the value of
-    every row at x; ``rows(x, v)``, the rows taking v at x, ascending;
+    ``brute_force_app`` and the endomorphism family use.  ``taken``, when
+    given, is an (m1, m2) mask of the values each position takes (for the
+    endomorphisms, ``morphisms.image_sets``); else ``values`` reads the
+    position's column.  A reader has ``maps`` and ``m1``, and
+    ``values(x)``, an index of the values position x takes (``slice(None)``
+    for every value); ``column(x)``, the value of every row at x;
+    ``rows(x, v)``, the rows taking v at x, ascending;
     ``row(j)``, the map of row j; and ``reaching``, None or a function
     ``(x, v, xs, gs, k)`` listing, ascending, the rows taking v at x that
     agree with a path g(xs) = gs on at least k of its points (here None:
@@ -166,12 +169,13 @@ class _Rows:
 
     reaching = None
 
-    def __init__(self, tables):
+    def __init__(self, tables, taken=None):
         self.tables = tables
+        self.taken = tables.T if taken is None else taken
         self.maps, self.m1 = tables.shape
 
     def values(self, x):
-        return self.tables[:, x]
+        return self.taken[x]
 
     def column(self, x):
         return self.tables[:, x]
@@ -202,7 +206,8 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     perms, when given, is a group of permutations of M2 (one per row) whose
     action on values, g -> a o g, maps the family rows onto themselves, so
     g and a o g agree with the family equally often.  Only the rows fixing
-    the pinned values are kept, and each depth holds the stabilizer S of
+    the pinned values are kept (perms is copied only when some row moves
+    one), and each depth holds the stabilizer S of
     the values assigned so far: value v is tried only if it is the least in
     its S-orbit, and the child's stabilizer is ``S[S[:, v] == v]``, or S
     itself when S fixes v.  Each stabilizer's orbit leaders are found once,
@@ -320,7 +325,9 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     root, symmetries = None, 1
     if perms is not None:
         for v in pinned.values():
-            perms = perms[perms[:, v] == v]
+            fixes = perms[:, v] == v
+            if not fixes.all():
+                perms = perms[fixes]
         root, symmetries = symmetry(perms), len(perms)
     everything = range(m2)
     last = len(positions) - 1

@@ -39,10 +39,18 @@ rows, all that ``approximability`` and ``difference_criterion`` read,
 and a search counted along its path, which reads the values of single
 rows (``at``).
 
-The table is sorted lexicographically by image tuple, which downstream
-code relies on for determinism.  It, the automorphism table (its
-bijective rows) and the orbits are read-only and memoized per carrier by
-``groups._per_carrier``, the one cache.
+The table is in lexicographic order of image tuples, which downstream
+code relies on for determinism.  A round copies each row next to itself
+once per candidate image, so the batch comes out ordered by the images
+of the generators in listed order; when each generator used is the
+least element outside the subgroup reached before it, as along every
+elemabelian, cyclic and dihedral constructor's generators, that is
+already the lexicographic order, and only any other carrier's batch is
+sorted (``endomorphism_tables`` gives the argument).  It, the
+automorphism table (its bijective rows, column-major too), the orbits
+and each element's image set (read from one column per orbit) are
+read-only and memoized per carrier by ``groups._per_carrier``, the one
+cache.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ __all__ = [
     "automorphism_tables",
     "endomorphism_tables",
     "enumerate_endomorphisms",
+    "image_sets",
 ]
 
 
@@ -98,8 +107,9 @@ class GroupFunction:
 def _bijective(tables: np.ndarray) -> np.ndarray:
     """Row mask: which endomorphism image tables are permutations of the
     group.  An endomorphism is bijective exactly when its kernel is
-    trivial, that is when 0 is the image of exactly one element."""
-    return np.count_nonzero(tables == 0, axis=1) == 1
+    trivial, that is when no element but 0 has the image 0; a
+    column-major table is read one contiguous column at a time."""
+    return (tables[:, 1:] != 0).all(axis=1)
 
 
 @_per_carrier
@@ -123,7 +133,18 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
     H since t is not, the old elements are walked first, and x * t = x' * t
     forces x = x'.  So once the round ends every row keeps
     img[x*s] = img[x]*img[s] on every edge of the subgroup reached, and
-    img extends along words in the generators to a homomorphism on it."""
+    img extends along words in the generators to a homomorphism on it.
+
+    A round copies each row once per candidate image of t, in increasing
+    order, next to each other, and dropping rows keeps the order; so the
+    rows come out ordered by the images of the generators used, in listed
+    order.  When each generator used is the least element outside the
+    subgroup H reached before it, that is the lexicographic order of the
+    image tuples: two endomorphisms that first differ at generator t
+    agree on H, which holds every element below t, and differ at t.  Then
+    the batch is the table as it stands (every elemabelian, cyclic and
+    dihedral constructor's generators are so); for any other carrier it is
+    sorted."""
     if not isinstance(g, TableGroup):
         raise CapacityError(f"endomorphism enumeration of {g.name} needs a "
                             "dense carrier's Cayley table")
@@ -136,9 +157,13 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
     known = [0]  # elements with an image, each reached from an earlier one
     reached = {0}
     gens: list[int] = []
+    least, ordered = 0, True  # the least element not reached; rows in lex order
     for t in g.generators:
         if t in reached:
             continue
+        while least in reached:
+            least += 1
+        ordered = ordered and t == least
         images = np.flatnonzero(orders[t] % orders == 0).astype(dtype)
         rows = cols.shape[1]
         if rows * len(images) * n > MAX_TABLE_CELLS:
@@ -146,8 +171,8 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
                 f"endomorphism enumeration of {g.name} would hold more than "
                 f"{MAX_TABLE_CELLS} candidate images"
             )
-        cols = np.tile(cols, len(images))
-        cols[t] = np.repeat(images, rows)
+        cols = np.repeat(cols, len(images), axis=1)
+        cols[t] = np.tile(images, rows)
         gens.append(t)
         old = len(known)
         ok = np.ones(cols.shape[1], dtype=bool)
@@ -162,10 +187,13 @@ def endomorphism_tables(g: GroupCarrier) -> np.ndarray:
                     cols[y] = image
                 else:
                     ok &= cols[y] == image
-        cols = np.compress(ok, cols, axis=1)  # C-contiguous, unlike cols[:, ok]
+        if not ok.all():  # no copy when every row survives (elemabelian)
+            cols = np.compress(ok, cols, axis=1)  # C-contiguous, unlike cols[:, ok]
     if len(known) < n:
         raise ParameterError(f"the listed generators of {g.name} do not generate it")
-    tables = np.take(cols, np.lexsort(cols[::-1]), axis=1).T
+    if not ordered:
+        cols = np.take(cols, np.lexsort(cols[::-1]), axis=1)
+    tables = cols.T
     tables.setflags(write=False)
     return tables
 
@@ -180,9 +208,9 @@ def enumerate_endomorphisms(g: GroupCarrier) -> tuple[GroupFunction, ...]:
 @_per_carrier
 def automorphism_tables(g: GroupCarrier) -> np.ndarray:
     """Image tables of all automorphisms, the bijective rows of the
-    endomorphism table in its order (read-only)."""
+    endomorphism table in its order (read-only, column-major)."""
     tables = endomorphism_tables(g)
-    auts = tables[_bijective(tables)]
+    auts = np.compress(_bijective(tables), tables.T, axis=1).T
     auts.setflags(write=False)
     return auts
 
@@ -197,6 +225,26 @@ def automorphism_orbits(g: GroupCarrier) -> tuple[tuple[int, ...], ...]:
     members = np.argsort(leader, kind="stable")  # by leader, then element
     starts = np.flatnonzero(np.diff(leader[members])) + 1
     return tuple(tuple(orb.tolist()) for orb in np.split(members, starts))
+
+
+@_per_carrier
+def image_sets(g: GroupCarrier) -> np.ndarray:
+    """The images of each element under End(G), as an (n, n) mask whose
+    row x marks {phi(x)} (read-only).  phi -> phi o a permutes End(G) for
+    an automorphism a, so a(x) has the images of x: one endomorphism
+    column is read per automorphism orbit, its leader's, and its set is
+    every member's."""
+    tables, n = endomorphism_tables(g), g.order
+    orbits = automorphism_orbits(g)
+    spots = n * np.arange(len(orbits))  # orbit i's set is row i of seen
+    seen = np.zeros((len(orbits), n), dtype=bool)
+    seen.ravel()[tables[:, [orbit[0] for orbit in orbits]] + spots] = True
+    of = np.empty(n, dtype=np.intp)  # of[x]: the orbit of x
+    of[np.concatenate(orbits)] = np.repeat(np.arange(len(orbits)),
+                                           [len(orbit) for orbit in orbits])
+    sets = seen[of]
+    sets.setflags(write=False)
+    return sets
 
 
 # |End(G)| from which the search counts the affine rows along its path

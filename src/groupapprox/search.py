@@ -20,13 +20,14 @@ import numpy as np
 
 from .bounds import _min_max, _Rows, worst_case_upper_bounds
 from .errors import CapacityError, ParameterError
-from .groups import GroupCarrier, _per_carrier
+from .groups import GroupCarrier, _generated, _per_carrier
 from .morphisms import (
     AffinePairs,
     GroupFunction,
     automorphism_orbits,
     automorphism_tables,
     endomorphism_tables,
+    image_sets,
 )
 
 __all__ = [
@@ -92,7 +93,9 @@ def _family(g: GroupCarrier, metric: str):
     table cap on their first ``column`` call (a counter search's or a built
     table's) and list buckets, rows and single values with no cap."""
     _check_metric(metric)
-    return _Rows(endomorphism_tables(g)) if metric == "endo" else AffinePairs(g)
+    if metric == "endo":
+        return _Rows(endomorphism_tables(g), image_sets(g))
+    return AffinePairs(g)
 
 
 def family_tables(g: GroupCarrier, metric: str) -> np.ndarray:
@@ -133,16 +136,8 @@ def approximability(f: GroupFunction, metric: str):
 @_per_carrier
 def universal_elements(g: GroupCarrier) -> tuple[int, ...]:
     """Elements u whose endomorphism images {phi(u)} cover the whole group,
-    ascending.  phi -> phi o a permutes End(G) for an automorphism a, so
-    a(u) has the images of u: one element of each automorphism orbit is
-    tested, one endomorphism column each, and universal orbits are taken
-    whole."""
-    tables = endomorphism_tables(g)
-    n = g.order
-    return tuple(sorted(
-        u for orbit in automorphism_orbits(g)
-        if np.bincount(tables[:, orbit[0]], minlength=n).all() for u in orbit
-    ))
+    ascending, read off ``morphisms.image_sets``."""
+    return tuple(np.flatnonzero(image_sets(g).all(axis=1)).tolist())
 
 
 def _universal_tuples(g: GroupCarrier):
@@ -158,6 +153,13 @@ def _universal_tuples(g: GroupCarrier):
     lexicographic order, carrying the codes sum_j n^j * phi(u_j) of the
     prefix, and a prefix is dropped as soon as some code in 0..n^j - 1 is
     missing.
+
+    A candidate u in the subgroup the prefix generates is skipped: phi(u)
+    is then a word in the prefix's images, so the codes of the prefix and
+    u take at most the n^j values of the prefix's codes, fewer than the
+    n^(j+1) a universal tuple needs.  That needs n >= 2; in the trivial
+    group the one element is universal in every coordinate, and the rule
+    is off.
 
     In this preorder a prefix comes before its extensions, and the nodes
     at one depth come in lexicographic order.  So the first node reached
@@ -191,7 +193,8 @@ def _universal_tuples(g: GroupCarrier):
             yield tuple(prefix)
             if n ** (j + 2) > m:
                 return
-        choices.append(iter(univ))
+        inside = _generated(g, prefix) if n > 1 else np.zeros(n, dtype=bool)
+        choices.append(iter([w for w in univ if not inside[w]]))
 
 
 def find_universal_tuple(g: GroupCarrier, l: int) -> tuple[int, ...] | None:
@@ -360,9 +363,5 @@ def enapp_zero_witness(g: GroupCarrier) -> GroupFunction | None:
     smallest element outside {phi(x) : phi in End(G)}."""
     if universal_elements(g):
         return None
-    tables = endomorphism_tables(g)
-    n = g.order
-    # every column misses some value, so its first zero count is the least
-    return GroupFunction(g, [
-        np.bincount(tables[:, x], minlength=n).argmin() for x in range(n)
-    ])
+    # every image set misses some value, so its first False is the least
+    return GroupFunction(g, image_sets(g).argmin(axis=1))

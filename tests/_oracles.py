@@ -313,16 +313,37 @@ def affine_scan_by_rows(g, f):
     return checked, total, tuple(bad)
 
 
+def image_sets_per_column(g) -> np.ndarray:
+    """The (n, n) mask of each element's images {phi(x)}, by one count of
+    every element's endomorphism column: the reference for
+    ``morphisms.image_sets``, which reads one column per automorphism
+    orbit."""
+    tables = endomorphism_tables(g)
+    n = g.order
+    return np.array([np.bincount(tables[:, x], minlength=n) > 0 for x in range(n)])
+
+
 def universal_elements_per_element(g) -> tuple[int, ...]:
     """Elements u whose endomorphism images {phi(u)} cover the group, by one
     count of every element's column: the reference for
-    ``search.universal_elements``, which counts one column per
-    automorphism orbit."""
+    ``search.universal_elements``, which reads ``morphisms.image_sets``."""
     tables = endomorphism_tables(g)
     n = g.order
     return tuple(
         u for u in range(n) if np.bincount(tables[:, u], minlength=n).all()
     )
+
+
+def enapp_zero_witness_per_column(g) -> list[int] | None:
+    """The images of ``search.enapp_zero_witness``, by one count of every
+    element's column: each x goes to its least zero count, or None when
+    some column takes every value."""
+    tables = endomorphism_tables(g)
+    n = g.order
+    counts = [np.bincount(tables[:, x], minlength=n) for x in range(n)]
+    if any(c.all() for c in counts):
+        return None
+    return [int(c.argmin()) for c in counts]
 
 
 def universal_tuple_restarted(g, l: int) -> tuple[int, ...] | None:

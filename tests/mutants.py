@@ -92,10 +92,34 @@ MUTANTS = (
         ("tests/test_morphisms.py", "tests/test_search.py"),
     ),
     (
-        "universal elements: only each orbit's leader taken",
+        "image sets: an orbit's set written only to its leader",
+        MORPHISMS,
+        "    sets = seen[of]\n",
+        "    sets = np.zeros((n, n), dtype=bool)\n"
+        "    sets[[orbit[0] for orbit in orbits]] = seen\n",
+        ("tests/test_search.py",),
+    ),
+    (
+        "universal tuples: the subgroup mask taken after the candidate is "
+        "appended",
         SEARCH,
-        "minlength=n).all() for u in orbit\n",
-        "minlength=n).all() for u in orbit[:1]\n",
+        "if not inside[w]]",
+        "if not _generated(g, prefix + [w])[w]]",
+        ("tests/test_search.py",),
+    ),
+    (
+        "universal tuples: the subgroup mask of the prefix without its last "
+        "coordinate",
+        SEARCH,
+        "inside = _generated(g, prefix) if",
+        "inside = _generated(g, prefix[:-1]) if",
+        ("tests/test_search.py",),
+    ),
+    (
+        "universal tuples: the subgroup rule on in the trivial group",
+        SEARCH,
+        "_generated(g, prefix) if n > 1 else np.zeros(n, dtype=bool)",
+        "_generated(g, prefix)",
         ("tests/test_search.py",),
     ),
     (
@@ -124,7 +148,7 @@ MUTANTS = (
     (
         "plain rows: every position reported to take every value",
         BOUNDS,
-        "    def values(self, x):\n        return self.tables[:, x]",
+        "    def values(self, x):\n        return self.taken[x]",
         "    def values(self, x):\n        return slice(None)",
         ("tests/test_bounds.py",),
     ),
@@ -199,6 +223,13 @@ MUTANTS = (
         MORPHISMS,
         "ok &= cols[y] == image",
         "pass",
+        ("tests/test_morphisms.py",),
+    ),
+    (
+        "enumeration: the sort skipped whatever the generators",
+        MORPHISMS,
+        "if not ordered:",
+        "if False:",
         ("tests/test_morphisms.py",),
     ),
     (

@@ -59,6 +59,7 @@ PRIVATE_IMPORTS = {
     ("reporting", "groups", "_spec_files"),
     ("search", "bounds", "_min_max"),
     ("search", "bounds", "_Rows"),
+    ("search", "groups", "_generated"),
     ("search", "groups", "_per_carrier"),
     ("witnesses", "groups", "_dense"),
     ("witnesses", "groups", "_is_prime"),

@@ -30,6 +30,7 @@ from groupapprox.morphisms import (
     _bijective,
     automorphism_tables,
     endomorphism_tables,
+    image_sets,
 )
 from groupapprox.search import family_tables
 
@@ -133,12 +134,25 @@ def test_cyclic_endomorphisms_are_the_scalar_maps():
 # ordering, caching, capacity
 # --------------------------------------------------------------------------
 
+def _sort_forcing_carriers():
+    """Carriers whose generators are not each the least element outside the
+    subgroup before it, so their batch comes out of lexicographic order."""
+    return [
+        TableGroup("elemabelian(2,4) by 8,4,2,1",
+                   cached_group("elemabelian(2,4)").mul_table, (8, 4, 2, 1)),
+        TableGroup("cyclic(12) by 5", cached_group("cyclic(12)").mul_table, (5,)),
+    ]
+
+
 def test_enumeration_is_lexicographic_with_zero_map_first():
-    for spec in ("cyclic(6)", "sym(3)", "alt(4)"):
-        g = cached_group(spec)
-        images = [m.images.tolist() for m in enumerate_endomorphisms(g)]
-        assert images == sorted(images)
-        assert images[0] == [0] * g.order
+    # in order by construction (each generator the least element not yet
+    # reached) or by a sort (the two carriers listed out of that order)
+    specs = [g.name for g in catalog_up_to(15)] + list(LARGE_FAMILY_GROUPS)
+    for g in [cached_group(spec) for spec in specs] + _sort_forcing_carriers():
+        got = endomorphism_tables(g)
+        want = brute_endomorphisms(table_of(g), g.generators)
+        assert np.array_equal(got, want), (g.name, g.generators)
+        assert not got[0].any(), g.name
 
 
 def test_affine_maps_are_endomorphism_major():
@@ -302,7 +316,7 @@ def test_approximability_returns_the_first_best_in_family_order(spec, metric):
 def test_results_are_cached_on_the_carrier():
     g = cyclic(6)
     attributes = set(vars(g))
-    for fact in (endomorphism_tables, automorphism_tables):
+    for fact in (endomorphism_tables, automorphism_tables, image_sets):
         assert fact(g) is fact(g), fact.__name__
         with pytest.raises(ValueError):
             fact(g)[0, 0] = 1
@@ -394,14 +408,16 @@ def test_automorphism_orbits_pins():
 
 
 def test_automorphism_facts_match_their_sorting_references():
-    # one zero per row and the column minima give what a sort of every row
-    # and one np.unique per element gave
+    # no zero past the identity's column and the column minima give what a
+    # sort of every row and one np.unique per element gave; the automorphism
+    # table is column-major
     specs = [g.name for g in catalog_up_to(15)] + list(LARGE_FAMILY_GROUPS)
     for spec in specs:
         g = cached_group(spec)
         endos = endomorphism_tables(g)
         assert np.array_equal(_bijective(endos), bijective_by_sort(endos)), spec
         auts = automorphism_tables(g)
+        assert auts.flags.f_contiguous and not auts.flags.writeable, spec
         assert automorphism_orbits(g) == orbits_by_unique(auts), spec
 
 
@@ -503,6 +519,7 @@ def test_enumeration_matches_the_row_major_reference():
         carriers += [g, TableGroup(spec, table_of(g))]
     for spec, gens in (("elemabelian(3,3)", (9, 1, 10, 3)), ("sym(4)", (9, 6))):
         carriers.append(TableGroup(spec, cached_group(spec).mul_table, gens))
+    carriers += _sort_forcing_carriers()
     for g in carriers:
         got, want = endomorphism_tables(g), endomorphism_tables_by_rows(g)
         assert got.dtype == want.dtype == g.index_type, g.name

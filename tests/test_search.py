@@ -48,6 +48,8 @@ from _oracles import (
     brute_endomorphisms,
     brute_worst_case,
     cached_group,
+    enapp_zero_witness_per_column,
+    image_sets_per_column,
     max_agreement,
     table_of,
     universal_elements_per_element,
@@ -173,7 +175,14 @@ def test_lower_bounds_match_the_per_length_searches(spec):
     # C4 x D8 has 1-tuples but no 2-tuple though |End| >= 32^2, so the
     # search refutes later 1-tuples after the first
     g = cached_group(spec)
+    sets = morphisms.image_sets(g)
+    assert not sets.flags.writeable
+    assert np.array_equal(sets, image_sets_per_column(g))
     assert universal_elements(g) == universal_elements_per_element(g)
+    witness = enapp_zero_witness(g)
+    assert (None if witness is None else witness.images.tolist()) == (
+        enapp_zero_witness_per_column(g)
+    )
     most = 3 if g.order == 1 else g.order
     tuples = universal_tuples_restarted(g, most)
     assert list(itertools.islice(_universal_tuples(g), most)) == tuples
@@ -188,6 +197,24 @@ def test_lower_bounds_match_the_per_length_searches(spec):
         assert (lbs["endo"].value, lbs["affine"].value) == (
             len(tuples), len(tuples) + 1
         )
+
+
+def test_universal_tuples_skip_the_prefix_subgroup(monkeypatch):
+    # a candidate in the subgroup of the prefix is refuted without a count:
+    # elemabelian(2,4) counts codes once per coordinate of (1, 2, 4, 8), not
+    # once per universal element tried
+    g = cached_group("elemabelian(2,4)")
+    universal_elements(g)
+    counted = []
+    count = np.bincount
+
+    def counting(*args, **kwargs):
+        counted.append(kwargs.get("minlength"))
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    assert list(_universal_tuples(g))[-1] == (1, 2, 4, 8)
+    assert counted == [16, 16**2, 16**3, 16**4]
 
 
 def test_universal_tuple_really_is_onto():
