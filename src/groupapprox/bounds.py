@@ -159,13 +159,13 @@ class _Rows:
     endomorphisms, ``morphisms.image_sets``); else ``values`` reads the
     position's column.  A reader has ``maps`` and ``m1``, and
     ``values(x)``, an index of the values position x takes (``slice(None)``
-    for every value); ``column(x)``, the value of every row at x;
+    for every value); ``at(rows, x)``, the values of the given rows at x;
     ``rows(x, v)``, the rows taking v at x, ascending;
     ``row(j)``, the map of row j; and ``reaching``, None or a function
     ``(x, v, xs, gs, k)`` listing, ascending, the rows taking v at x that
     agree with a path g(xs) = gs on at least k of its points (here None:
-    the search keeps counters).  A reader with ``reaching`` also has
-    ``at(rows, x)``, the values of the given rows at x."""
+    the search keeps counters).  Here ``at`` reads column x of the table,
+    one contiguous run in a column-major table."""
 
     reaching = None
 
@@ -177,8 +177,8 @@ class _Rows:
     def values(self, x):
         return self.taken[x]
 
-    def column(self, x):
-        return self.tables[:, x]
+    def at(self, rows, x):
+        return self.tables[:, x].take(rows)
 
     def rows(self, x, v):
         return np.flatnonzero(self.tables[:, x] == v)
@@ -213,11 +213,11 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     itself when S fixes v.  Each stabilizer's orbit leaders are found once,
     when it is made, and it is dropped once it is the identity alone.
 
-    translations, when given, is (maps, anchors, quotient): a row rho of
-    maps permutes M1, its anchor is a position and quotient an m2 x m2
-    table, such that sigma(g): x -> quotient[g(anchor), g(rho(x))] keeps
-    the pinned values and agrees with the family as often as g (for the
-    affine maps of a group, g(a)^-1 g(a x) for a left translation by a;
+    translations, when given, is (maps, quotient): a row rho of maps
+    permutes M1, its anchor is rho(0) and quotient is an m2 x m2 table,
+    such that sigma(g): x -> quotient[g(rho(0)), g(rho(x))] keeps the
+    pinned values and agrees with the family as often as g (for the affine
+    maps of a group, g(a)^-1 g(a x) for a left translation by a = rho(1);
     see ``morphisms.AffinePairs.translations``).  These are lex-leader
     constraints on the search order (Crawford, Ginsberg, Luks, Roy, KR
     1996): a value is rejected, as one node, as soon as some sigma(g) is
@@ -268,23 +268,20 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     rows taking v at x that agree with the path, this point included, at
     least k times; they are exactly the rows that have just reached k,
     since none of them was in ``full``.  For the affine pairs the count is
-    exact by the difference identity: row (phi, c) takes v at x when
-    c = v phi(x)^-1, and then c phi(y) = v phi(x^-1 y), so it agrees with
-    g at a path point y exactly when phi(x^-1 y) = v^-1 g(y).  Such a
-    family keeps no counters, no buckets and nothing to undo.  Every
-    other family keeps one agreement counter per row, and a value tried
-    increments its bucket of rows, listed by ``rows`` the first time the
-    value is tried at that position and kept for the rest of the call;
-    backtracking decrements it.  Values no row takes at a position (from
-    ``values``, marked once per call) never get a bucket.  Counters are
-    the narrowest unsigned type holding m1.  A depth blocks the values
-    that the rows in ``full`` take at its position.  A family counted
-    along the path reads just those values (``at``), so its search takes
-    no column and holds no more than the rows in ``full``.  Every other
-    family gathers them from the position's ``column``, taken on first
-    entry to the depth and kept for the rest of the call, so such a search
-    may come to hold every column: over a short ``full`` a gather from a
-    cached column costs less than ``at``.
+    exact by the difference identity that ``AffinePairs.path_rows`` states.
+    Such a family keeps no counters, no buckets and nothing to undo: its
+    search copies the base counts and only reads them.  Every other family
+    keeps one agreement counter per row, and a value tried increments its
+    bucket of rows, listed by ``rows`` the first time the value is tried
+    at that position and kept for the rest of the call; backtracking
+    decrements it.  Values no row takes at a position (from ``values``,
+    marked once per call) never get a bucket.  Counters are the narrowest
+    unsigned type holding m1.  A depth blocks the values that the rows in
+    ``full`` take at its position, which every reader reads with
+    ``at(full, x)``: a table of rows from its column, the affine pairs
+    with counters from the columns they keep, and the affine pairs
+    counted along the path from the rows alone, so such a search takes no
+    column and holds no more than the rows in ``full``.
 
     Returns (k, images, nodes, thresholds, symmetries): images is a g
     reaching k, nodes the search nodes (values tried) over all thresholds,
@@ -301,17 +298,16 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
         seen[x][family.values(x)] = True
     positions = sorted(free, key=lambda x: (-np.count_nonzero(seen[x]), x))
     seen = [seen[x].tobytes() for x in positions]
-    columns = [None] * len(positions)
     buckets = [{} for _ in positions]
     base_counts = np.zeros(maps, dtype=np.min_scalar_type(m1))
     for x, v in pinned.items():
         base_counts[family.rows(x, v)] += 1
-    reaching = family.reaching
-    if reaching is not None:  # the path's positions and values, pins first
-        path = np.array([*pinned, *positions], dtype=np.intp)
-        path_values = np.zeros(len(path), dtype=np.intp)
-        path_values[:len(pinned)] = list(pinned.values())
-        on_path = len(pinned) + 1  # points on the path at depth 0
+    at, reaching = family.at, family.reaching
+    # the path's positions and values, pins first
+    path = np.array([*pinned, *positions], dtype=np.intp)
+    path_values = np.zeros(len(path), dtype=np.intp)
+    path_values[:len(pinned)] = list(pinned.values())
+    on_path = len(pinned) + 1  # points on the path at depth 0
 
     def symmetry(stab):
         """A stabilizer with its orbit leaders and the values it fixes (its
@@ -339,13 +335,13 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
 
     filed_first = files = None
     if translations is not None and positions:
-        rho, anchors, quotient = translations
+        rho, quotient = translations
         rank = np.full(m1, -1)
         rank[positions] = np.arange(len(positions))
-        need = np.maximum(rank[anchors], rank[rho[:, positions[0]]]).clip(0)
+        need = np.maximum(rank[rho[:, 0]], rank[rho[:, positions[0]]]).clip(0)
         filed_first = [[] for _ in positions]
-        for row, anchor, d in zip(rho.tolist(), anchors.tolist(), need.tolist()):
-            filed_first[d].append((row, anchor, 0))
+        for row, d in zip(rho.tolist(), need.tolist()):
+            filed_first[d].append((row, row[0], 0))
         rank = rank.tolist()
         quotient = quotient.tolist()
 
@@ -384,15 +380,8 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     def enter(i, full, sym):
         """An iterator over depth i's values and the values its ``full``
         rows block there, as one byte each."""
-        if reaching is not None:
-            taken = family.at(full, positions[i])
-        else:
-            col = columns[i]
-            if col is None:
-                col = columns[i] = family.column(positions[i])
-            taken = col[full]
         blocked = np.zeros(m2, dtype=bool)
-        blocked[taken] = True
+        blocked[at(full, positions[i])] = True
         return iter(everything if sym is None else sym[1]), blocked.tobytes()
 
     def feasible(counts) -> bool:
@@ -468,9 +457,7 @@ def _min_max(family, m2, start, budget=math.inf, pinned=None, perms=None,
     while True:
         thresholds.append(k)
         try:
-            # a family counted along the path only reads its base counts
-            if feasible(base_counts if reaching is not None
-                        else base_counts.copy()):
+            if feasible(base_counts.copy()):
                 break
         except _Budget:
             return k, None, nodes, tuple(thresholds), symmetries

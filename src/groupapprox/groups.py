@@ -166,23 +166,28 @@ class GroupCarrier:
 
     # -- derived helpers --
 
-    def power(self, x: int, e: int) -> int:
-        x = int(self._elements(x))
-        if e < 0:
-            x, e = self.inv(x), -e
-        acc = 0
+    def _powers(self, x, e: int):
+        """x^e for each entry of x and e >= 0, by square-and-multiply with
+        one ``mul_many`` per step."""
+        power, square = np.zeros_like(x), x
         while e:
             if e & 1:
-                acc = self.mul(acc, x)
-            x = self.mul(x, x)
+                power = self.mul_many(power, square)
             e >>= 1
-        return acc
+            if e:
+                square = self.mul_many(square, square)
+        return power
+
+    def power(self, x: int, e: int) -> int:
+        x = self._elements(x)
+        if e < 0:
+            x, e = self.inv_many(x), -e
+        return int(self._powers(x, e))
 
     def element_orders(self) -> list[int]:
         """The order of x is the least divisor d of the order with x^d = 1
         (Lagrange).  The divisors are tried in increasing order on the
-        elements whose order is still open, each x^d by square-and-multiply
-        with one ``mul_many`` per step."""
+        elements whose order is still open, each x^d by ``_powers``."""
         n = self.order
         orders = np.ones(n, dtype=np.int64)
         left = np.arange(1, n)  # the elements whose order is still open
@@ -191,14 +196,7 @@ class GroupCarrier:
                 break
             if n % d:
                 continue
-            power, square, e = np.zeros_like(left), left, d
-            while e:
-                if e & 1:
-                    power = self.mul_many(power, square)
-                e >>= 1
-                if e:
-                    square = self.mul_many(square, square)
-            done = power == 0
+            done = self._powers(left, d) == 0
             orders[left[done]] = d
             left = left[~done]
         return orders.tolist()

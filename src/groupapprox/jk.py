@@ -286,7 +286,8 @@ def jk_group(p: int, lam1: int, lam2: int, *, allow_large: bool = False) -> JKGr
     params = JKParams(p, int(lam1), int(lam2))
     if p > FULL_SCAN_PRIME and not allow_large:
         raise CapacityError(
-            f"order {p}**8 = {p**8}; pass allow_large=True to build it anyway"
+            f"J({p}, lambda) has order {p}**8 = {p**8}: a jk(...) spec builds only "
+            f"p = {FULL_SCAN_PRIME}, and verify-jk a larger p only with --allow-large"
         )
     return JKGroup(params)
 

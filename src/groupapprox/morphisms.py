@@ -30,14 +30,14 @@ an endomorphism, and ``AffinePairs``, the family's one home, reads them
 as such, with no table built: it is the one place that numbers and
 evaluates pairs.  Pair j = i * n + c (endomorphism-major) is c * phi_i,
 and the search, ``search.approximability`` and ``search.family_tables``
-all number the family so.  Only a counter search or a built table reads
-the family's columns, and either comes to hold every one, so the
-reader's first ``column`` call refuses a family past
-``groups.MAX_TABLE_CELLS`` cells: the one place the cap is checked.
-Everything else builds no table and has no cap: listing buckets and
-rows, all that ``approximability`` and ``difference_criterion`` read,
-and a search counted along its path, which reads the values of single
-rows (``at``).
+all number the family so.  Only a counter search, whose ``at`` reads
+the columns the reader keeps, or a built table reads the family's
+columns, and either comes to hold every one, so the reader's first
+column refuses a family past ``groups.MAX_TABLE_CELLS`` cells: the one
+place the cap is checked.  Everything else builds no table and has no
+cap: listing buckets and rows, all that ``approximability`` reads, and
+the path counts that ``difference_criterion`` and a search counted along
+its path read, whose ``at`` reads the values of single rows.
 
 The table is in lexicographic order of image tuples, which downstream
 code relies on for determinism.  A round copies each row next to itself
@@ -273,35 +273,39 @@ class AffinePairs:
     ascending, and O(|End|) to list.  So row i of that bucket agrees with
     g at a point y exactly when phi_i(x^-1 y) = v^-1 g(y), and
     ``path_rows`` counts a bucket's agreements with a path from the
-    endomorphism columns alone; from ``PATH_COUNT_ENDOS`` endomorphisms on
-    the search lists the rows reaching its threshold so (``reaching``),
-    reads the values of those rows alone (``at``), and never lists a
-    bucket or takes a column.  Buckets, rows and ``at`` build no table and
-    have no cap; columns do (see ``right``), so only a counter search or a
-    built table meets it.  It also lists the family's position symmetries
-    for the search (``translations``)."""
+    endomorphism columns alone.  The mode is fixed when the reader is
+    built: from ``PATH_COUNT_ENDOS`` endomorphisms on the search lists the
+    rows reaching its threshold so (``reaching``) and ``at`` reads given
+    rows with no column; below it the search keeps counters and ``at``
+    reads column x, taken on the first call at x and kept in ``columns``.
+    Buckets, rows and a path-mode ``at`` build no table and have no cap;
+    columns do (see ``right``).  It also lists the family's position
+    symmetries for the search (``translations``)."""
 
     def __init__(self, g: GroupCarrier):
         self.name, self.endo, self.mul = g.name, endomorphism_tables(g), g.mul_table
         self.maps, self.m1 = len(self.endo) * g.order, g.order
-        self.ldiv = self.mul[:, self.mul.argmin(axis=1)]  # ldiv[v, w] = v * w^-1
+        self.inverse = g.inv_many(np.arange(g.order))
+        self.ldiv = self.mul[:, self.inverse]  # ldiv[v, w] = v * w^-1
         self.offsets = g.order * np.arange(len(self.endo))
+        # each position's column once taken, or None when counted along the path
+        self.columns = [None] * g.order if len(self.endo) < PATH_COUNT_ENDOS else None
 
     @functools.cached_property
     def quotient(self):
-        """quotient[u, v] = u^-1 * v, built on first use: only a search
-        reads it."""
-        return self.mul[self.mul.argmin(axis=1)]
+        """quotient[u, v] = u^-1 * v, built on first use: only the path
+        counts and the search's translations read it."""
+        return self.mul[self.inverse]
 
     @functools.cached_property
     def right(self):
         """right[w, c] = c * w, built on the first ``column`` call: a
         reader that lists only buckets, rows and the values of given rows
-        never holds it.  Only a counter search or a built table reads
-        columns, and either comes to hold every one, so a family whose
-        columns would fill more than ``MAX_TABLE_CELLS`` cells is refused
-        here, before any column is taken: the one place the affine cap is
-        checked."""
+        along the path never holds it.  Only a counter search or a built
+        table reads columns, and either comes to hold every one, so a
+        family whose columns would fill more than ``MAX_TABLE_CELLS`` cells
+        is refused here, before any column is taken: the one place the
+        affine cap is checked."""
         cells = self.maps * self.m1
         if cells > MAX_TABLE_CELLS:
             raise CapacityError(
@@ -325,15 +329,22 @@ class AffinePairs:
 
     def at(self, rows, x):
         """The values of the given rows at x: row j = i * n + c takes
-        c * phi_i(x), read with no column built."""
-        n = self.m1
-        return self.mul.ravel().take(rows % n * n + self.endo[:, x].take(rows // n))
+        c * phi_i(x), read with no column built along the path, else from
+        the kept column x."""
+        columns = self.columns
+        if columns is None:
+            n = self.m1
+            return self.mul.ravel().take(rows % n * n + self.endo[:, x].take(rows // n))
+        col = columns[x]
+        if col is None:
+            col = columns[x] = self.column(x)
+        return col.take(rows)
 
     @property
     def reaching(self):
         """``path_rows`` for a family of ``PATH_COUNT_ENDOS`` endomorphisms
         or more, else None (see ``bounds._min_max``)."""
-        return self.path_rows if len(self.endo) >= PATH_COUNT_ENDOS else None
+        return self.path_rows if self.columns is None else None
 
     def path_rows(self, x, v, xs, gs, k):
         """The rows of the bucket of (x, v) that agree with g(xs) = gs on
@@ -358,12 +369,12 @@ class AffinePairs:
 
     def translations(self):
         """The position symmetries of the family for ``bounds._min_max``,
-        as (maps, anchors, quotient): row t of maps is a left translation
-        rho(x) = a * x for a != 1, anchors[t] = rho(1) = a, and
-        quotient[u, v] = u^-1 * v.  The family is closed under g -> g o rho,
-        as c * phi(a x) = (c phi(a)) phi(x), and under g -> u * g, so the
-        search may prune by g(a)^-1 g(a x).  The right translations, and so
-        the two-sided ones, keep the family too, but their n * |Inn(G)|
-        maps cost more per search node than they save on searches that end
-        on their node budget."""
-        return self.mul[1:], np.arange(1, self.m1), self.quotient
+        as (maps, quotient): row t of maps is a left translation
+        rho(x) = a * x for a != 1, and quotient[u, v] = u^-1 * v.  The
+        family is closed under g -> g o rho, as
+        c * phi(a x) = (c phi(a)) phi(x), and under g -> u * g, so the
+        search may prune by g(a)^-1 g(a x), with a = rho(1).  The right
+        translations, and so the two-sided ones, keep the family too, but
+        their n * |Inn(G)| maps cost more per search node than they save
+        on searches that end on their node budget."""
+        return self.mul[1:], self.quotient

@@ -52,23 +52,23 @@ TOOL_VERSION = "0.2.0"
 
 CACHE_ENV = "GROUPAPPROX_CACHE_DIR"
 
-# user-facing metric names vs the internal family tags
+# user-facing metric names (the command line, documents) vs the family tags
 _LABELS = {"endo": "enapp", "affine": "affapp"}
 _TAGS = {v: k for k, v in _LABELS.items()}
 
 
+def _named(names: dict, name: str) -> str:
+    if name not in names:
+        raise ParameterError(f"metric must be one of {tuple(names)}, got {name!r}")
+    return names[name]
+
+
 def metric_label(metric: str) -> str:
-    return _LABELS[metric]
+    return _named(_LABELS, metric)
 
 
 def parse_metric_label(label: str) -> str:
-    if label in _TAGS:
-        return _TAGS[label]
-    if label in _LABELS:  # already an internal tag
-        return label
-    raise ParameterError(
-        f"metric must be one of {tuple(_TAGS)}, got {label!r}"
-    )
+    return _named(_TAGS, label)
 
 
 # --------------------------------------------------------------------------
@@ -250,9 +250,10 @@ def _file_digests(spec: str) -> list[str]:
 
 
 def cache_key(spec: str, metric: str) -> str:
+    """The entry's name for a spec and a metric tag, not a label."""
     import hashlib
 
-    label = metric_label(metric) if metric in _LABELS else metric
+    label = metric_label(metric)
     blob = "|".join([TOOL_VERSION, spec, label] + _file_digests(spec))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -274,6 +275,7 @@ def cache_get(spec: str, metric: str) -> dict | None:
 
 
 def cache_put(spec: str, metric: str, doc: dict) -> None:
+    metric_label(metric)  # a metric that is not a tag is refused first
     if not doc.get("exact"):
         return  # only exact results are worth pinning
     directory = cache_dir()

@@ -90,7 +90,7 @@ def _check_metric(metric: str) -> None:
 def _family(g: GroupCarrier, metric: str):
     """The family's reader, the one place a metric becomes one: the
     endomorphism rows, or the affine pairs, which refuse a family past the
-    table cap on their first ``column`` call (a counter search's or a built
+    table cap on their first column (a counter search's or a built
     table's) and list buckets, rows and single values with no cap."""
     _check_metric(metric)
     if metric == "endo":
@@ -100,16 +100,18 @@ def _family(g: GroupCarrier, metric: str):
 
 def family_tables(g: GroupCarrier, metric: str) -> np.ndarray:
     """The family's table, one row per map in its reader's numbering
-    (read-only, column-major), built from the reader's columns on every
-    call; the first column is read before anything is allocated, so a
-    capped family is refused first.  Nothing is memoized on the carrier.
-    This view stays only for the benchmark and the tests, as
-    ``enumerate_endomorphisms`` does."""
-    family = _family(g, metric)
-    first = family.column(0)  # a capped family is refused here
-    tables = np.empty((family.maps, family.m1), dtype=first.dtype, order="F")
-    for x in range(family.m1):
-        tables[:, x] = family.column(x)
+    (read-only, column-major): the memoized endomorphism table, or the
+    affine pairs' columns stacked anew, the first read before anything is
+    allocated, so that a capped family is refused first.  This view stays
+    only for the benchmark and the tests."""
+    _check_metric(metric)
+    if metric == "endo":
+        return endomorphism_tables(g)
+    pairs = AffinePairs(g)
+    first = pairs.column(0)  # a capped family is refused here
+    tables = np.empty((pairs.maps, pairs.m1), dtype=first.dtype, order="F")
+    for x in range(pairs.m1):
+        tables[:, x] = pairs.column(x)
     tables.setflags(write=False)
     return tables
 
@@ -301,7 +303,7 @@ def worst_case_value(
     through ``_family``: an affine family counted along the search path
     (``morphisms.PATH_COUNT_ENDOS``) reads no column and meets no cap, and
     any other past the table cap raises CapacityError when the search
-    reads its first column.  A negative budget raises ParameterError.
+    first reads values with ``at``.  A negative budget raises ParameterError.
     """
     _check_metric(metric)
     if budget < 0:
@@ -333,28 +335,21 @@ def worst_case_value(
 def difference_criterion(f: GroupFunction, x_set) -> GroupFunction | None:
     """An affine map agreeing with f on all of x_set, if one exists.
 
-    f agrees with some affine map on X iff some endomorphism phi satisfies
-    phi(y^-1 x) = f(y)^-1 f(x) for all y in X, with x in X fixed; the
-    witness is then x -> (f(x) phi(x)^-1) * phi(.).  x is pinned to min(X)
-    and the first qualifying endomorphism (lex order) is returned.  x_set
-    is any nonempty iterable of element indices, read through the
-    carrier's one element check; anything else raises ParameterError.
+    The first row, in lex order of endomorphisms, that
+    ``AffinePairs.path_rows`` lists for (min X, f(min X)) at all |X|
+    points of X, by the difference criterion it states.  x_set is any
+    nonempty iterable of element indices, read through the carrier's one
+    element check; anything else raises ParameterError.
     """
     g = f.group
     xs = list(x_set)
     if not xs:
         raise ParameterError("x_set must be nonempty")
-    xs = np.unique(g._elements(xs)).tolist()
-    x0 = xs[0]
-    fx0 = f.images[x0]
-    cols = g.mul_many(g.inv_many(xs), x0)
-    want = g.mul_many(g.inv_many(f.images[xs]), fx0)
-    tables = endomorphism_tables(g)
-    hits = np.flatnonzero((tables[:, cols] == want).all(axis=1))
-    if not hits.size:
-        return None
-    pairs = AffinePairs(g)  # the pair of that phi agreeing with f at x
-    return GroupFunction(g, pairs.row(pairs.rows(x0, fx0)[hits[0]]))
+    xs = np.unique(g._elements(xs))
+    gs = f.images[xs]
+    pairs = AffinePairs(g)
+    rows = pairs.path_rows(int(xs[0]), int(gs[0]), xs, gs, len(xs))
+    return GroupFunction(g, pairs.row(rows[0])) if len(rows) else None
 
 
 def enapp_zero_witness(g: GroupCarrier) -> GroupFunction | None:

@@ -38,7 +38,7 @@ MUTANTS = (
     (
         "affine pairs: bucket constant v * w, not v * w^-1",
         MORPHISMS,
-        "self.ldiv = self.mul[:, self.mul.argmin(axis=1)]",
+        "self.ldiv = self.mul[:, self.inverse]",
         "self.ldiv = self.mul",
         ("tests/test_morphisms.py", "tests/test_search.py"),
     ),
@@ -47,6 +47,13 @@ MUTANTS = (
         MORPHISMS,
         "return self.mul[j % self.m1].take(self.endo[j // self.m1])",
         "return self.mul[j // self.m1].take(self.endo[j % self.m1])",
+        ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "affine pairs: a counter-mode column kept under the position before",
+        MORPHISMS,
+        "col = columns[x] = self.column(x)",
+        "col = columns[x - 1] = self.column(x)",
         ("tests/test_morphisms.py", "tests/test_search.py"),
     ),
     (
@@ -90,6 +97,13 @@ MUTANTS = (
         "np.full(len(self.endo), np.count_nonzero(ws[same] == 0),",
         "np.full(len(self.endo), 0,",
         ("tests/test_morphisms.py", "tests/test_search.py"),
+    ),
+    (
+        "difference criterion: agreement asked on |X| - 1 points of X",
+        SEARCH,
+        "xs, gs, len(xs))",
+        "xs, gs, len(xs) - 1)",
+        ("tests/test_search.py",),
     ),
     (
         "image sets: an orbit's set written only to its leader",
@@ -144,6 +158,13 @@ MUTANTS = (
         "k = max(start, int(base_counts.max(initial=0)))",
         "k = start",
         ("tests/test_bounds.py",),
+    ),
+    (
+        "plain rows: at(rows, x) reads the column before x",
+        BOUNDS,
+        "return self.tables[:, x].take(rows)",
+        "return self.tables[:, x - 1].take(rows)",
+        ("tests/test_bounds.py", "tests/test_morphisms.py"),
     ),
     (
         "plain rows: every position reported to take every value",

@@ -72,9 +72,12 @@ def test_metric_labels_round_trip():
     assert metric_label("affine") == "affapp"
     assert parse_metric_label("enapp") == "endo"
     assert parse_metric_label("affapp") == "affine"
-    assert parse_metric_label("endo") == "endo"
-    with pytest.raises(ParameterError):
-        parse_metric_label("linear")
+    # argparse passes labels only: a tag is not one
+    for bad in ("endo", "linear"):
+        with pytest.raises(ParameterError, match="enapp"):
+            parse_metric_label(bad)
+    with pytest.raises(ParameterError, match="'endo', 'affine'"):
+        metric_label("enapp")
 
 
 def test_document_bytes_are_canonical():
@@ -87,11 +90,26 @@ def test_document_bytes_are_canonical():
 def test_cache_key_shape_and_sensitivity(monkeypatch):
     k = cache_key("cyclic(6)", "endo")
     assert len(k) == 64 and set(k) <= set("0123456789abcdef")
-    assert k == cache_key("cyclic(6)", "enapp")  # tag and label collapse
     assert k != cache_key("cyclic(7)", "endo")
     assert k != cache_key("cyclic(6)", "affine")
     monkeypatch.setattr("groupapprox.reporting.TOOL_VERSION", "9.9.9")
     assert cache_key("cyclic(6)", "endo") != k
+
+
+def test_cache_takes_metric_tags_only():
+    # the key hashes the tag's label, but the cache itself takes tags: a
+    # label, a spec or any other string is refused before a file is read
+    doc = {"exact": True, "value": 2}
+    for bad in ("enapp", "affapp", "cyclic(6)", "linear"):
+        with pytest.raises(ParameterError, match="metric must be one of"):
+            cache_key("cyclic(6)", bad)
+        with pytest.raises(ParameterError, match="metric must be one of"):
+            cache_get("cyclic(6)", bad)
+        with pytest.raises(ParameterError, match="metric must be one of"):
+            cache_put("cyclic(6)", bad, doc)
+        with pytest.raises(ParameterError, match="metric must be one of"):
+            cache_put("cyclic(6)", bad, {"exact": False})
+    assert not cache_dir().exists()
 
 
 SHORTHAND_SPECS = (
@@ -212,6 +230,21 @@ def test_compute_capacity_fallback(capsys):
     assert "bounds only" in err
     assert doc["exact"] is False and doc["value"] is None
     assert doc["lower_bound"]["kind"] == "abelian"
+
+
+def test_compute_affine_counter_search_past_the_table_cap(capsys):
+    # cyclic(257) has 257 < PATH_COUNT_ENDOS endomorphisms, so its affine
+    # search keeps counters and reads 257^3 table cells' columns: refused
+    # on the first, before the search tries a value, and reported as bounds
+    code, doc, err = run_json(
+        capsys, "compute", "--group", "cyclic(257)", "--metric", "affapp",
+        "--budget", "1000",
+    )
+    assert code == 3
+    assert "would fill 16974593 table cells" in err and "bounds only" in err
+    assert doc["exact"] is False and doc["value"] is None
+    assert doc["stats"]["nodes"] == 0 and doc["stats"]["thresholds"] == []
+    assert not cache_dir().exists()
 
 
 def test_compute_jk_past_the_cayley_cap(capsys):
@@ -453,6 +486,19 @@ def test_verify_jk_endo_check(capsys):
     assert code == 0
     assert doc["check"] == "endo-agreement" and doc["sigma"] is None
     assert doc["pairs_checked"] == 6561 and doc["passed"] is True
+
+
+def test_jk_large_prime_refusal_names_the_cli_gate(capsys):
+    # a jk(...) spec has no way past the gate, and verify-jk has
+    # --allow-large; the Python keyword means nothing on a command line
+    for argv in (["compute", "--group", "jk(5,0,1)", "--metric", "affapp"],
+                 ["verify-jk", "--p", "5", "--lambda", "0,1", "--mode", "sampled"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err == (
+            "error: J(5, lambda) has order 5**8 = 390625: a jk(...) spec builds "
+            "only p = 3, and verify-jk a larger p only with --allow-large\n"
+        ), argv
 
 
 def test_verify_jk_large_prime_gates(capsys):

@@ -23,6 +23,7 @@ from groupapprox import (
     universal_elements,
     worst_case_value,
 )
+from groupapprox import morphisms
 from groupapprox.bounds import _Rows
 from groupapprox.morphisms import (
     PATH_COUNT_ENDOS,
@@ -183,26 +184,42 @@ READER_SPECS = ("cyclic(4)", "sym(3)", "dicyclic(8)", "elemabelian(2,3)")
 
 @pytest.mark.parametrize("metric", ("endo", "affine"))
 @pytest.mark.parametrize("spec", READER_SPECS)
-def test_family_readers_match_the_oracles(spec, metric):
+def test_family_readers_match_the_oracles(spec, metric, monkeypatch):
+    # the table of rows, and the affine pairs in both modes: with counters,
+    # where at reads the columns the reader keeps, and counted along the
+    # path (the gate at 0), where it reads single rows
     g = cached_group(spec)
     n = g.order
     oracle = _rows_in_reader_order(g, metric)
     if metric == "endo":
-        family = _Rows(endomorphism_tables(g))
+        readers = [_Rows(endomorphism_tables(g))]
     else:
-        family = AffinePairs(g)
-    assert (family.maps, family.m1) == oracle.shape
-    for x in range(n):
-        col = oracle[:, x]
-        assert family.column(x).tolist() == col.tolist(), x
-        taken = np.zeros(n, dtype=bool)
-        taken[family.values(x)] = True
-        assert np.flatnonzero(taken).tolist() == np.unique(col).tolist(), x
-        for v in range(n):
-            expected = np.flatnonzero(col == v).tolist()
-            assert family.rows(x, v).tolist() == expected, (x, v)
-    for j in range(family.maps):
-        assert family.row(j).tolist() == oracle[j].tolist(), j
+        readers = [AffinePairs(g)]
+        monkeypatch.setattr(morphisms, "PATH_COUNT_ENDOS", 0)
+        readers.append(AffinePairs(g))
+        assert readers[0].reaching is None and readers[1].reaching is not None
+    rng = np.random.default_rng(17)
+    every = np.arange(len(oracle))
+    for family in readers:
+        assert (family.maps, family.m1) == oracle.shape
+        # at on every row, then on seeded rows (repeats and none included),
+        # each pass over the positions in a seeded order, so that a value
+        # kept for one position and read back at another shows
+        for x in rng.permutation(n).tolist():
+            assert family.at(every, x).tolist() == oracle[:, x].tolist(), x
+        for x in rng.permutation(n).tolist():
+            rows = rng.integers(0, family.maps, size=int(rng.integers(0, 50)))
+            assert family.at(rows, x).tolist() == oracle[rows, x].tolist(), x
+        for x in range(n):
+            col = oracle[:, x]
+            taken = np.zeros(n, dtype=bool)
+            taken[family.values(x)] = True
+            assert np.flatnonzero(taken).tolist() == np.unique(col).tolist(), x
+            for v in range(n):
+                expected = np.flatnonzero(col == v).tolist()
+                assert family.rows(x, v).tolist() == expected, (x, v)
+        for j in range(family.maps):
+            assert family.row(j).tolist() == oracle[j].tolist(), j
 
 
 PATH_SPECS = ("sym(3)", "dihedral(8)", "dicyclic(8)", "alt(4)", "heis(3)",
@@ -241,16 +258,37 @@ def test_affine_path_rows_match_an_explicit_count(spec):
 
 @pytest.mark.parametrize("spec", ("sym(3)", "dicyclic(8)", "heis(3)",
                                   "elemabelian(2,3)"))
-def test_affine_at_reads_the_column_entries(spec):
-    # the values of random rows, repeats and no rows included, read
-    # without the column; the nonabelian groups tell c * phi(x) from
-    # phi(x) * c
+def test_affine_at_reads_the_column_entries(spec, monkeypatch):
+    # the values of random rows, repeats and no rows included, in both
+    # modes: counted along the path (the gate at 0) they are read without
+    # the column; the nonabelian groups tell c * phi(x) from phi(x) * c
     g = cached_group(spec)
-    family = AffinePairs(g)
+    counters = AffinePairs(g)
+    monkeypatch.setattr(morphisms, "PATH_COUNT_ENDOS", 0)
+    path = AffinePairs(g)
     rng = np.random.default_rng(13)
     for x in range(g.order):
-        rows = rng.integers(0, family.maps, size=int(rng.integers(0, 200)))
-        assert family.at(rows, x).tolist() == family.column(x)[rows].tolist(), x
+        rows = rng.integers(0, counters.maps, size=int(rng.integers(0, 200)))
+        want = counters.column(x)[rows].tolist()
+        assert path.at(rows, x).tolist() == want, x
+        assert counters.at(rows, x).tolist() == want, x
+    assert "right" not in vars(path)
+
+
+def test_affine_counter_search_refuses_a_capped_family():
+    # cyclic(257) has 257 endomorphisms, below PATH_COUNT_ENDOS: its search
+    # keeps counters, and at reads columns, so the first column it reads
+    # refuses the 257^3 cells, before any column is kept (the budget only
+    # bounds a search that would go on)
+    g = cached_group("cyclic(257)")
+    refused = "would fill 16974593 table cells"
+    with pytest.raises(CapacityError, match=refused):
+        worst_case_value(g, "affine", budget=1_000)
+    family = AffinePairs(g)
+    assert family.reaching is None
+    with pytest.raises(CapacityError, match=refused):
+        family.at(np.arange(0), 0)
+    assert family.columns == [None] * 257
 
 
 def test_affine_path_rows_count_past_a_byte():
@@ -287,10 +325,11 @@ def test_affine_translations_are_the_left_translations(spec):
     n = g.order
     table = table_of(g)
     inverse = table.argmin(axis=1)
-    maps, anchors, quotient = AffinePairs(g).translations()
+    maps, quotient = AffinePairs(g).translations()
     assert quotient.tolist() == table[inverse].tolist()
     assert maps.tolist() == table[1:].tolist()
-    assert anchors.tolist() == maps[:, 0].tolist() == list(range(1, n))
+    anchors = maps[:, 0]
+    assert anchors.tolist() == list(range(1, n))
     family = _rows_in_reader_order(g, "affine")
     rows = {tuple(f) for f in family.tolist()}
     for rho, anchor in zip(maps, anchors):
