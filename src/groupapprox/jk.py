@@ -28,7 +28,6 @@ endomorphism matches at all (worst-case endomorphism value 0).
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -65,6 +64,8 @@ SCAN_CHUNK = 1 << 16
 # (128 KiB) are reused, where 2^16 int64 cells took fresh pages every time; a
 # pass with narrower temporaries fits proportionally more cells in a block
 SCAN_BLOCK = 1 << 14
+# candidate quartics per batched order test of singer_sigma
+SIGMA_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -167,27 +168,30 @@ class JKGroup(GroupCarrier):
         )
         weight = self._weights[4:]
         dtype = np.min_scalar_type(-p4)
-        # the tables live on the eight digit axes of (q, q'), built in place
-        # in their own type from p x p digit tables
+        # the tables live on the eight digit axes of (q, q'); each sum below
+        # is built in int64 on the few axes it depends on, from p x p digit
+        # tables, and written into the full table once, in the tables' type
         r = np.arange(p)
         total = np.add.outer(r, r)
         commutator = -np.multiply.outer(r, r) % p
-        add = np.zeros((p,) * 8, dtype=dtype)
-        for i in range(4):
-            add += _on_axes(total % p * weight[i], i, 4 + i, dtype)
+        # digit i of q + q' lies on axes (i, 4 + i): one half of the sum
+        # on the k digits, one on the l digits
+        halves = [
+            sum(_on_axes(total % p * weight[i], i, 4 + i, np.int64) for i in pair)
+            for pair in ((0, 1), (2, 3))
+        ]
+        add = np.add(*(half.astype(dtype) for half in halves))
         cocycle = np.zeros_like(add)
-        central = np.empty_like(add)  # one central digit of c(q, q')
         for j in range(4):
-            # commutator correction: the second factor's k collected past
-            # the first factor's l
-            central[...] = _on_axes(commutator, 2 + j % 2, 4 + j // 2, dtype)
+            # central digit j of c(q, q'): the commutator correction (the
+            # second factor's k collected past the first factor's l) plus
+            # the carry of every coset digit i that feeds it (overflows p)
+            central = _on_axes(commutator, 2 + j % 2, 4 + j // 2, np.int64)
             for i in range(4):
-                if self._carry[i, j]:  # digit i overflows p
+                if self._carry[i, j]:
                     overflow = self._carry[i, j] * (total >= p)
-                    central += _on_axes(overflow, i, 4 + i, dtype)
-            central %= p
-            central *= weight[j]
-            cocycle += central
+                    central = central + _on_axes(overflow, i, 4 + i, np.int64)
+            cocycle += (central % p * weight[j]).astype(dtype)
         self._add = add.ravel()
         self._cocycle = cocycle.ravel()
         self._neg = _linear_codes(p, -np.eye(4, dtype=np.int64)).astype(dtype)
@@ -279,9 +283,13 @@ class JKGroup(GroupCarrier):
 
 
 def jk_group(p: int, lam1: int, lam2: int, *, allow_large: bool = False) -> JKGroup:
-    """Build J(p, lambda).  Primes beyond 3 are gated behind allow_large
-    since the order p^8 makes even linear scans expensive; JKParams refuses
-    p through _jk_prime before any allocation."""
+    """Build J(p, lambda).  The build itself is cheap at every p that
+    _jk_prime admits (3, 5 and 7), and JKParams refuses any other p before
+    any allocation.  The gate on primes beyond 3 guards the work that
+    callers do with the carrier: a jk(...) group spec, which compute hands
+    to the search and to the bounds, builds only p = 3, and verify-jk asks
+    for p = 5 or 7 by allow_large (--allow-large), where it scans sampled
+    pairs since full mode stays at p = 3."""
     p = int(p)
     params = JKParams(p, int(lam1), int(lam2))
     if p > FULL_SCAN_PRIME and not allow_large:
@@ -335,17 +343,6 @@ def make_sigma(p: int, matrix) -> SigmaMap:
     return SigmaMap(p, tuple(tuple(int(v) for v in row) for row in arr))
 
 
-def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    acc = np.eye(4, dtype=np.int64)
-    m = m % p
-    while e:
-        if e & 1:
-            acc = acc @ m % p
-        m = m @ m % p
-        e >>= 1
-    return acc
-
-
 def _prime_factors(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:
@@ -359,23 +356,43 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _mat_powers(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p for every matrix of a (k, 4, 4) int64 stack of residues
+    mod p, by one batched square-and-multiply."""
+    acc = np.broadcast_to(np.eye(4, dtype=np.int64), m.shape)
+    while e:
+        if e & 1:
+            acc = acc @ m % p
+        m = m @ m % p
+        e >>= 1
+    return acc
+
+
 def singer_sigma(p: int) -> SigmaMap:
     """The companion matrix of the lexicographically first primitive
     quartic over F_p: a cyclic map of multiplicative order p^4 - 1, hence
-    invertible and fixed-point-free.  p must pass _jk_prime."""
+    invertible and fixed-point-free.  p must pass _jk_prime.
+
+    The quartics are tested in lexicographic chunks of SIGMA_CHUNK, each by
+    one batched power of its companion matrices: order dividing p^4 - 1,
+    and by no (p^4 - 1)/q for a prime q.  The first primitive quartic of
+    the first chunk that holds one is the lexicographically first."""
     _jk_prime(p)
     full = p**4 - 1
-    factors = _prime_factors(full)
+    exponents = [full // q for q in _prime_factors(full)]
+    coeffs = _digits(np.arange(p**4), p, 4)  # (a0, a1, a2, a3), lex order
     eye = np.eye(4, dtype=np.int64)
-    for coeffs in itertools.product(range(p), repeat=4):
-        # companion matrix of x^4 + a3 x^3 + a2 x^2 + a1 x + a0
-        comp = np.eye(4, k=-1, dtype=np.int64)
-        comp[:, 3] = -np.array(coeffs) % p
-        if not (_mat_pow(comp, full, p) == eye).all():
-            continue
-        if any((_mat_pow(comp, full // q, p) == eye).all() for q in factors):
-            continue
-        return make_sigma(p, comp)
+    for lo in range(0, p**4, SIGMA_CHUNK):
+        # companion matrices of x^4 + a3 x^3 + a2 x^2 + a1 x + a0
+        chunk = coeffs[lo : lo + SIGMA_CHUNK]
+        comp = np.tile(np.eye(4, k=-1, dtype=np.int64), (len(chunk), 1, 1))
+        comp[:, :, 3] = -chunk % p
+        primitive = (_mat_powers(comp, full, p) == eye).all(axis=(1, 2))
+        for e in exponents:
+            primitive &= ~(_mat_powers(comp, e, p) == eye).all(axis=(1, 2))
+        first = np.flatnonzero(primitive)
+        if first.size:
+            return make_sigma(p, comp[first[0]])
     raise AssertionError("no primitive quartic found")  # pragma: no cover
 
 

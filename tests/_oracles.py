@@ -313,6 +313,72 @@ def affine_scan_by_rows(g, f):
     return checked, total, tuple(bad)
 
 
+def singer_sigma_per_candidate(p: int) -> tuple[tuple[int, ...], ...]:
+    """The companion matrix of the lexicographically first primitive quartic
+    over F_p, with each candidate's order tested on its own by a scalar
+    square-and-multiply: the reference for the chunked ``singer_sigma``."""
+    def power(m, e):
+        acc = np.eye(4, dtype=np.int64)
+        while e:
+            if e & 1:
+                acc = acc @ m % p
+            m = m @ m % p
+            e >>= 1
+        return acc
+
+    full = p**4 - 1
+    factors = [q for q in range(2, full + 1)
+               if full % q == 0 and all(q % d for d in range(2, q))]
+    eye = np.eye(4, dtype=np.int64)
+    for coeffs in itertools.product(range(p), repeat=4):
+        # companion matrix of x^4 + a3 x^3 + a2 x^2 + a1 x + a0
+        comp = np.eye(4, k=-1, dtype=np.int64)
+        comp[:, 3] = -np.array(coeffs) % p
+        if (power(comp, full) == eye).all() and not any(
+            (power(comp, full // q) == eye).all() for q in factors
+        ):
+            return tuple(tuple(int(v) for v in row) for row in comp)
+    raise AssertionError("no primitive quartic found")
+
+
+def jk_tables_on_eight_axes(p: int, lam1: int, lam2: int):
+    """The tables (add, cocycle, neg) of the ``jk(p, lam1, lam2)`` carrier,
+    each summand of each table spread over all eight digit axes of a pair
+    of codes and added in a full-table scratch: the reference for the
+    carrier's own construction, which sums each digit on its axes alone."""
+    p4 = p**4
+    dtype = np.min_scalar_type(-p4)
+    weight = p ** np.arange(3, -1, -1)
+    carry = np.array([[1, 0, 0, 0], [lam1, lam2, 0, 0], [0, 0, 1, 1],
+                      [0, 0, 0, 1]])
+    r = np.arange(p)
+    total = np.add.outer(r, r)
+    commutator = -np.multiply.outer(r, r) % p
+
+    def on_axes(table, i, j):
+        shape = [1] * 8
+        shape[i] = shape[j] = p
+        return table.astype(dtype).reshape(shape)
+
+    add = np.zeros((p,) * 8, dtype=dtype)
+    for i in range(4):
+        add += on_axes(total % p * weight[i], i, 4 + i)
+    cocycle = np.zeros_like(add)
+    central = np.empty_like(add)
+    for j in range(4):
+        central[...] = on_axes(commutator, 2 + j % 2, 4 + j // 2)
+        for i in range(4):
+            if carry[i, j]:
+                central += on_axes(carry[i, j] * (total >= p), i, 4 + i)
+        central %= p
+        central *= weight[j]
+        cocycle += central
+    codes = np.arange(p4)
+    digits = np.stack([codes // p**k % p for k in (3, 2, 1, 0)], axis=-1)
+    neg = (-digits % p @ weight).astype(dtype)
+    return add.ravel(), cocycle.ravel(), neg
+
+
 def image_sets_per_column(g) -> np.ndarray:
     """The (n, n) mask of each element's images {phi(x)}, by one count of
     every element's endomorphism column: the reference for

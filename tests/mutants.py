@@ -33,6 +33,9 @@ JK = "src/groupapprox/jk.py"
 MORPHISMS = "src/groupapprox/morphisms.py"
 SEARCH = "src/groupapprox/search.py"
 
+# seconds a mutant's test files may run before the mutant counts as killed
+MUTANT_TIMEOUT_S = 300
+
 # (name, file, old text, new text, test files that must fail)
 MUTANTS = (
     (
@@ -240,6 +243,48 @@ MUTANTS = (
         ("tests/test_jk.py",),
     ),
     (
+        "Singer search: the order test by (p^4 - 1)/2 dropped",
+        JK,
+        "exponents = [full // q for q in _prime_factors(full)]",
+        "exponents = [full // q for q in _prime_factors(full)[1:]]",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "Singer search: order dividing p^4 - 1 not required",
+        JK,
+        "primitive = (_mat_powers(comp, full, p) == eye).all(axis=(1, 2))",
+        "primitive = np.ones(len(chunk), dtype=bool)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "Singer search: the last primitive candidate of a chunk taken",
+        JK,
+        "return make_sigma(p, comp[first[0]])",
+        "return make_sigma(p, comp[first[-1]])",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) carrier: the carry of digit b2 left out of the cocycle",
+        JK,
+        "            for i in range(4):\n                if self._carry[i, j]:",
+        "            for i in range(3):\n                if self._carry[i, j]:",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) carrier: a cocycle digit not reduced mod p",
+        JK,
+        "cocycle += (central % p * weight[j]).astype(dtype)",
+        "cocycle += (central * weight[j]).astype(dtype)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) carrier: the l2 digit left out of the addition",
+        JK,
+        "for pair in ((0, 1), (2, 3))",
+        "for pair in ((0, 1), (2,))",
+        ("tests/test_jk.py",),
+    ),
+    (
         "enumeration: no edge of a newly reached element checked",
         MORPHISMS,
         "ok &= cols[y] == image",
@@ -263,18 +308,21 @@ MUTANTS = (
 )
 
 
-def _passes(copy: Path, files) -> bool:
-    """Whether the test files all pass in the copy (stopping at the first
-    failure)."""
+def _outcome(copy: Path, files, timeout: float | None = None) -> str:
+    """"passed" if the test files all pass in the copy, "failed" at the
+    first failure, "timed out" past ``timeout`` seconds (the run killed)."""
     # no bytecode cache: a mutant and its restore may share an mtime
     env = {**os.environ, "PYTHONPATH": str(copy / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         *files],
-        cwd=copy, env=env, capture_output=True, text=True,
-    )
-    return proc.returncode == 0
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *files],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    return "passed" if proc.returncode == 0 else "failed"
 
 
 def main() -> int:
@@ -286,7 +334,7 @@ def main() -> int:
             shutil.copytree(ROOT / folder, copy / folder, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
         files = sorted({f for mutant in MUTANTS for f in mutant[4]})
-        if not _passes(copy, files):
+        if _outcome(copy, files) != "passed":
             print(f"the unmutated tests fail: {' '.join(files)}")
             return 1
         failures = 0
@@ -301,12 +349,13 @@ def main() -> int:
             target.write_text(text.replace(old, new), encoding="utf-8")
             t0 = time.perf_counter()
             try:
-                survived = _passes(copy, tests)
+                outcome = _outcome(copy, tests, MUTANT_TIMEOUT_S)
             finally:
                 target.write_text(text, encoding="utf-8")
-            verdict = "SURVIVED" if survived else "killed  "
-            print(f"{verdict}  {name} ({time.perf_counter() - t0:.1f} s)")
-            failures += survived
+            verdict = {"passed": "SURVIVED", "failed": "killed",
+                       "timed out": "timed out"}[outcome]
+            print(f"{verdict:<9} {name} ({time.perf_counter() - t0:.1f} s)")
+            failures += outcome == "passed"
     print(f"{len(MUTANTS)} mutants, {failures} not killed, "
           f"{time.perf_counter() - start:.1f} s")
     return 1 if failures else 0

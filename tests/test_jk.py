@@ -37,7 +37,12 @@ from groupapprox.jk import (
     check_classified_maps,
 )
 
-from _oracles import affine_row_blocks, affine_scan_by_rows
+from _oracles import (
+    affine_row_blocks,
+    affine_scan_by_rows,
+    jk_tables_on_eight_axes,
+    singer_sigma_per_candidate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +299,17 @@ def test_singer_sigma_pins():
         seen.add(tuple(int(t) for t in v))
     assert len(seen) == 80
     assert (0, 0, 0, 0) not in seen
+    assert singer_sigma(5).matrix == (
+        (0, 0, 0, 3), (1, 0, 0, 0), (0, 1, 0, 3), (0, 0, 1, 4)
+    )
+    assert singer_sigma(7).matrix == (
+        (0, 0, 0, 4), (1, 0, 0, 0), (0, 1, 0, 6), (0, 0, 1, 6)
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_singer_sigma_matches_the_per_candidate_search(p):
+    assert singer_sigma(p) == SigmaMap(p, singer_sigma_per_candidate(p))
 
 
 def test_sigma_is_fixed_point_free_on_all_vectors():
@@ -447,9 +463,20 @@ def test_carrier_builds_in_its_table_width():
     finally:
         tracemalloc.stop()
     assert g._add.dtype == g._cocycle.dtype == np.int16
-    # the two int16 tables (1.5 MiB) and one scratch table of their width;
-    # a single int64 array of 5^8 cells would add 3 MiB
+    # the two int16 tables (1.5 MiB) and int64 sums of at most 5^5 cells; a
+    # single int64 array of 5^8 cells would add 3 MiB
     assert peak < 3 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "params", [(3, 0, 1), (3, 1, 1), (3, 2, 1), (3, 1, 0), (5, 0, 1), (7, 0, 1)]
+)
+def test_carrier_tables_match_the_eight_axis_construction(params):
+    g = jk_group(*params, allow_large=True)
+    for table, ref in zip((g._add, g._cocycle, g._neg),
+                          jk_tables_on_eight_axes(*params)):
+        assert table.dtype == ref.dtype
+        assert table.tobytes() == ref.tobytes()
 
 
 # --------------------------------------------------------------------------
