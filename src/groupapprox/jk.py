@@ -426,12 +426,21 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
 # reachability under the classified endomorphisms
 # --------------------------------------------------------------------------
 
+def _central_mask(zd, qe, ze) -> np.ndarray:
+    """_reachable_mask where d is central (its coset half is 0): e is 0, or
+    e is central and equals d.  Read by _reachable_mask and by the central
+    pass of _affine_full (_central_rows), whose pairs have qd = 0 by
+    selection."""
+    return (qe == 0) & ((ze == 0) | (ze == zd))
+
+
 def _reachable_mask(qd, zd, qe, ze) -> np.ndarray:
     """endo_reachable on the (coset, centre) halves of index arrays (or
-    scalars) d and e: e is 0, or e is central and equals d or d is
-    noncentral, or d is noncentral and e lies in its coset."""
+    scalars) d and e: for noncentral d, e is central or lies in d's coset;
+    for central d, _central_mask.  Read by endo_reachable, the pair-by-pair
+    scans (_reachable_pairs) and verify_enapp_zero."""
     moved = qd != 0
-    return ((qe == 0) & (moved | (ze == 0) | (ze == zd))) | (moved & (qe == qd))
+    return (moved & ((qe == 0) | (qe == qd))) | (~moved & _central_mask(zd, qe, ze))
 
 
 def endo_reachable(g: JKGroup, d: int, e: int) -> bool:
@@ -522,6 +531,28 @@ def _affine_chunks(g: JKGroup, f: np.ndarray, samples: int, seed: int):
             yield y, x, _pair_hits(g, f, y, x), y.size
 
 
+def _central_rows(g: JKGroup, fq, fz, qy, qx, zy) -> np.ndarray:
+    """Hit counts, shaped (pairs, rows), of the central pass of _affine_full
+    on a block: for each coset pair (qy, qx) of the 1-D arrays qy and qx,
+    whose computed quotient code reads 0, the rows y = (qy, zy) for the
+    central codes zy against every x in coset qx, without the pairs (y, y).
+    fq and fz hold the coset and central halves of f, indexed by an
+    element's (coset, central) code pair."""
+    zx = np.arange(g._p4, dtype=g.index_type)  # every column's central code
+    by, bx, ry = qy[:, None, None], qx[:, None, None], zy[:, None]
+    # y^-1 and f(y)^-1 per element; d's coset half (0 by selection, never
+    # read) and c(-qy, qx) per block; d's central half and e per pair
+    ny, nzy = g._inv_halves(by, ry)
+    _, zd = g._mul_halves(ny, nzy, bx, zx)
+    fy = g._inv_halves(fq[by, ry], fz[by, ry])
+    qe, ze = g._mul_halves(*fy, fq[bx, zx], fz[bx, zx])
+    hit = _central_mask(zd, qe, ze)
+    # the pairs (y, y): in blocks with qy = qx, where row zy meets column zy
+    same = np.flatnonzero(qy == qx)[:, None]
+    hit[same, np.arange(zy.size), zy] = False
+    return np.count_nonzero(hit, axis=2)
+
+
 def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
     """(pairs, violations, hits) of the affine scan over all n(n - 1)
     ordered pairs (y, x), as _record would give them for _pair_hits on
@@ -534,12 +565,21 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
     of occupied classes, in blocks of SCAN_BLOCK int64 cells' worth of the
     index type, weighted by the sizes of the column classes.  The diagonal
     pair of a class with qd != 0 stands for the pair (y, y) of every y in
-    it, so it is taken off each such row.  The pairs whose computed qd is
-    0 (those of coset pairs (q(y), q(x)) whose quotient code reads 0; with
-    right tables q(x) = q(y), p^4 of the p^8 x in each row) are decided
-    pair by pair by ``_reachable_pairs``, without the diagonal, a block of
-    coset pairs holding about SCAN_BLOCK pairs.  Nothing here reads sigma
-    or assumes anything about f.
+    it, so it is taken off each such row.
+
+    The pairs whose computed qd is 0 make the central pass: those of the
+    coset pairs (qy, qx) whose quotient code reads 0 (with right tables
+    qx = qy, p^4 of the p^8 x in each row), decided pair by pair by
+    _central_rows in blocks of SCAN_BLOCK int64 cells' worth of pairs:
+    whole coset pairs, or slices of one coset pair's rows where it holds
+    more (p = 5).  A block's pair decides on halves formed where they
+    vary: y^-1 = (-qy, .) depends on y alone, and so does f(y)^-1; d's
+    coset half and the cocycle c(-qy, qx) of y^-1 x are constant per block,
+    and qd = 0 holds by selection, so _central_mask decides the pair from
+    d's central half and e's halves, the only values gathered per pair.
+    The diagonal is dropped only in blocks with qy = qx.  Like the class
+    pass, this reads only the computed ``_add``, ``_cocycle`` and ``_neg``
+    tables, never sigma or a property of f.
 
     That gives every row's hit count.  Only the first rows holding hits,
     until MAX_RECORDED_VIOLATIONS are recorded, are scanned again pair by
@@ -564,15 +604,18 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
         hit = ((qe == 0) | (qe == qd)) & (qd != 0)
         by_class[classes[a]] = hit @ weights - hit.diagonal(lo)
     counts = by_class[kind]
-    # the coset pairs whose quotient reads 0, p^8 = n element pairs each
-    qy, qz = np.nonzero(quotient == 0)
-    step = max(1, SCAN_BLOCK // n)  # about SCAN_BLOCK pairs per block
+    # the coset pairs whose quotient reads 0, p^8 = n element pairs each, in
+    # blocks of whole coset pairs, or of row slices where n exceeds a block
+    qy, qx = (q.astype(index) for q in np.nonzero(quotient == 0))
+    step = max(1, block // n)
+    rows = min(p4, max(1, block // p4))
+    fq, fz = np.divmod(f.reshape(p4, p4), p4)
     for lo in range(0, qy.size, step):
-        y = np.multiply(qy[lo : lo + step, None], p4, dtype=index) + codes
-        x = np.multiply(qz[lo : lo + step, None], p4, dtype=index) + codes
-        y, x = y[:, :, None], x[:, None, :]
-        hit = _reachable_pairs(g, f, y, x) & (y != x)
-        np.add.at(counts, y[:, :, 0], np.count_nonzero(hit, axis=2))
+        a = slice(lo, lo + step)
+        for r in range(0, p4, rows):
+            zy = codes[r : r + rows]
+            y = np.multiply(qy[a, None], p4, dtype=index) + zy
+            np.add.at(counts, y, _central_rows(g, fq, fz, qy[a], qx[a], zy))
     bad: list[tuple[int, int]] = []
     for y in np.flatnonzero(counts):
         if len(bad) == MAX_RECORDED_VIOLATIONS:
@@ -654,8 +697,8 @@ def verify_affapp_one(
         raise ParameterError(f"mode must be 'full' or 'sampled', got {mode!r}")
     if mode == "full" and g.p != FULL_SCAN_PRIME:
         raise CapacityError(
-            f"full verification is limited to p = {FULL_SCAN_PRIME}; use "
-            "mode='sampled'"
+            f"full verification is limited to p = {FULL_SCAN_PRIME}: use "
+            "mode='sampled' in Python, --mode sampled with verify-jk"
         )
     if mode == "sampled" and samples < 1:
         raise ParameterError(f"a sampled scan needs samples >= 1, got {samples}")

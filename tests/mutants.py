@@ -238,8 +238,29 @@ MUTANTS = (
     (
         "J(p, lambda) central pass: the diagonal pairs (y, y) kept",
         JK,
-        "hit = _reachable_pairs(g, f, y, x) & (y != x)",
-        "hit = _reachable_pairs(g, f, y, x)",
+        "hit[same, np.arange(zy.size), zy] = False",
+        "pass",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) central pass: the diagonal also dropped where qy != qx",
+        JK,
+        "same = np.flatnonzero(qy == qx)[:, None]",
+        "same = np.arange(qy.size)[:, None]",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) central pass: c(-qy, qx) read as c(qy, qx)",
+        JK,
+        "_, zd = g._mul_halves(ny, nzy, bx, zx)",
+        "_, zd = g._mul_halves(by, nzy, bx, zx)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) reachability: e = 0 left out for central d",
+        JK,
+        "return (qe == 0) & ((ze == 0) | (ze == zd))",
+        "return (qe == 0) & (ze == zd)",
         ("tests/test_jk.py",),
     ),
     (

@@ -508,7 +508,12 @@ def test_verify_jk_large_prime_gates(capsys):
         capsys, "verify-jk", "--p", "5", "--lambda", "0,1",
         "--allow-large", "--mode", "full",
     )
-    assert code == 3 and "error" in err
+    # the refusal names the CLI flag beside the Python keyword
+    assert code == 3 and out == ""
+    assert err == (
+        "error: full verification is limited to p = 3: use mode='sampled' in "
+        "Python, --mode sampled with verify-jk\n"
+    )
     code, doc, _ = run_json(
         capsys, "verify-jk", "--p", "5", "--lambda", "0,1",
         "--allow-large", "--mode", "sampled", "--samples", "1500",

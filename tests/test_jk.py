@@ -33,7 +33,10 @@ from groupapprox.jk import (
     SCAN_BLOCK,
     SCAN_CHUNK,
     _affine_chunks,
+    _central_rows,
+    _coset_quotient,
     _reachable_mask,
+    _reachable_pairs,
     check_classified_maps,
 )
 
@@ -592,6 +595,68 @@ def test_full_scan_matches_the_row_block_reference(g01, tampered_twist, case):
         "random": _random_function(g01),
     }[case]
     assert _full_scan(g01, f) == affine_scan_by_rows(g01, f.images)
+
+
+@pytest.mark.parametrize("lam1", [1, 2])
+def test_full_scan_of_the_other_twists_matches_the_row_block_reference(lam1):
+    g = jk_group(3, lam1, 1)
+    f = twist_function(g)
+    assert _full_scan(g, f) == affine_scan_by_rows(g, f.images)
+
+
+def _central_reference(g, f, qy, qx, zy):
+    # the central pass's row counts of a block, decided pair by pair on
+    # whole elements, without the pairs (y, y)
+    y = (qy[:, None] * g._p4 + zy)[:, :, None]
+    x = (qx[:, None] * g._p4 + np.arange(g._p4))[:, None, :]
+    return np.count_nonzero(_reachable_pairs(g, f, y, x) & (y != x), axis=2)
+
+
+def _central_block(g, f, qy, qx, zy):
+    # the central pass's own row counts of the same block
+    fq, fz = np.divmod(f.reshape(g._p4, g._p4), g._p4)
+    return _central_rows(g, fq, fz, qy, qx, zy)
+
+
+@pytest.mark.parametrize("function", ["identity", "random"])
+def test_central_pass_keeps_the_pairs_of_a_moved_coset_pair(function):
+    g = jk_group(3, 0, 1)  # a fresh carrier: the module fixtures stay intact
+    # 0 + 1 in the last coset digit now reads 0: the coset pair (0, 1)
+    # has quotient code 0, so it joins the central pass without a diagonal
+    g._add[1] = 0
+    codes = np.arange(81)
+    qy, qx = np.nonzero(_coset_quotient(g, codes[:, None], codes) == 0)
+    assert (0, 1) in zip(qy.tolist(), qx.tolist())
+    f = {
+        # e = d on every pair: all 81 x of a row's block are hits
+        "identity": np.arange(g.order),
+        "random": np.random.default_rng(2).integers(0, 3 * 81, size=g.order),
+    }[function]
+    f = GroupFunction(g, f)
+    block = np.array([0]), np.array([1]), codes
+    counts = _central_block(g, f.images, *block)
+    assert (counts == _central_reference(g, f.images, *block)).all()
+    if function == "identity":
+        assert (counts == 81).all()
+    assert _full_scan(g, f) == affine_scan_by_rows(g, f.images)
+
+
+@pytest.mark.parametrize("tampered_add", [False, True])
+def test_central_rows_at_p5_match_the_pair_by_pair_decision(tampered_add):
+    g = jk_group(5, 0, 1, allow_large=True)  # fresh: it may be tampered
+    if tampered_add:
+        g._add[1] = 0  # the coset pair (0, 1) now reads quotient 0
+    images = np.array(twist_function(g).images)
+    images[: 16 * 625] = np.arange(16 * 625)  # the identity on 16 cosets
+    codes = np.arange(625)
+    qy, qx = np.nonzero(_coset_quotient(g, codes[:, None], codes) == 0)
+    pick = [0, 1, 3, 400]  # with right tables (0, 0), (1, 1), (3, 3), (400, 400)
+    qy, qx = qy[pick], qx[pick]
+    assert (qy == qx).any() and (qy != qx).any() == tampered_add
+    for zy in (codes[:52], codes[-52:]):  # row slices, as the pass takes them
+        counts = _central_block(g, images, qy, qx, zy)
+        assert (counts == _central_reference(g, images, qy, qx, zy)).all()
+        assert counts.any() and not counts.all()
 
 
 def test_full_scan_drops_the_diagonal_where_the_tables_move_it():
