@@ -280,6 +280,42 @@ def bounds_certificate(g: GroupCarrier, metric: str) -> ApproxCertificate:
     return _bracket(g, metric, lb.value, lb, stats)
 
 
+def _constraints(g: GroupCarrier, metric: str, lb: LowerBound, family):
+    """(pinned, translations) for the search of g's worst case under
+    metric from lower bound lb: the values of f the search fixes, and the
+    affine position symmetries of ``family``, the metric's reader, or None.
+
+    For the affine family f(1) = 1 is pinned, which is harmless because
+    the affine worst case is invariant under translation: the family is
+    closed under f -> f(a)^-1 f(a .) for every element a, which keeps
+    f(1) = 1, so the search also takes the reader's ``translations`` and
+    drops f as soon as one of those translates is lex-smaller in search
+    order.
+
+    A forced f(1) = 1 would give every endomorphism a free agreement, but
+    an abelian G whose lower bound is a universal tuple (u1..ul) pins
+    f(u_i) = 1 instead.  End(G) is then a group under pointwise addition,
+    an additive code in G^n, and f and f - psi (psi in End(G)) agree
+    equally often with it, since phi -> phi - psi permutes it: only one f
+    per coset matters (coset leaders; Cohen, Honkala, Litsyn, Lobstein,
+    Covering Codes, 1997).  As u is universal, some psi has
+    psi(u_i) = f(u_i) for every i, so every coset holds an f with
+    f(u_i) = 1.  For a non-abelian G, phi -> phi . psi^-1 need not map
+    End(G) to itself, so f and f . psi^-1 need not agree equally often,
+    and the search is unpinned.  The affine family
+    is that code plus the constants and could be pinned the same way with
+    the translations off (a translate keeps f(1) = 1, not the new pins).
+    It is not yet: the benchmark re-measures each newly exact affine value
+    against the whole built table, 2^20 rows for elemabelian(2,4).
+    """
+    pinned = translations = None
+    if metric == "affine" and g.order > 1:
+        pinned, translations = {0: 0}, family.translations()
+    elif lb.kind == "universal-tuple" and g.is_abelian():
+        pinned = dict.fromkeys(lb.evidence, 0)
+    return pinned, translations
+
+
 def worst_case_value(
     g: GroupCarrier,
     metric: str,
@@ -289,17 +325,12 @@ def worst_case_value(
     """Exact worst-case approximability by iterative deepening, or a
     lower/upper bracket when the node budget runs out.
 
-    For the affine family f(1) = 1 is pinned, which is harmless because the
-    affine worst case is invariant under translation; the endo metric has
-    no such invariance (a forced f(1) = 1 would give every endomorphism a
-    free agreement) and is searched unnormalized.  Both families are closed
-    under f -> a o f for every automorphism a (a o (c phi) = a(c) (a o phi)),
-    so the search tries only automorphism-orbit leaders as values.  The
-    affine family is also closed under f -> f(a)^-1 f(a .) for every
-    element a, which keeps f(1) = 1, so the affine search takes the
-    reader's ``translations`` and drops f as soon as one of those
-    translates is lex-smaller in search order.  Both prunings keep the
-    least feasible f, so only node counts change.  The family is read
+    The search fixes the values ``_constraints`` pins, which keeps the
+    worst case (see there), and tries only automorphism-orbit leaders as
+    values: both families are closed under f -> a o f for every
+    automorphism a (a o (c phi) = a(c) (a o phi)), and every automorphism
+    fixes 1, so no pin costs one.  That pruning keeps the least feasible f
+    under the pins, so only node counts change.  The family is read
     through ``_family``: an affine family counted along the search path
     (``morphisms.PATH_COUNT_ENDOS``) reads no column and meets no cap, and
     any other past the table cap raises CapacityError when the search
@@ -311,9 +342,7 @@ def worst_case_value(
     t0 = time.perf_counter()
     family = _family(g, metric)
     lb = lower_bound_certificates(g)[metric]
-    pinned = translations = None
-    if metric == "affine" and g.order > 1:
-        pinned, translations = {0: 0}, family.translations()
+    pinned, translations = _constraints(g, metric, lb, family)
     k, images, nodes, thresholds, symmetries = _min_max(
         family, g.order, lb.value, budget=budget, pinned=pinned,
         perms=automorphism_tables(g), translations=translations,

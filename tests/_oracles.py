@@ -108,15 +108,22 @@ def max_agreement(images, family: np.ndarray) -> int:
     return int((family == images[None, :]).sum(axis=1).max())
 
 
-def brute_worst_case(n: int, family: np.ndarray, chunk: int = 4096) -> int:
-    """min over all n^n functions of the max agreement with the family."""
+def brute_worst_case(n: int, family: np.ndarray, chunk: int = 4096,
+                     pinned: dict[int, int] | None = None) -> int:
+    """min over all n^n functions of the max agreement with the family, or
+    over those taking value v at x for every x: v in pinned."""
     best = n + 1
     fam = np.asarray(family, dtype=np.int64)
+    pinned = pinned or {}
+    at, want = list(pinned), list(pinned.values())
     it = itertools.product(range(n), repeat=n)
     while True:
         block = np.array(list(itertools.islice(it, chunk)), dtype=np.int64)
         if block.size == 0:
             return best
+        block = block[(block[:, at] == want).all(axis=1)]
+        if not len(block):
+            continue
         agree = (block[:, None, :] == fam[None, :, :]).sum(axis=2).max(axis=1)
         best = min(best, int(agree.min()))
 

@@ -147,6 +147,29 @@ MUTANTS = (
         ("tests/test_search.py",),
     ),
     (
+        "coset pins: applied to a non-abelian group's universal tuple",
+        SEARCH,
+        'elif lb.kind == "universal-tuple" and g.is_abelian():',
+        'elif lb.kind == "universal-tuple":',
+        ("tests/test_search.py",),
+    ),
+    (
+        "coset pins: taken at 1..l, not at the universal tuple",
+        SEARCH,
+        "pinned = dict.fromkeys(lb.evidence, 0)",
+        "pinned = dict.fromkeys(range(1, len(lb.evidence) + 1), 0)",
+        ("tests/test_search.py",),
+    ),
+    (
+        "coset pins: applied to the affine metric, translations still on",
+        SEARCH,
+        '    elif lb.kind == "universal-tuple" and g.is_abelian():\n'
+        "        pinned = dict.fromkeys(lb.evidence, 0)",
+        '    if lb.kind == "universal-tuple" and g.is_abelian():\n'
+        "        pinned = {**(pinned or {}), **dict.fromkeys(lb.evidence, 0)}",
+        ("tests/test_search.py",),
+    ),
+    (
         "search: the pins left off the path a family is counted along",
         BOUNDS,
         "reaching(positions[i], v, path[:end],\n"

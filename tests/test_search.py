@@ -8,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupapprox import (
     CapacityError,
@@ -38,6 +40,7 @@ from groupapprox.morphisms import (
 from groupapprox.search import (
     DEFAULT_BUDGET,
     METRICS,
+    _constraints,
     _universal_tuples,
     bounds_certificate,
     family_tables,
@@ -410,6 +413,72 @@ def test_q8_times_c2_affine_closes_at_three():
     assert value == 3
 
 
+ABELIAN_SPECS = (
+    *(f"cyclic({n})" for n in range(2, 13)),
+    "elemabelian(2,3)",
+    "product(cyclic(4),cyclic(2))",
+    "product(cyclic(6),cyclic(2))",
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(ABELIAN_SPECS), st.integers(0, 2**32 - 1))
+def test_endo_agreement_is_constant_on_cosets_of_the_family(spec, seed):
+    # in an abelian group phi -> phi - psi permutes End(G), so f and
+    # f - psi agree equally often with it: the lemma behind the pins
+    g = cached_group(spec)
+    rng = np.random.default_rng(seed)
+    tables = endomorphism_tables(g)
+    f = rng.integers(0, g.order, size=g.order)
+    psi = tables[rng.integers(len(tables))]
+    shifted = g.mul_many(f, g.inv_many(psi))
+    assert (approximability(GroupFunction(g, f), "endo")[0]
+            == approximability(GroupFunction(g, shifted), "endo")[0])
+
+
+def test_endo_pins_on_the_universal_tuple_keep_the_worst_case():
+    # every abelian group of order <= 6: the least worst case over the
+    # functions that send the universal tuple to 1 is the least over all
+    for spec in ("cyclic(2)", "cyclic(3)", "cyclic(4)", "elemabelian(2,2)",
+                 "cyclic(5)", "cyclic(6)"):
+        g = cached_group(spec)
+        lb = lower_bound_certificates(g)["endo"]
+        pinned, translations = _constraints(g, "endo", lb, None)
+        assert pinned == dict.fromkeys(lb.evidence, 0) and translations is None
+        endos = _oracle_family(g, "endo")
+        least = brute_worst_case(g.order, endos)
+        assert brute_worst_case(g.order, endos, pinned=pinned) == least, spec
+
+
+def test_only_abelian_endo_searches_pin_the_universal_tuple():
+    # non-abelian groups, with a tuple or not, search f unpinned; the
+    # affine searches keep f(1) = 1 and their translations alone
+    for spec in ("cyclic(1)", "sym(3)", "dihedral(8)", "dicyclic(8)", "alt(4)"):
+        g = cached_group(spec)
+        lb = lower_bound_certificates(g)["endo"]
+        assert _constraints(g, "endo", lb, None) == (None, None), spec
+    for spec in ("cyclic(6)", "elemabelian(2,3)", "dihedral(8)"):
+        g = cached_group(spec)
+        family = AffinePairs(g)
+        lb = lower_bound_certificates(g)["affine"]
+        assert lb.kind == "universal-tuple", spec
+        pinned, translations = _constraints(g, "affine", lb, family)
+        assert pinned == {0: 0}, spec
+        assert translations is not None, spec
+
+
+def test_elemabelian_2_4_enapp_is_exact_at_the_large_family_budget():
+    # unpinned, the search is still at [4, 13] after 10^7 nodes
+    g = cached_group("elemabelian(2,4)")
+    cert = worst_case_value(g, "endo", budget=2_000)
+    assert cert.exact and cert.value == 5
+    assert cert.lower_bound.evidence == (1, 2, 4, 8)
+    assert cert.stats.thresholds == (4, 5)
+    assert cert.stats.nodes == 907
+    assert cert.witness.images[[1, 2, 4, 8]].tolist() == [0, 0, 0, 0]
+    assert approximability(cert.witness, "endo")[0] == 5
+
+
 def test_worst_case_value_order_eight_pins():
     expected = {
         "cyclic(8)": (1, 2),
@@ -444,7 +513,7 @@ def test_worst_case_value_past_order_64_pins():
         assert cert.exact and cert.value == enapp, spec
         assert approximability(cert.witness, "endo")[0] == enapp, spec
         if spec == "cyclic(1024)":
-            assert cert.stats.nodes == 2_047
+            assert cert.stats.nodes == 2_046
 
 
 def test_deep_search_memory_stays_within_its_tables():
@@ -556,10 +625,11 @@ def test_path_counted_search_takes_no_column():
     g = cached_group("elemabelian(2,4)")
     family = AffinePairs(g)
     assert family.reaching is not None
+    lb = lower_bound_certificates(g)["affine"]
+    pinned, translations = _constraints(g, "affine", lb, family)
     k, images, nodes, thresholds, _ = _min_max(
-        family, g.order, lower_bound_certificates(g)["affine"].value,
-        budget=2_000, pinned={0: 0}, perms=automorphism_tables(g),
-        translations=family.translations(),
+        family, g.order, lb.value, budget=2_000, pinned=pinned,
+        perms=automorphism_tables(g), translations=translations,
     )
     assert (k, images, nodes, thresholds) == (5, None, 2_000, (5,))
     assert "right" not in vars(family)
@@ -577,12 +647,10 @@ def test_affine_pairs_search_matches_the_built_table(spec, budget):
     # flatnonzero and the pairs' by ldiv, and nothing may differ; both
     # prune by the same translations
     g = cached_group(spec)
-    start = lower_bound_certificates(g)["affine"].value
-    pinned = translations = None
-    if g.order > 1:
-        pinned, translations = {0: 0}, AffinePairs(g).translations()
+    lb = lower_bound_certificates(g)["affine"]
+    pinned, translations = _constraints(g, "affine", lb, AffinePairs(g))
     k, images, nodes, thresholds, _ = _min_max(
-        _Rows(family_tables(g, "affine")), g.order, start, budget=budget,
+        _Rows(family_tables(g, "affine")), g.order, lb.value, budget=budget,
         pinned=pinned, perms=automorphism_tables(g), translations=translations,
     )
     cert = worst_case_value(g, "affine", budget=budget)
