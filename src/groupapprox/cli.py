@@ -130,15 +130,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-jk", help="scan the order-p^8 constructions")
     p.add_argument("--p", type=_int_option, required=True)
     p.add_argument("--lambda", dest="lam", required=True, metavar="L1,L2")
-    p.add_argument("--mode", choices=("full", "sampled"), default="full")
+    # the scan options default to None, so that a check or mode that never
+    # reads one can refuse it when given (_cmd_verify_jk)
+    p.add_argument("--mode", choices=("full", "sampled"),
+                   help="affine check only (default full)")
     p.add_argument("--check", choices=("affine", "endo"), default="affine",
                    help="affine: no affine map agrees twice; endo: the "
                         "dodging witness meets no endomorphism")
-    p.add_argument("--sigma", default="singer", metavar="singer|FILE",
-                   help="fixed-point-free twist: 'singer' or a file of 16 "
-                        "matrix entries")
-    p.add_argument("--samples", type=_int_option, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--sigma", metavar="singer|FILE",
+                   help="fixed-point-free twist of the affine check: 'singer' "
+                        "(default) or a file of 16 matrix entries")
+    p.add_argument("--samples", type=_int_option,
+                   help=f"pairs of a sampled scan (default {DEFAULT_SAMPLES})")
+    p.add_argument("--seed", type=_int_option,
+                   help="seed of a sampled scan (default 0)")
     p.add_argument("--allow-large", action="store_true",
                    help="permit primes beyond 3 (sampled checks only)")
 
@@ -234,14 +239,25 @@ def _load_sigma(arg: str, p: int):
 
 
 def _cmd_verify_jk(args) -> int:
+    given = {"--sigma": args.sigma, "--mode": args.mode,
+             "--samples": args.samples, "--seed": args.seed}
+    mode = args.mode or "full"
+    for option, value in given.items():
+        if value is None:
+            continue
+        if args.check == "endo":
+            raise ParameterError(f"{option} is not read by --check endo")
+        if mode == "full" and option in ("--samples", "--seed"):
+            raise ParameterError(f"{option} is read only by --mode sampled")
     lam1, lam2 = _int_list("--lambda", args.lam, 2)
     g = jk_group(args.p, lam1, lam2, allow_large=args.allow_large)
     if args.check == "endo":
         report = verify_enapp_zero(g)
     else:
-        sigma = _load_sigma(args.sigma, g.p)
+        sigma = _load_sigma("singer" if args.sigma is None else args.sigma, g.p)
+        samples = DEFAULT_SAMPLES if args.samples is None else args.samples
         report = verify_affapp_one(
-            g, sigma, mode=args.mode, samples=args.samples, seed=args.seed
+            g, sigma, mode=mode, samples=samples, seed=args.seed or 0
         )
     doc = verify_document(report)
     _emit(doc, args.out)

@@ -54,7 +54,7 @@ __all__ = [
     "verify_enapp_zero",
 ]
 
-# full-scan verification is reserved for the smallest member of the family
+# the largest p of a full scan, and of a jk_group built without allow_large
 FULL_SCAN_PRIME = 3
 DEFAULT_SAMPLES = 1_000_000
 MAX_RECORDED_VIOLATIONS = 20
@@ -426,21 +426,25 @@ def twist_function(g: JKGroup, sigma: SigmaMap | None = None) -> GroupFunction:
 # reachability under the classified endomorphisms
 # --------------------------------------------------------------------------
 
+def _coset_mask(qd, qe) -> np.ndarray:
+    """_reachable_mask where d is not central (qd != 0): e is central or
+    lies in d's coset.  Read by _reachable_mask, _pair_hits and the class
+    pass of _affine_full."""
+    return (qe == 0) | (qe == qd)
+
+
 def _central_mask(zd, qe, ze) -> np.ndarray:
     """_reachable_mask where d is central (its coset half is 0): e is 0, or
-    e is central and equals d.  Read by _reachable_mask and by the central
-    pass of _affine_full (_central_rows), whose pairs have qd = 0 by
-    selection."""
+    e is central and equals d.  Read by _reachable_mask and _central_hits."""
     return (qe == 0) & ((ze == 0) | (ze == zd))
 
 
 def _reachable_mask(qd, zd, qe, ze) -> np.ndarray:
     """endo_reachable on the (coset, centre) halves of index arrays (or
-    scalars) d and e: for noncentral d, e is central or lies in d's coset;
-    for central d, _central_mask.  Read by endo_reachable, the pair-by-pair
-    scans (_reachable_pairs) and verify_enapp_zero."""
+    scalars) d and e: _coset_mask for noncentral d, _central_mask for
+    central d.  Read by endo_reachable and verify_enapp_zero."""
     moved = qd != 0
-    return (moved & ((qe == 0) | (qe == qd))) | (~moved & _central_mask(zd, qe, ze))
+    return (moved & _coset_mask(qd, qe)) | (~moved & _central_mask(zd, qe, ze))
 
 
 def endo_reachable(g: JKGroup, d: int, e: int) -> bool:
@@ -479,36 +483,36 @@ def _coset_quotient(g: JKGroup, qa, qb) -> np.ndarray:
     ``_neg`` and ``_add``, on broadcasting coset codes qa of a and qb of b.
     The ``_add`` index is formed in the carrier's index type."""
     # np.take, not a[i]: fancy indexing by a narrow index array is ~2x slower
-    pair = np.multiply(np.take(g._neg, qa), g._p4, dtype=g.index_type) + qb
-    return np.take(g._add, pair)
+    return np.take(g._add, g._pair(np.take(g._neg, qa), qb))
 
 
-def _reachable_pairs(g: JKGroup, f: np.ndarray, y, x) -> np.ndarray:
-    """_reachable_mask of d = y^-1 x and e = f(y)^-1 f(x) on broadcasting
-    element arrays y and x, both formed by the full product on halves."""
-    p4 = g._p4
-    d = g._mul_halves(*g._inv_halves(*np.divmod(y, p4)), *np.divmod(x, p4))
-    e = g._mul_halves(*g._inv_halves(*np.divmod(f[y], p4)), *np.divmod(f[x], p4))
-    return _reachable_mask(*d, *e)
+def _central_hits(g: JKGroup, y, fy, x, fx) -> np.ndarray:
+    """_central_mask of d = y^-1 x and e = f(y)^-1 f(x), where the computed
+    coset half of d reads 0: y, f(y), x and f(x) are (coset, central) halves
+    on broadcasting codes, the carrier's product forms d's central half and
+    e.  The one decision of a central pair (_pair_hits, _central_rows)."""
+    ny, nzy = g._inv_halves(*y)
+    _, zd = g._mul_halves(ny, nzy, *x)
+    return _central_mask(zd, *g._mul_halves(*g._inv_halves(*fy), *fx))
 
 
 def _pair_hits(g: JKGroup, f: np.ndarray, ys, xs) -> np.ndarray:
     """Mark the pairs (y, x) of broadcasting element arrays ys and xs for
     which an endomorphism carries d = y^-1 x to e = f(y)^-1 f(x).
 
-    The coset halves qd of d and qe of e come from ``_coset_quotient``.
-    Where qd != 0 the pair is a hit exactly when qe is 0 or qd
-    (_reachable_mask).  Only where the computed qd is 0, so d is central if
-    the tables are right, does ``_reachable_pairs`` form the central
-    halves, on those pairs alone."""
+    The coset halves qd of d and qe of e come from ``_coset_quotient``,
+    and where qd != 0 they decide the pair (_coset_mask).  Only where the
+    computed qd is 0, so d is central if the tables are right, are the
+    central halves formed, for _central_hits, on those pairs alone."""
     p4 = g._p4
     qd = _coset_quotient(g, ys // p4, xs // p4)
     qe = _coset_quotient(g, np.take(f, ys) // p4, np.take(f, xs) // p4)
-    hit = (qe == 0) | (qe == qd)
+    hit = _coset_mask(qd, qe)
     central = np.unravel_index(np.flatnonzero(qd == 0), hit.shape)
     y = np.broadcast_to(ys, hit.shape)[central]
     x = np.broadcast_to(xs, hit.shape)[central]
-    hit[central] = _reachable_pairs(g, f, y, x)
+    halves = (np.divmod(v, p4) for v in (y, np.take(f, y), x, np.take(f, x)))
+    hit[central] = _central_hits(g, *halves)
     return hit
 
 
@@ -540,13 +544,10 @@ def _central_rows(g: JKGroup, fq, fz, qy, qx, zy) -> np.ndarray:
     element's (coset, central) code pair."""
     zx = np.arange(g._p4, dtype=g.index_type)  # every column's central code
     by, bx, ry = qy[:, None, None], qx[:, None, None], zy[:, None]
-    # y^-1 and f(y)^-1 per element; d's coset half (0 by selection, never
-    # read) and c(-qy, qx) per block; d's central half and e per pair
-    ny, nzy = g._inv_halves(by, ry)
-    _, zd = g._mul_halves(ny, nzy, bx, zx)
-    fy = g._inv_halves(fq[by, ry], fz[by, ry])
-    qe, ze = g._mul_halves(*fy, fq[bx, zx], fz[bx, zx])
-    hit = _central_mask(zd, qe, ze)
+    # shaped so that y^-1 and f(y)^-1 are formed per element, d's coset
+    # half and c(-qy, qx) per block, d's central half and e per pair
+    y, fy = (by, ry), (fq[by, ry], fz[by, ry])
+    hit = _central_hits(g, y, fy, (bx, zx), (fq[bx, zx], fz[bx, zx]))
     # the pairs (y, y): in blocks with qy = qx, where row zy meets column zy
     same = np.flatnonzero(qy == qx)[:, None]
     hit[same, np.arange(zy.size), zy] = False
@@ -575,23 +576,23 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
     more (p = 5).  A block's pair decides on halves formed where they
     vary: y^-1 = (-qy, .) depends on y alone, and so does f(y)^-1; d's
     coset half and the cocycle c(-qy, qx) of y^-1 x are constant per block,
-    and qd = 0 holds by selection, so _central_mask decides the pair from
+    and qd = 0 holds by selection, so _central_hits decides the pair from
     d's central half and e's halves, the only values gathered per pair.
     The diagonal is dropped only in blocks with qy = qx.  Like the class
     pass, this reads only the computed ``_add``, ``_cocycle`` and ``_neg``
     tables, never sigma or a property of f.
 
-    That gives every row's hit count.  Only the first rows holding hits,
-    until MAX_RECORDED_VIOLATIONS are recorded, are scanned again pair by
-    pair with _pair_hits to name their hits; each such row's count must
-    equal its class count, or the scan raises AssertionError.
+    That gives every row's hit count.  The first MAX_RECORDED_VIOLATIONS
+    rows with a count (a hit or more each) are scanned again pair by pair
+    in one _pair_hits call, for _record to name the first hits; each such
+    row's count must equal its class count, or the scan raises AssertionError.
     """
     n, p4, index = g.order, g._p4, g.index_type
     block = SCAN_BLOCK * 8 // index.itemsize
     codes = np.arange(p4, dtype=index)
     quotient = _coset_quotient(g, codes[:, None], codes)  # by coset code pair
     xs = np.arange(n, dtype=index)
-    kind = np.multiply(xs // p4, p4, dtype=index) + f // p4  # a class code is < n
+    kind = g._pair(xs // p4, f // p4)  # a class code is < n
     sizes = np.bincount(kind, minlength=n)
     classes = np.flatnonzero(sizes)
     qa, qfa, weights = classes // p4, classes % p4, sizes[classes]
@@ -601,7 +602,7 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
         a = slice(lo, lo + rows)
         qd = np.take(quotient[qa[a]], qa, axis=1)
         qe = np.take(quotient[qfa[a]], qfa, axis=1)
-        hit = ((qe == 0) | (qe == qd)) & (qd != 0)
+        hit = _coset_mask(qd, qe) & (qd != 0)
         by_class[classes[a]] = hit @ weights - hit.diagonal(lo)
     counts = by_class[kind]
     # the coset pairs whose quotient reads 0, p^8 = n element pairs each, in
@@ -614,20 +615,18 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
         a = slice(lo, lo + step)
         for r in range(0, p4, rows):
             zy = codes[r : r + rows]
-            y = np.multiply(qy[a, None], p4, dtype=index) + zy
+            y = g._pair(qy[a, None], zy)
             np.add.at(counts, y, _central_rows(g, fq, fz, qy[a], qx[a], zy))
-    bad: list[tuple[int, int]] = []
-    for y in np.flatnonzero(counts):
-        if len(bad) == MAX_RECORDED_VIOLATIONS:
-            break
-        hit = _pair_hits(g, f, xs[y : y + 1], xs)
-        hit[y] = False
-        found = np.flatnonzero(hit)
-        if found.size != counts[y]:
+    ys = np.flatnonzero(counts)[:MAX_RECORDED_VIOLATIONS, None]
+    hit = _pair_hits(g, f, xs[ys], xs)
+    hit[np.arange(ys.size), ys[:, 0]] = False
+    found = np.count_nonzero(hit, axis=1)
+    for y, pairwise, counted in zip(ys[:, 0], found, counts[ys[:, 0]]):
+        if pairwise != counted:
             raise AssertionError(
-                f"row {y}: {found.size} hits pair by pair, {counts[y]} by class"
+                f"row {y}: {pairwise} hits pair by pair, {counted} by class"
             )
-        bad += [(int(y), int(x)) for x in found[: MAX_RECORDED_VIOLATIONS - len(bad)]]
+    _, bad, _ = _record([(ys, xs, hit, ys.size * (n - 1))])
     return n * (n - 1), bad, int(counts.sum())
 
 
@@ -685,12 +684,12 @@ def verify_affapp_one(
     An affine map agreeing with f at two points x != y forces an
     endomorphism to carry d = y^-1 x to e = f(y)^-1 f(x), so the scan checks
     that endo_reachable fails on ordered pairs: all n(n-1) in full mode
-    (p = 3 only: about 4.3e7), random ones in sampled mode.  Sampled mode
-    decides each pair on its coset halves, forming the central halves only
-    where the coset half of d is 0 (_pair_hits).  Full mode counts the
-    pairs with that coset half nonzero by classes of elements, and decides
-    the rest pair by pair (_affine_full).  sigma, when given, and the
-    function, when given, must belong to g's prime and order.
+    (p = 3 only: about 4.3e7), random ones in sampled mode.  Where the
+    coset half of d is not 0, the coset halves decide a pair (_coset_mask);
+    elsewhere _central_hits decides it from central halves.  Sampled mode
+    decides pair by pair (_pair_hits); full mode counts the first kind by
+    classes of elements and decides the rest pair by pair (_affine_full).
+    sigma and the function, when given, must belong to g's prime and order.
     """
     g.params.require_classified()
     if mode not in ("full", "sampled"):

@@ -247,8 +247,8 @@ MUTANTS = (
     (
         "J(p, lambda) class scan: pairs whose quotient reads 0 counted",
         JK,
-        "hit = ((qe == 0) | (qe == qd)) & (qd != 0)",
-        "hit = (qe == 0) | (qe == qd)",
+        "hit = _coset_mask(qd, qe) & (qd != 0)",
+        "hit = _coset_mask(qd, qe)",
         ("tests/test_jk.py",),
     ),
     (
@@ -275,8 +275,29 @@ MUTANTS = (
     (
         "J(p, lambda) central pass: c(-qy, qx) read as c(qy, qx)",
         JK,
-        "_, zd = g._mul_halves(ny, nzy, bx, zx)",
-        "_, zd = g._mul_halves(by, nzy, bx, zx)",
+        "_, zd = g._mul_halves(ny, nzy, *x)",
+        "_, zd = g._mul_halves(y[0], nzy, *x)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) central pairs: y's halves read where f(y)'s belong",
+        JK,
+        "g._mul_halves(*g._inv_halves(*fy), *fx)",
+        "g._mul_halves(*g._inv_halves(*y), *fx)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) reachability: central e left out for noncentral d",
+        JK,
+        "return (qe == 0) | (qe == qd)",
+        "return qe == qd",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) full scan: rows without a count named by _record",
+        JK,
+        "ys = np.flatnonzero(counts)[:MAX_RECORDED_VIOLATIONS, None]",
+        "ys = np.flatnonzero(counts >= 0)[:MAX_RECORDED_VIOLATIONS, None]",
         ("tests/test_jk.py",),
     ),
     (

@@ -488,6 +488,23 @@ def test_verify_jk_endo_check(capsys):
     assert doc["pairs_checked"] == 6561 and doc["passed"] is True
 
 
+@pytest.mark.parametrize("extra, option", [
+    (["--check", "endo", "--sigma", "/no/such/file"], "--sigma"),
+    (["--check", "endo", "--mode", "sampled"], "--mode"),
+    (["--check", "endo", "--mode", "full"], "--mode"),
+    (["--check", "endo", "--samples", "10"], "--samples"),
+    (["--check", "endo", "--seed", "3"], "--seed"),
+    (["--mode", "full", "--samples", "0"], "--samples"),
+    (["--samples", "10"], "--samples"),
+    (["--mode", "full", "--seed", "-4"], "--seed"),
+    (["--seed", "3"], "--seed"),
+])
+def test_verify_jk_refuses_an_option_its_scan_never_reads(capsys, extra, option):
+    code, out, err = run(capsys, "verify-jk", "--p", "3", "--lambda", "0,1", *extra)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {option} "), err
+
+
 def test_jk_large_prime_refusal_names_the_cli_gate(capsys):
     # a jk(...) spec has no way past the gate, and verify-jk has
     # --allow-large; the Python keyword means nothing on a command line

@@ -47,6 +47,24 @@ def test_every_import_is_read(path):
     assert _unused_imports(path) == [], path
 
 
+def test_every_private_helper_is_read_in_src():
+    # a private function or class that only tests call belongs in
+    # tests/_oracles.py; a read is a loaded name or an attribute
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "groupapprox").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert {name: at for name, at in defined.items() if name not in read} == {}
+
+
 # the private names a module imports from a sibling, each a seam between
 # two modules: a new one fails here, so it is seen in review
 PRIVATE_IMPORTS = {

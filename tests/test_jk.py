@@ -35,8 +35,8 @@ from groupapprox.jk import (
     _affine_chunks,
     _central_rows,
     _coset_quotient,
+    _pair_hits,
     _reachable_mask,
-    _reachable_pairs,
     check_classified_maps,
 )
 
@@ -554,6 +554,14 @@ def _full_scan(g, f):
     return report.pairs_checked, report.violations_total, report.violations
 
 
+def _whole_element_hits(g, f, ys, xs):
+    # every pair decided on whole-element products, without the pairs (y, y)
+    d = g.mul_many(g.inv_many(ys), xs)
+    e = g.mul_many(g.inv_many(f[ys]), f[xs])
+    p4 = g._p4
+    return _reachable_mask(*np.divmod(d, p4), *np.divmod(e, p4)) & (ys != xs)
+
+
 @pytest.mark.parametrize("tampered", [False, True])
 def test_affine_scan_hits_match_the_per_pair_formula(tampered):
     g = jk_group(3, 0, 1)  # a fresh carrier: the module fixtures stay intact
@@ -564,12 +572,6 @@ def test_affine_scan_hits_match_the_per_pair_formula(tampered):
     # images in three cosets, so qe meets both 0 and qd often
     rng = np.random.default_rng(0)
     f = GroupFunction(g, rng.integers(0, 3 * 81, size=g.order)).images
-
-    def per_pair(ys, xs):
-        d = g.mul_many(g.inv_many(ys), xs)
-        e = g.mul_many(g.inv_many(f[ys]), f[xs])
-        return _reachable_mask(*np.divmod(d, 81), *np.divmod(e, 81)) & (ys != xs)
-
     # the class-counted full scan equals the reference, whose first row
     # blocks hold coset 0 and the diagonal
     assert _full_scan(g, GroupFunction(g, f)) == affine_scan_by_rows(g, f)
@@ -579,7 +581,7 @@ def test_affine_scan_hits_match_the_per_pair_formula(tampered):
     for ys, xs, hit, _ in full + sampled:
         ys, xs = np.broadcast_arrays(ys, xs)
         assert hit.shape == ys.shape
-        assert (hit == per_pair(ys, xs)).all()
+        assert (hit == _whole_element_hits(g, f, ys, xs)).all()
 
 
 def _random_function(g):
@@ -605,11 +607,10 @@ def test_full_scan_of_the_other_twists_matches_the_row_block_reference(lam1):
 
 
 def _central_reference(g, f, qy, qx, zy):
-    # the central pass's row counts of a block, decided pair by pair on
-    # whole elements, without the pairs (y, y)
+    # the central pass's row counts of a block, decided pair by pair
     y = (qy[:, None] * g._p4 + zy)[:, :, None]
     x = (qx[:, None] * g._p4 + np.arange(g._p4))[:, None, :]
-    return np.count_nonzero(_reachable_pairs(g, f, y, x) & (y != x), axis=2)
+    return np.count_nonzero(_whole_element_hits(g, f, y, x), axis=2)
 
 
 def _central_block(g, f, qy, qx, zy):
@@ -666,6 +667,35 @@ def test_full_scan_drops_the_diagonal_where_the_tables_move_it():
     g._add[0] = 1
     f = GroupFunction(g, np.arange(g.order))  # the identity: every qe is qd
     assert _full_scan(g, f) == affine_scan_by_rows(g, f.images)
+
+
+@settings(deadline=None, max_examples=6)
+@given(
+    st.sampled_from(["_cocycle", "_neg"]),
+    st.integers(min_value=0, max_value=6560),
+    st.integers(min_value=0, max_value=80),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_central_pairs_read_tampered_cocycle_and_negation_tables(
+    table, entry, code, seed
+):
+    g = jk_group(3, 0, 1)  # a fresh carrier: the module fixtures stay intact
+    tampered = getattr(g, table)
+    tampered[entry % tampered.size] = code
+    rng = np.random.default_rng(seed)
+    # images in three cosets, so qe meets both 0 and qd often
+    f = rng.integers(0, 3 * 81, size=g.order)
+    codes = np.arange(81)
+    quotient = _coset_quotient(g, codes[:, None], codes)
+    # half the pairs in the coset pair whose computed quotient reads 0
+    ys = rng.integers(0, g.order, size=4096)
+    qx = np.argmax(quotient[ys // 81] == 0, axis=1)
+    xs = np.where(np.arange(ys.size) % 2 == 0, qx * 81 + rng.integers(0, 81, ys.size),
+                  rng.integers(0, g.order, ys.size))
+    assert (quotient[ys // 81, xs // 81] == 0).mean() >= 0.5
+    hit = _pair_hits(g, f, ys, xs) & (ys != xs)
+    assert (hit == _whole_element_hits(g, f, ys, xs)).all()
+    assert _full_scan(g, GroupFunction(g, f)) == affine_scan_by_rows(g, f)
 
 
 def test_full_scan_of_a_random_function_runs_in_bounded_memory(g01):
