@@ -58,11 +58,13 @@ __all__ = [
 FULL_SCAN_PRIME = 3
 DEFAULT_SAMPLES = 1_000_000
 MAX_RECORDED_VIOLATIONS = 20
-# pairs per draw of a sampled scan (the draws fix its pair sequence)
+# pairs per draw of a sampled scan (the draws fix its pair sequence), each
+# draw decided by one _pair_hits call: its per-call cost is paid per draw
 SCAN_CHUNK = 1 << 16
-# int64 cells per block of a pass over all elements or pairs: its temporaries
-# (128 KiB) are reused, where 2^16 int64 cells took fresh pages every time; a
-# pass with narrower temporaries fits proportionally more cells in a block
+# int64 cells per block of a pass over all elements, classes or coset pairs
+# (a sampled draw is not split into blocks): its temporaries (128 KiB) are
+# reused, where 2^16 int64 cells took fresh pages every time; a pass with
+# narrower temporaries fits proportionally more cells in a block
 SCAN_BLOCK = 1 << 14
 # candidate quartics per batched order test of singer_sigma
 SIGMA_CHUNK = 64
@@ -224,11 +226,25 @@ class JKGroup(GroupCarrier):
 
     def _mul_halves(self, qa, za, qb, zb):
         """(qa, za)(qb, zb) = (qa + qb, za + zb + c(qa, qb)) on broadcasting
-        coset and central codes: the one place the product is written."""
+        coset and central codes: the one place the product is written, with
+        _mul_rows, its form for every zb at once."""
         add, q = self._add, self._pair(qa, qb)
         z = np.take(add, self._pair(za, zb))
         c = np.take(self._cocycle, q)
         return np.take(add, q), np.take(add, self._pair(z, c))
+
+    def _mul_rows(self, qa, za, qb):
+        """``_mul_halves`` for every central code zb in order, on a new last
+        axis: qa and qb are coset codes shaped (pairs, 1, 1) and za central
+        codes shaped (pairs, rows, 1).  za + zb runs over a whole row of
+        ``_add``, so the rows are copied, and adding c(qa, qb), constant per
+        coset pair, gathers from ``_add``'s column at it once per coset pair."""
+        table = self._add.reshape(self._p4, self._p4)
+        q = self._pair(qa, qb)
+        z = np.take(table, za[..., 0], axis=0)
+        for i, c in enumerate(np.take(self._cocycle, q).ravel()):
+            z[i] = np.take(table[:, c], z[i])
+        return np.take(self._add, q), z
 
     def _inv_halves(self, q, z):
         """(q, z)^-1 = (-q, -z - c(q, -q)) on coset and central codes."""
@@ -356,15 +372,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _mat_powers(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    """m^e mod p for every matrix of a (k, 4, 4) int64 stack of residues
-    mod p, by one batched square-and-multiply."""
-    acc = np.broadcast_to(np.eye(4, dtype=np.int64), m.shape)
-    while e:
-        if e & 1:
-            acc = acc @ m % p
+def _mat_powers(m: np.ndarray, exponents, p: int) -> np.ndarray:
+    """m^e mod p for every e of ``exponents`` and every matrix of a (k, 4, 4)
+    int64 stack of residues mod p, shaped (len(exponents), k, 4, 4): the
+    products of one shared chain of squarings m, m^2, m^4, ..., each square
+    multiplied into the powers whose exponent holds its bit."""
+    es = np.array(exponents)
+    acc = np.broadcast_to(np.eye(4, dtype=np.int64), (es.size,) + m.shape).copy()
+    for bit in range(int(es.max()).bit_length()):
+        owns = np.flatnonzero(es >> bit & 1)
+        acc[owns] = acc[owns] @ m % p
         m = m @ m % p
-        e >>= 1
     return acc
 
 
@@ -374,9 +392,10 @@ def singer_sigma(p: int) -> SigmaMap:
     invertible and fixed-point-free.  p must pass _jk_prime.
 
     The quartics are tested in lexicographic chunks of SIGMA_CHUNK, each by
-    one batched power of its companion matrices: order dividing p^4 - 1,
-    and by no (p^4 - 1)/q for a prime q.  The first primitive quartic of
-    the first chunk that holds one is the lexicographically first."""
+    the powers of its companion matrices that one chain of squarings gives
+    (_mat_powers): order dividing p^4 - 1, and by no (p^4 - 1)/q for a prime
+    q.  The first primitive quartic of the first chunk that holds one is the
+    lexicographically first."""
     _jk_prime(p)
     full = p**4 - 1
     exponents = [full // q for q in _prime_factors(full)]
@@ -387,9 +406,8 @@ def singer_sigma(p: int) -> SigmaMap:
         chunk = coeffs[lo : lo + SIGMA_CHUNK]
         comp = np.tile(np.eye(4, k=-1, dtype=np.int64), (len(chunk), 1, 1))
         comp[:, :, 3] = -chunk % p
-        primitive = (_mat_powers(comp, full, p) == eye).all(axis=(1, 2))
-        for e in exponents:
-            primitive &= ~(_mat_powers(comp, e, p) == eye).all(axis=(1, 2))
+        ones = (_mat_powers(comp, [full, *exponents], p) == eye).all(axis=(2, 3))
+        primitive = ones[0] & ~ones[1:].any(axis=0)
         first = np.flatnonzero(primitive)
         if first.size:
             return make_sigma(p, comp[first[0]])
@@ -490,9 +508,16 @@ def _central_hits(g: JKGroup, y, fy, x, fx) -> np.ndarray:
     """_central_mask of d = y^-1 x and e = f(y)^-1 f(x), where the computed
     coset half of d reads 0: y, f(y), x and f(x) are (coset, central) halves
     on broadcasting codes, the carrier's product forms d's central half and
-    e.  The one decision of a central pair (_pair_hits, _central_rows)."""
+    e.  x's central half None stands for every central code in order, on a
+    last axis, and d's central half is then read by the carrier's row form
+    (_mul_rows).  The one decision of a central pair (_pair_hits,
+    _central_rows)."""
     ny, nzy = g._inv_halves(*y)
-    _, zd = g._mul_halves(ny, nzy, *x)
+    qx, zx = x
+    if zx is None:
+        _, zd = g._mul_rows(ny, nzy, qx)
+    else:
+        _, zd = g._mul_halves(ny, nzy, qx, zx)
     return _central_mask(zd, *g._mul_halves(*g._inv_halves(*fy), *fx))
 
 
@@ -519,20 +544,18 @@ def _pair_hits(g: JKGroup, f: np.ndarray, ys, xs) -> np.ndarray:
 def _affine_chunks(g: JKGroup, f: np.ndarray, samples: int, seed: int):
     """The chunks (ys, xs, hit, pairs) of the sampled affine scan for
     _record: ``samples`` pairs drawn as y and an offset x - y, SCAN_CHUNK
-    per draw, and decided by _pair_hits in blocks of SCAN_BLOCK int64
-    cells' worth of the index type."""
+    per draw, each draw decided by one _pair_hits call."""
     n, index = g.order, g.index_type
-    block = SCAN_BLOCK * 8 // index.itemsize
     rng = np.random.default_rng(seed)
     for done in range(0, samples, SCAN_CHUNK):
         m = min(SCAN_CHUNK, samples - done)
-        ys = rng.integers(0, n, size=m, dtype=np.int64)
-        xs = (ys + rng.integers(1, n, size=m, dtype=np.int64)) % n
-        # drawn in int64, which fixes the pair sequence, then narrowed
-        ys, xs = ys.astype(index), xs.astype(index)
-        for lo in range(0, m, block):
-            y, x = ys[lo : lo + block], xs[lo : lo + block]
-            yield y, x, _pair_hits(g, f, y, x), y.size
+        # drawn in int64, which fixes the pair sequence, then narrowed; the
+        # index type holds y + (x - y) <= 2n - 2, so one subtraction wraps it
+        ys = rng.integers(0, n, size=m, dtype=np.int64).astype(index)
+        xs = rng.integers(1, n, size=m, dtype=np.int64).astype(index)
+        xs += ys
+        xs -= np.multiply(xs >= n, n, dtype=index)
+        yield ys, xs, _pair_hits(g, f, ys, xs), m
 
 
 def _central_rows(g: JKGroup, fq, fz, qy, qx, zy) -> np.ndarray:
@@ -542,12 +565,12 @@ def _central_rows(g: JKGroup, fq, fz, qy, qx, zy) -> np.ndarray:
     central codes zy against every x in coset qx, without the pairs (y, y).
     fq and fz hold the coset and central halves of f, indexed by an
     element's (coset, central) code pair."""
-    zx = np.arange(g._p4, dtype=g.index_type)  # every column's central code
     by, bx, ry = qy[:, None, None], qx[:, None, None], zy[:, None]
     # shaped so that y^-1 and f(y)^-1 are formed per element, d's coset
-    # half and c(-qy, qx) per block, d's central half and e per pair
+    # half and c(-qy, qx) per coset pair, e per pair; x runs over every
+    # central code, so d's central half is read in rows (_mul_rows)
     y, fy = (by, ry), (fq[by, ry], fz[by, ry])
-    hit = _central_hits(g, y, fy, (bx, zx), (fq[bx, zx], fz[bx, zx]))
+    hit = _central_hits(g, y, fy, (bx, None), (fq[qx, None], fz[qx, None]))
     # the pairs (y, y): in blocks with qy = qx, where row zy meets column zy
     same = np.flatnonzero(qy == qx)[:, None]
     hit[same, np.arange(zy.size), zy] = False
@@ -575,9 +598,11 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
     whole coset pairs, or slices of one coset pair's rows where it holds
     more (p = 5).  A block's pair decides on halves formed where they
     vary: y^-1 = (-qy, .) depends on y alone, and so does f(y)^-1; d's
-    coset half and the cocycle c(-qy, qx) of y^-1 x are constant per block,
-    and qd = 0 holds by selection, so _central_hits decides the pair from
-    d's central half and e's halves, the only values gathered per pair.
+    coset half and the cocycle c(-qy, qx) of y^-1 x are constant per coset
+    pair, and qd = 0 holds by selection, so _central_hits decides the pair
+    from d's central half, read as copied rows of ``_add`` and one column
+    per coset pair (_mul_rows), and e's halves, the only values gathered
+    per pair.
     The diagonal is dropped only in blocks with qy = qx.  Like the class
     pass, this reads only the computed ``_add``, ``_cocycle`` and ``_neg``
     tables, never sigma or a property of f.
@@ -592,7 +617,8 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
     codes = np.arange(p4, dtype=index)
     quotient = _coset_quotient(g, codes[:, None], codes)  # by coset code pair
     xs = np.arange(n, dtype=index)
-    kind = g._pair(xs // p4, f // p4)  # a class code is < n
+    fq, fz = np.divmod(f.reshape(p4, p4), p4)  # f's halves by (q, z) of x
+    kind = g._pair(codes[:, None], fq).ravel()  # a class code is < n
     sizes = np.bincount(kind, minlength=n)
     classes = np.flatnonzero(sizes)
     qa, qfa, weights = classes // p4, classes % p4, sizes[classes]
@@ -610,7 +636,6 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
     qy, qx = (q.astype(index) for q in np.nonzero(quotient == 0))
     step = max(1, block // n)
     rows = min(p4, max(1, block // p4))
-    fq, fz = np.divmod(f.reshape(p4, p4), p4)
     for lo in range(0, qy.size, step):
         a = slice(lo, lo + step)
         for r in range(0, p4, rows):
@@ -689,7 +714,8 @@ def verify_affapp_one(
     elsewhere _central_hits decides it from central halves.  Sampled mode
     decides pair by pair (_pair_hits); full mode counts the first kind by
     classes of elements and decides the rest pair by pair (_affine_full).
-    sigma and the function, when given, must belong to g's prime and order.
+    sigma and the function, when given, must belong to g's prime and order;
+    samples and seed must be integers (a bool or a float is refused).
     """
     g.params.require_classified()
     if mode not in ("full", "sampled"):
@@ -699,6 +725,10 @@ def verify_affapp_one(
             f"full verification is limited to p = {FULL_SCAN_PRIME}: use "
             "mode='sampled' in Python, --mode sampled with verify-jk"
         )
+    for name, value in (("samples", samples), ("seed", seed)):
+        # a bool or a float is refused, not read as an int: nothing is coerced
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     if mode == "sampled" and samples < 1:
         raise ParameterError(f"a sampled scan needs samples >= 1, got {samples}")
     if seed < 0:  # np.random.default_rng refuses it with a bare ValueError

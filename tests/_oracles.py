@@ -17,7 +17,7 @@ import numpy as np
 from groupapprox import build_group
 from groupapprox.errors import CapacityError, ParameterError
 from groupapprox.groups import MAX_TABLE_CELLS, TableGroup
-from groupapprox.jk import SCAN_BLOCK, _reachable_mask
+from groupapprox.jk import SCAN_BLOCK, SCAN_CHUNK, _reachable_mask
 from groupapprox.morphisms import automorphism_orbits, endomorphism_tables
 
 
@@ -318,6 +318,18 @@ def affine_scan_by_rows(g, f):
         bad += zip(np.broadcast_to(ys, hit.shape)[keep].tolist(),
                    np.broadcast_to(xs, hit.shape)[keep].tolist())
     return checked, total, tuple(bad)
+
+
+def sampled_pairs_int64(n: int, samples: int, seed: int):
+    """The pairs (ys, xs) of each draw of the sampled affine scan on a group
+    of order n, formed in int64 as ``x = (y + offset) % n``: y and the
+    offset x - y are drawn SCAN_CHUNK at a time.  The reference for the
+    draws of ``jk._affine_chunks``, which wraps x in the index type."""
+    rng = np.random.default_rng(seed)
+    for done in range(0, samples, SCAN_CHUNK):
+        m = min(SCAN_CHUNK, samples - done)
+        ys = rng.integers(0, n, size=m, dtype=np.int64)
+        yield ys, (ys + rng.integers(1, n, size=m, dtype=np.int64)) % n
 
 
 def singer_sigma_per_candidate(p: int) -> tuple[tuple[int, ...], ...]:

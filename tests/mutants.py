@@ -275,8 +275,30 @@ MUTANTS = (
     (
         "J(p, lambda) central pass: c(-qy, qx) read as c(qy, qx)",
         JK,
-        "_, zd = g._mul_halves(ny, nzy, *x)",
-        "_, zd = g._mul_halves(y[0], nzy, *x)",
+        "_, zd = g._mul_rows(ny, nzy, qx)",
+        "_, zd = g._mul_rows(y[0], nzy, qx)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) central pairs of a pair scan: c(-qy, qx) read as c(qy, qx)",
+        JK,
+        "_, zd = g._mul_halves(ny, nzy, qx, zx)",
+        "_, zd = g._mul_halves(y[0], nzy, qx, zx)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) row form: _add's column read at c(qy, qx)",
+        JK,
+        "enumerate(np.take(self._cocycle, q).ravel())",
+        "enumerate(np.take(self._cocycle, "
+        "self._pair(np.take(self._neg, qa), qb)).ravel())",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "J(p, lambda) sampled draws: x wrapped past n, not from n on",
+        JK,
+        "xs -= np.multiply(xs >= n, n, dtype=index)",
+        "xs -= np.multiply(xs > n, n, dtype=index)",
         ("tests/test_jk.py",),
     ),
     (
@@ -317,8 +339,15 @@ MUTANTS = (
     (
         "Singer search: order dividing p^4 - 1 not required",
         JK,
-        "primitive = (_mat_powers(comp, full, p) == eye).all(axis=(1, 2))",
-        "primitive = np.ones(len(chunk), dtype=bool)",
+        "primitive = ones[0] & ~ones[1:].any(axis=0)",
+        "primitive = ~ones[1:].any(axis=0)",
+        ("tests/test_jk.py",),
+    ),
+    (
+        "Singer search: the squaring chain stops one bit early",
+        JK,
+        "for bit in range(int(es.max()).bit_length()):",
+        "for bit in range(int(es.max()).bit_length() - 1):",
         ("tests/test_jk.py",),
     ),
     (
@@ -375,14 +404,16 @@ MUTANTS = (
 
 def _outcome(copy: Path, files, timeout: float | None = None) -> str:
     """"passed" if the test files all pass in the copy, "failed" at the
-    first failure, "timed out" past ``timeout`` seconds (the run killed)."""
+    first failure, "timed out" past ``timeout`` seconds (the run killed).
+    Hypothesis runs under the ``mutants`` profile of tests/conftest.py, so
+    a failing example ends the run unshrunk."""
     # no bytecode cache: a mutant and its restore may share an mtime
     env = {**os.environ, "PYTHONPATH": str(copy / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             *files],
+             "--hypothesis-profile=mutants", *files],
             cwd=copy, env=env, capture_output=True, text=True, timeout=timeout,
         )
     except subprocess.TimeoutExpired:

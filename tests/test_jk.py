@@ -44,6 +44,7 @@ from _oracles import (
     affine_row_blocks,
     affine_scan_by_rows,
     jk_tables_on_eight_axes,
+    sampled_pairs_int64,
     singer_sigma_per_candidate,
 )
 
@@ -547,6 +548,55 @@ def test_sampled_scan_records_scattered_violations(g01, tampered_twist):
     assert report.pairs_checked == 10**6
     assert report.violations_total == 1
     assert report.violations == ((3976, 4000),)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sampled_draws_are_the_int64_pair_sequence(p, request):
+    g = request.getfixturevalue("g7") if p == 7 else jk_group(p, 0, 1, allow_large=True)
+    f = np.zeros(g.order, dtype=g.index_type)  # the pairs do not depend on f
+    for samples in (1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1):
+        chunks = list(_affine_chunks(g, f, samples, p))
+        reference = list(sampled_pairs_int64(g.order, samples, p))
+        assert len(chunks) == len(reference)
+        for (ys, xs, hit, pairs), (ref_ys, ref_xs) in zip(chunks, reference):
+            assert ys.dtype == xs.dtype == g.index_type
+            assert pairs == hit.size == ref_ys.size
+            assert (ys == ref_ys).all() and (xs == ref_xs).all()
+
+
+def test_the_index_type_holds_every_sampled_sum(g7):
+    admitted = []
+    for p in range(12):  # from 11 on, p^8 exceeds the table cell limit
+        try:
+            jk._jk_prime(p)
+        except (CapacityError, ParameterError):
+            continue
+        admitted.append(p)
+    assert admitted == [3, 5, 7]
+    for g in (jk_group(3, 0, 1), jk_group(5, 0, 1, allow_large=True), g7):
+        # _affine_chunks forms y + (x - y) <= 2n - 2 before it wraps
+        assert np.iinfo(g.index_type).max >= 2 * g.order - 2
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("samples", 2.5), ("samples", "10"), ("samples", True),
+     ("seed", 1.5), ("seed", True)],
+)
+def test_affine_scan_refuses_samples_and_seeds_that_are_not_integers(
+    g01, option, value
+):
+    # 2.5 and "10" raised a bare TypeError, 1.5 one from SeedSequence, and
+    # True was read as 1; nothing is coerced
+    with pytest.raises(ParameterError, match=f"{option} must be an integer"):
+        verify_affapp_one(g01, mode="sampled", **{option: value})
+
+
+def test_affine_scan_takes_numpy_integers_for_samples_and_seed(g01):
+    report = verify_affapp_one(
+        g01, mode="sampled", samples=np.int64(10), seed=np.uint8(1)
+    )
+    assert report.passed and report.pairs_checked == 10
 
 
 def _full_scan(g, f):
