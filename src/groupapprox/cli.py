@@ -144,8 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"pairs of a sampled scan (default {DEFAULT_SAMPLES})")
     p.add_argument("--seed", type=_int_option,
                    help="seed of a sampled scan (default 0)")
-    p.add_argument("--allow-large", action="store_true",
-                   help="permit primes beyond 3 (sampled checks only)")
 
     p = sub.add_parser("bounds", help="two-sided agreement bounds")
     p.add_argument("--m1", type=_int_option, required=True)
@@ -250,7 +248,7 @@ def _cmd_verify_jk(args) -> int:
         if mode == "full" and option in ("--samples", "--seed"):
             raise ParameterError(f"{option} is read only by --mode sampled")
     lam1, lam2 = _int_list("--lambda", args.lam, 2)
-    g = jk_group(args.p, lam1, lam2, allow_large=args.allow_large)
+    g = jk_group(args.p, lam1, lam2)
     if args.check == "endo":
         report = verify_enapp_zero(g)
     else:

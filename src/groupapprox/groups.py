@@ -211,7 +211,10 @@ class GroupCarrier:
         return (self.mul_many(x, s) == self.mul_many(s, x)).all(axis=1)
 
     def is_abelian(self) -> bool:
-        return bool(self._central_mask().all())
+        """Whether the listed generators commute pairwise, which decides it
+        since they generate the group (``validate`` proves that)."""
+        s = np.array(self.generators)[:, None]
+        return bool((self.mul_many(s, s.T) == self.mul_many(s.T, s)).all())
 
     def center(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self._central_mask()).tolist())

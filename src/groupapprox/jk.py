@@ -54,7 +54,7 @@ __all__ = [
     "verify_enapp_zero",
 ]
 
-# the largest p of a full scan, and of a jk_group built without allow_large
+# the one p of a full scan
 FULL_SCAN_PRIME = 3
 DEFAULT_SAMPLES = 1_000_000
 MAX_RECORDED_VIOLATIONS = 20
@@ -299,21 +299,10 @@ class JKGroup(GroupCarrier):
 
 
 def jk_group(p: int, lam1: int, lam2: int, *, allow_large: bool = False) -> JKGroup:
-    """Build J(p, lambda).  The build itself is cheap at every p that
-    _jk_prime admits (3, 5 and 7), and JKParams refuses any other p before
-    any allocation.  The gate on primes beyond 3 guards the work that
-    callers do with the carrier: a jk(...) group spec, which compute hands
-    to the search and to the bounds, builds only p = 3, and verify-jk asks
-    for p = 5 or 7 by allow_large (--allow-large), where it scans sampled
-    pairs since full mode stays at p = 3."""
-    p = int(p)
-    params = JKParams(p, int(lam1), int(lam2))
-    if p > FULL_SCAN_PRIME and not allow_large:
-        raise CapacityError(
-            f"J({p}, lambda) has order {p}**8 = {p**8}: a jk(...) spec builds only "
-            f"p = {FULL_SCAN_PRIME}, and verify-jk a larger p only with --allow-large"
-        )
-    return JKGroup(params)
+    """Build J(p, lambda) for every p that _jk_prime admits (3, 5 and 7).
+    ``allow_large`` is read nowhere: it stays only for the benchmark's
+    call and goes with ROADMAP item 1 (the benchmark change)."""
+    return JKGroup(JKParams(int(p), int(lam1), int(lam2)))
 
 
 def jk_pth_power(g: JKGroup, x) -> np.ndarray | int:
@@ -643,6 +632,8 @@ def _affine_full(g: JKGroup, f: np.ndarray) -> tuple[int, list, int]:
             y = g._pair(qy[a, None], zy)
             np.add.at(counts, y, _central_rows(g, fq, fz, qy[a], qx[a], zy))
     ys = np.flatnonzero(counts)[:MAX_RECORDED_VIOLATIONS, None]
+    if not ys.size:
+        return n * (n - 1), [], 0
     hit = _pair_hits(g, f, xs[ys], xs)
     hit[np.arange(ys.size), ys[:, 0]] = False
     found = np.count_nonzero(hit, axis=1)

@@ -2,11 +2,11 @@
 
 Each entry of ``MUTANTS`` is a mutant: a name, a file under ``src/``, the
 exact text it replaces (which must occur there exactly once), the new
-text, and the test files that must fail with it.  The gate copies
-``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
-checks that every listed test file passes there unmutated, and then, one
-mutant at a time, applies it to the copy, runs its test files and puts
-the file back.  It never edits a test.
+text, and the test files (or single test ids) that must fail with it.
+The gate copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+temporary directory, checks that every listed test passes there
+unmutated, and then, one mutant at a time, applies it to the copy, runs
+its tests and puts the file back.  It never edits a test.
 
     python tests/mutants.py
 
@@ -29,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 BOUNDS = "src/groupapprox/bounds.py"
+GROUPS = "src/groupapprox/groups.py"
 JK = "src/groupapprox/jk.py"
 MORPHISMS = "src/groupapprox/morphisms.py"
 SEARCH = "src/groupapprox/search.py"
@@ -36,8 +37,15 @@ SEARCH = "src/groupapprox/search.py"
 # seconds a mutant's test files may run before the mutant counts as killed
 MUTANT_TIMEOUT_S = 300
 
-# (name, file, old text, new text, test files that must fail)
+# (name, file, old text, new text, test files or ids that must fail)
 MUTANTS = (
+    (
+        "is_abelian: both generator products taken in the same order",
+        GROUPS,
+        "(self.mul_many(s, s.T) == self.mul_many(s.T, s))",
+        "(self.mul_many(s, s.T) == self.mul_many(s, s.T))",
+        ("tests/test_groups.py::test_derived_facts_match_the_table",),
+    ),
     (
         "affine pairs: bucket constant v * w, not v * w^-1",
         MORPHISMS,

@@ -505,38 +505,43 @@ def test_verify_jk_refuses_an_option_its_scan_never_reads(capsys, extra, option)
     assert err.count("\n") == 1 and err.startswith(f"error: {option} "), err
 
 
-def test_jk_large_prime_refusal_names_the_cli_gate(capsys):
-    # a jk(...) spec has no way past the gate, and verify-jk has
-    # --allow-large; the Python keyword means nothing on a command line
-    for argv in (["compute", "--group", "jk(5,0,1)", "--metric", "affapp"],
-                 ["verify-jk", "--p", "5", "--lambda", "0,1", "--mode", "sampled"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 3 and out == "", argv
-        assert err == (
-            "error: J(5, lambda) has order 5**8 = 390625: a jk(...) spec builds "
-            "only p = 3, and verify-jk a larger p only with --allow-large\n"
-        ), argv
-
-
-def test_verify_jk_large_prime_gates(capsys):
-    code, out, err = run(capsys, "verify-jk", "--p", "5", "--lambda", "0,1")
-    assert code == 3 and out == "" and "error" in err
+def test_allow_large_is_a_usage_error(capsys):
+    # every p that jk admits builds, so no flag lets a larger p through
     code, out, err = run(
-        capsys, "verify-jk", "--p", "5", "--lambda", "0,1",
-        "--allow-large", "--mode", "full",
+        capsys, "verify-jk", "--p", "5", "--lambda", "0,1", "--allow-large",
+        "--mode", "sampled",
     )
-    # the refusal names the CLI flag beside the Python keyword
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and "--allow-large" in errors[0], err
+
+
+def test_verify_jk_p5_scans_sampled_and_refuses_full(capsys):
+    code, doc, _ = run_json(
+        capsys, "verify-jk", "--p", "5", "--lambda", "0,1",
+        "--mode", "sampled", "--samples", "1500",
+    )
+    assert code == 0
+    assert doc["p"] == 5 and doc["pairs_checked"] == 1500 and doc["passed"] is True
+    # full mode bounds its own work: it refuses every p but 3, and the
+    # refusal names the CLI flag beside the Python keyword
+    code, out, err = run(capsys, "verify-jk", "--p", "5", "--lambda", "0,1")
     assert code == 3 and out == ""
     assert err == (
         "error: full verification is limited to p = 3: use mode='sampled' in "
         "Python, --mode sampled with verify-jk\n"
     )
-    code, doc, _ = run_json(
-        capsys, "verify-jk", "--p", "5", "--lambda", "0,1",
-        "--allow-large", "--mode", "sampled", "--samples", "1500",
+
+
+def test_compute_jk5_reports_its_bracket(capsys):
+    # a jk(...) spec past p = 3 builds: compute reports the bounds alone
+    code, doc, err = run_json(
+        capsys, "compute", "--group", "jk(5,0,1)", "--metric", "affapp"
     )
-    assert code == 0
-    assert doc["p"] == 5 and doc["pairs_checked"] == 1500 and doc["passed"] is True
+    assert code == 3 and "bounds only" in err
+    assert doc["order"] == 5**8 and doc["exact"] is False
+    assert (doc["lower"], doc["upper"]) == (1, 264)
+    assert doc["lower_bound"]["kind"] == "constants"
 
 
 MERSENNE_61 = str(2**61 - 1)  # a prime: trial division up to 1.5e9 never ends
@@ -551,8 +556,7 @@ OVERSIZE_REQUESTS = [
     (3, ["witness", "--name", f"prime-square:{MERSENNE_61}"]),
     (3, ["witness", "--name", "rem-quot:2,1000000000"]),
     (3, ["verify-jk", "--p", MERSENNE_61, "--lambda", "0,1"]),
-    (3, ["verify-jk", "--p", "101", "--lambda", "0,1", "--allow-large",
-         "--mode", "sampled"]),
+    (3, ["verify-jk", "--p", "101", "--lambda", "0,1", "--mode", "sampled"]),
     (3, ["bounds", "--m1", "4300", "--m2", "10", "--f", "log2"]),
     (3, ["bounds", "--m1", "1000000000", "--m2", "2", "--f", "log2"]),
     (3, ["bounds", "--m1", "4", "--m2", str(10**400), "--f", "1"]),

@@ -96,10 +96,8 @@ def test_unclassified_parameters_are_scope_gated():
         check_classified_maps(g)
 
 
-def test_large_prime_gate():
-    with pytest.raises(CapacityError):
-        jk_group(5, 0, 1)
-    g = jk_group(5, 0, 1, allow_large=True)
+def test_every_admitted_prime_builds():
+    g = jk_group(5, 0, 1)
     assert g.order == 5**8
     x = 123_456
     assert g.mul(x, g.inv(x)) == 0
@@ -108,6 +106,9 @@ def test_large_prime_gate():
     for _ in range(5):
         acc = g.mul(acc, x)
     assert jk_pth_power(g, x) == acc
+    # the benchmark's call form: the keyword is accepted and read nowhere
+    same = jk_group(5, 0, 1, allow_large=True)
+    assert same.params == g.params and same._add.tobytes() == g._add.tobytes()
 
 
 def test_primes_past_the_table_cell_limit_are_refused_before_allocating():
@@ -115,12 +116,12 @@ def test_primes_past_the_table_cell_limit_are_refused_before_allocating():
     try:
         for p in (11, 101, 2**61 - 1):  # the last one would stall trial division
             with pytest.raises(CapacityError):
-                jk_group(p, 0, 1, allow_large=True)
+                jk_group(p, 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-    assert jk_group(7, 0, 1, allow_large=True).order == 7**8
+    assert jk_group(7, 0, 1).order == 7**8
 
 
 def test_params_refuse_a_huge_p_before_trial_division():
@@ -183,7 +184,7 @@ def test_validate_proves_every_small_member(lam):
 
 
 def test_validate_proves_jk_5():
-    g = jk_group(5, 0, 1, allow_large=True)
+    g = jk_group(5, 0, 1)
     report = validate(g)
     assert report.passed, report.failures
     assert report.triples_checked == g.order**2 * 4
@@ -437,7 +438,7 @@ def test_classified_maps_satisfy_homomorphism_law(g01, g11):
     assert check_classified_maps(g01) == 0
     assert check_classified_maps(g11) == 0
     assert check_classified_maps(jk_group(3, 2, 1)) == 0
-    assert check_classified_maps(jk_group(5, 0, 1, allow_large=True)) == 0
+    assert check_classified_maps(jk_group(5, 0, 1)) == 0
 
 
 def test_classified_maps_check_catches_a_tampered_product():
@@ -448,7 +449,7 @@ def test_classified_maps_check_catches_a_tampered_product():
 
 
 def test_classified_maps_check_runs_in_bounded_memory():
-    g = jk_group(5, 0, 1, allow_large=True)
+    g = jk_group(5, 0, 1)
     tracemalloc.start()
     try:
         assert check_classified_maps(g) == 0
@@ -462,7 +463,7 @@ def test_classified_maps_check_runs_in_bounded_memory():
 def test_carrier_builds_in_its_table_width():
     tracemalloc.start()
     try:
-        g = jk_group(5, 0, 1, allow_large=True)
+        g = jk_group(5, 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -476,7 +477,7 @@ def test_carrier_builds_in_its_table_width():
     "params", [(3, 0, 1), (3, 1, 1), (3, 2, 1), (3, 1, 0), (5, 0, 1), (7, 0, 1)]
 )
 def test_carrier_tables_match_the_eight_axis_construction(params):
-    g = jk_group(*params, allow_large=True)
+    g = jk_group(*params)
     for table, ref in zip((g._add, g._cocycle, g._neg),
                           jk_tables_on_eight_axes(*params)):
         assert table.dtype == ref.dtype
@@ -552,7 +553,7 @@ def test_sampled_scan_records_scattered_violations(g01, tampered_twist):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_sampled_draws_are_the_int64_pair_sequence(p, request):
-    g = request.getfixturevalue("g7") if p == 7 else jk_group(p, 0, 1, allow_large=True)
+    g = request.getfixturevalue("g7") if p == 7 else jk_group(p, 0, 1)
     f = np.zeros(g.order, dtype=g.index_type)  # the pairs do not depend on f
     for samples in (1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1):
         chunks = list(_affine_chunks(g, f, samples, p))
@@ -573,7 +574,7 @@ def test_the_index_type_holds_every_sampled_sum(g7):
             continue
         admitted.append(p)
     assert admitted == [3, 5, 7]
-    for g in (jk_group(3, 0, 1), jk_group(5, 0, 1, allow_large=True), g7):
+    for g in (jk_group(3, 0, 1), jk_group(5, 0, 1), g7):
         # _affine_chunks forms y + (x - y) <= 2n - 2 before it wraps
         assert np.iinfo(g.index_type).max >= 2 * g.order - 2
 
@@ -694,7 +695,7 @@ def test_central_pass_keeps_the_pairs_of_a_moved_coset_pair(function):
 
 @pytest.mark.parametrize("tampered_add", [False, True])
 def test_central_rows_at_p5_match_the_pair_by_pair_decision(tampered_add):
-    g = jk_group(5, 0, 1, allow_large=True)  # fresh: it may be tampered
+    g = jk_group(5, 0, 1)  # fresh: it may be tampered
     if tampered_add:
         g._add[1] = 0  # the coset pair (0, 1) now reads quotient 0
     images = np.array(twist_function(g).images)
@@ -773,8 +774,20 @@ def test_full_scan_fails_loudly_when_a_row_disagrees(g01, monkeypatch):
         verify_affapp_one(g01, IDENTITY_SIGMA, mode="full")
 
 
+def test_full_scan_of_the_twist_rescans_no_row(g01, monkeypatch):
+    # no row of the twist holds a count, so none is scanned pair by pair
+    calls = []
+    pair_hits = jk._pair_hits
+    monkeypatch.setattr(
+        jk, "_pair_hits", lambda *args: calls.append(args) or pair_hits(*args)
+    )
+    report = verify_affapp_one(g01, mode="full")
+    assert report.passed and report.pairs_checked == g01.order * (g01.order - 1)
+    assert calls == []
+
+
 def test_sampled_scan_of_a_tampered_twist_at_p5_is_pinned():
-    g = jk_group(5, 0, 1, allow_large=True)
+    g = jk_group(5, 0, 1)
     images = np.array(twist_function(g).images)
     images[: 16 * 625] = np.arange(16 * 625)  # the identity on 16 cosets
     report = verify_affapp_one(
@@ -792,7 +805,7 @@ def test_sampled_scan_of_a_tampered_twist_at_p5_is_pinned():
 
 
 def test_sampled_certificate_at_p7_runs_in_bounded_memory():
-    g = jk_group(7, 0, 1, allow_large=True)
+    g = jk_group(7, 0, 1)
     tracemalloc.start()
     try:
         report = verify_affapp_one(g, mode="sampled", samples=10**5)
@@ -808,7 +821,7 @@ def test_sampled_certificate_at_p7_runs_in_bounded_memory():
 
 @pytest.fixture(scope="module")
 def g7():
-    return jk_group(7, 0, 1, allow_large=True)
+    return jk_group(7, 0, 1)
 
 
 def test_sampled_certificate_at_p7_holds_one_twist(g7):
@@ -838,7 +851,7 @@ def test_enapp_zero_scan_at_p7_runs_in_element_blocks(g7):
 
 
 def test_full_scan_is_gated_to_small_primes():
-    g = jk_group(5, 0, 1, allow_large=True)
+    g = jk_group(5, 0, 1)
     with pytest.raises(CapacityError):
         verify_affapp_one(g, mode="full")
     report = verify_affapp_one(g, mode="sampled", samples=2_000, seed=3)
@@ -891,7 +904,7 @@ def test_enapp_zero_scan_catches_tampering(g01):
 
 
 def test_enapp_zero_scan_records_violations_across_blocks():
-    g = jk_group(5, 0, 1, allow_large=True)
+    g = jk_group(5, 0, 1)
     images = jk_enapp_zero_witness(g).images.copy()
     xs = [5, SCAN_BLOCK - 1, SCAN_BLOCK, 3 * SCAN_BLOCK + 7]
     images[xs] = 0  # the identity is reachable from every argument

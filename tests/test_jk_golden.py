@@ -41,7 +41,7 @@ def _digest(values) -> str:
 
 @pytest.mark.parametrize("params", list(GOLDEN))
 def test_products_and_inverses_match_golden(params):
-    g = jk_group(*params, allow_large=True)
+    g = jk_group(*params)
     rng = np.random.default_rng(0)
     a = rng.integers(0, g.order, size=10**5)
     b = rng.integers(0, g.order, size=10**5)
@@ -50,7 +50,7 @@ def test_products_and_inverses_match_golden(params):
 
 @pytest.mark.parametrize("params", list(GOLDEN))
 def test_mixed_generator_commutators_are_the_central_basis(params):
-    g = jk_group(*params, allow_large=True)
+    g = jk_group(*params)
     p = params[0]
     a1, a2, b1, b2 = g.generators
 
