@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, _integer
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -50,17 +50,14 @@ _SLACK = 1e-9
 def circle_size(m1: int, m2: int, k: int) -> int:
     """Number of functions M1 -> M2 at Hamming distance exactly k from a
     fixed one: C(m1, k) * (m2 - 1)^k, in exact integers."""
-    if m1 < 1 or m2 < 1:
-        raise ParameterError("m1 and m2 must be positive")
-    if not 0 <= k <= m1:
-        raise ParameterError(f"k must lie in 0..{m1}, got {k}")
+    m1, m2 = _integer("m1", m1, 1), _integer("m2", m2, 1)
+    k = _integer("k", k, 0, m1)
     return math.comb(m1, k) * (m2 - 1) ** k
 
 
 def ball_size(m1: int, m2: int, k: int) -> int:
     """Number of functions at Hamming distance at most k."""
-    if not 0 <= k <= m1:
-        raise ParameterError(f"k must lie in 0..{m1}, got {k}")
+    k = _integer("k", k, 0, _integer("m1", m1, 1))
     return sum(circle_size(m1, m2, i) for i in range(k + 1))
 
 
@@ -87,8 +84,7 @@ def agreement_bounds(m1: int, m2: int, fval: float) -> BoundReport:
     with CapacityError before any count is formed, and so is an fval whose
     upper bound overflows a float: JSON has no infinity.
     """
-    if m1 < 2 or m2 < 2:
-        raise ParameterError("m1 and m2 must both be at least 2")
+    m1, m2 = _integer("m1", m1, 2), _integer("m2", m2, 2)
     if not 0 < fval < math.inf:  # also refuses nan
         raise ParameterError(f"fval must be positive and finite, got {fval}")
     # the float test keeps the exact power small: int/float compare exactly
@@ -104,7 +100,7 @@ def agreement_bounds(m1: int, m2: int, fval: float) -> BoundReport:
         upper, branch = entropy_branch, "entropy"
     if upper == math.inf:
         raise CapacityError(f"the upper bound for fval = {fval} overflows a float")
-    gamma = tuple(circle_size(m1, m2, k) for k in range(m1 + 1))
+    gamma = tuple(math.comb(m1, k) * (m2 - 1) ** k for k in range(m1 + 1))
     lower = max(Fraction(1), Fraction(m1, m2))
     return BoundReport(
         m1=m1,
@@ -121,8 +117,7 @@ def agreement_bounds(m1: int, m2: int, fval: float) -> BoundReport:
 
 def endo_count_bound(n: int) -> float:
     """|End(G)| <= n^(log2 n) for any group of order n (generators suffice)."""
-    if n < 1:
-        raise ParameterError(f"order must be positive, got {n}")
+    n = _integer("n", n, 1)
     return float(n) ** math.log2(n)
 
 
@@ -138,8 +133,7 @@ def worst_case_upper_bounds(n: int) -> tuple[float, float]:
     is at least e^2, a side condition the derivation leans on; it is
     asserted here rather than assumed.
     """
-    if n < 2:
-        raise ParameterError(f"bounds need order >= 2, got {n}")
+    n = _integer("n", n, 2)
     ln = math.log(n)
     endo = (1 / math.log(2) + 1 / ln) * ln * ln
     affine = (1 / math.log(2) + 2 / ln) * ln * ln
@@ -472,8 +466,7 @@ def brute_force_app(m1: int, m2: int, family) -> int:
     A family that is not a nonempty 2-D integer array of length-m1 maps
     with values in 0..m2-1 is refused with ParameterError; nothing is
     coerced, so 1.5 or '1' is not read as 1."""
-    if m1 < 1 or m2 < 1:
-        raise ParameterError("m1 and m2 must be positive")
+    m1, m2 = _integer("m1", m1, 1), _integer("m2", m2, 1)
     if m2**m1 > BRUTE_FORCE_LIMIT:
         raise CapacityError(
             f"brute force limited to m2^m1 <= {BRUTE_FORCE_LIMIT}, "

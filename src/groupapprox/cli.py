@@ -21,6 +21,7 @@ from .errors import (
     GroupAxiomError,
     ParameterError,
     ScopeError,
+    _integer,
 )
 from .groups import (_INT_TOKEN, _int_list, _read_text, _shown, build_group,
                      canonical_spec, catalog_up_to)
@@ -179,8 +180,8 @@ def _emit(doc: dict, out: str | None, *, stdout: bool = True) -> None:
 def _cmd_compute(args) -> int:
     spec = canonical_spec(args.group)
     metric = parse_metric_label(args.metric)
-    if args.budget < 0:  # refused as the search refuses it, cache or not
-        raise ParameterError(f"the search budget must be >= 0, got {args.budget}")
+    # refused as the search refuses it, cache or not
+    _integer("the search budget", args.budget, 0)
     if not args.no_cache:
         doc = cache_get(spec, metric)
         if doc is not None:
@@ -237,26 +238,23 @@ def _load_sigma(arg: str, p: int):
 
 
 def _cmd_verify_jk(args) -> int:
-    given = {"--sigma": args.sigma, "--mode": args.mode,
-             "--samples": args.samples, "--seed": args.seed}
-    mode = args.mode or "full"
-    for option, value in given.items():
-        if value is None:
-            continue
+    # only the options given are passed on: verify_affapp_one holds the defaults
+    given = {"sigma": args.sigma, "mode": args.mode,
+             "samples": args.samples, "seed": args.seed}
+    given = {option: value for option, value in given.items() if value is not None}
+    for option in given:
         if args.check == "endo":
-            raise ParameterError(f"{option} is not read by --check endo")
-        if mode == "full" and option in ("--samples", "--seed"):
-            raise ParameterError(f"{option} is read only by --mode sampled")
+            raise ParameterError(f"--{option} is not read by --check endo")
+        if args.mode != "sampled" and option in ("samples", "seed"):
+            raise ParameterError(f"--{option} is read only by --mode sampled")
     lam1, lam2 = _int_list("--lambda", args.lam, 2)
     g = jk_group(args.p, lam1, lam2)
     if args.check == "endo":
         report = verify_enapp_zero(g)
     else:
-        sigma = _load_sigma("singer" if args.sigma is None else args.sigma, g.p)
-        samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-        report = verify_affapp_one(
-            g, sigma, mode=mode, samples=samples, seed=args.seed or 0
-        )
+        if "sigma" in given:
+            given["sigma"] = _load_sigma(given["sigma"], g.p)
+        report = verify_affapp_one(g, **given)
     doc = verify_document(report)
     _emit(doc, args.out)
     return EXIT_OK if report.passed else EXIT_VIOLATION

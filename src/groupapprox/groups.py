@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, FormatError, GroupAxiomError, ParameterError
+from .errors import (CapacityError, FormatError, GroupAxiomError, ParameterError,
+                     _integer)
 
 __all__ = [
     "DENSE_LIMIT",
@@ -117,10 +118,7 @@ class GroupCarrier:
     """A finite group on the index set 0..order-1, identity at index 0."""
 
     def __init__(self, order: int, name: str, generators):
-        order = int(order)
-        if order < 1:
-            raise ParameterError(f"group order must be positive, got {order}")
-        self.order = order
+        self.order = order = _integer("group order", order, 1)
         self.name = name
         # the type of every table of elements: each index and a -1 fit in it
         self.index_type = np.min_scalar_type(-order)
@@ -179,7 +177,7 @@ class GroupCarrier:
         return power
 
     def power(self, x: int, e: int) -> int:
-        x = self._elements(x)
+        x, e = self._elements(x), _integer("exponent", e)
         if e < 0:
             x, e = self.inv_many(x), -e
         return int(self._powers(x, e))
@@ -204,12 +202,6 @@ class GroupCarrier:
     def exponent(self) -> int:
         return math.lcm(*self.element_orders())
 
-    def _central_mask(self) -> np.ndarray:
-        # central <=> commutes with every listed generator (they generate)
-        x = np.arange(self.order)[:, None]
-        s = np.array(self.generators)[None, :]
-        return (self.mul_many(x, s) == self.mul_many(s, x)).all(axis=1)
-
     def is_abelian(self) -> bool:
         """Whether the listed generators commute pairwise, which decides it
         since they generate the group (``validate`` proves that)."""
@@ -217,7 +209,12 @@ class GroupCarrier:
         return bool((self.mul_many(s, s.T) == self.mul_many(s.T, s)).all())
 
     def center(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._central_mask()).tolist())
+        """The elements commuting with every listed generator, which
+        generate the group."""
+        x = np.arange(self.order)[:, None]
+        s = np.array(self.generators)[None, :]
+        central = (self.mul_many(x, s) == self.mul_many(s, x)).all(axis=1)
+        return tuple(np.flatnonzero(central).tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} order={self.order}>"
@@ -301,8 +298,7 @@ def _per_carrier(fn):
 
 def cyclic(n: int) -> TableGroup:
     """Z/nZ under addition, generator 1 (element indices are the residues)."""
-    if n < 1:
-        raise ParameterError(f"cyclic group order must be >= 1, got {n}")
+    n = _integer("cyclic group order", n, 1)
     _dense(f"cyclic({n})", n)
     ar = np.arange(n)
     table = (ar[:, None] + ar[None, :]) % n
@@ -315,8 +311,7 @@ def elemabelian(p: int, r: int) -> TableGroup:
 
     The table is that of the product of r copies of Z/p: each new factor
     of :func:`direct_product` is the low base-p digit."""
-    if r < 1:
-        raise ParameterError(f"elemabelian rank must be >= 1, got {r}")
+    p, r = _integer("elemabelian p", p), _integer("elemabelian rank", r, 1)
     name = f"elemabelian({p},{r})"
     _dense(name, _prime_power(p, r))
     if not _is_prime(p):
@@ -330,8 +325,9 @@ def elemabelian(p: int, r: int) -> TableGroup:
 def dihedral(order: int) -> TableGroup:
     """Dihedral group of the given (even) order 2n: indices 0..n-1 are the
     rotations r^i, indices n..2n-1 are the reflections s r^i."""
-    if order < 2 or order % 2:
-        raise ParameterError(f"dihedral order must be even and >= 2, got {order}")
+    order = _integer("dihedral order", order, 2)
+    if order % 2:
+        raise ParameterError(f"dihedral order must be even, got {order}")
     _dense(f"dihedral({order})", order)
     n = order // 2
     i = np.arange(n)
@@ -349,10 +345,9 @@ def dihedral(order: int) -> TableGroup:
 def dicyclic(order: int) -> TableGroup:
     """Dicyclic group of order 4n (n >= 2): <a, b | a^{2n} = 1, b^2 = a^n,
     b a b^{-1} = a^{-1}>.  Indices 0..2n-1 are a^i, 2n..4n-1 are a^i b."""
-    if order % 4 or order < 8:
-        raise ParameterError(
-            f"dicyclic order must be a multiple of 4 and >= 8, got {order}"
-        )
+    order = _integer("dicyclic order", order, 8)
+    if order % 4:
+        raise ParameterError(f"dicyclic order must be a multiple of 4, got {order}")
     _dense(f"dicyclic({order})", order)
     m = order // 2
     n = order // 4
@@ -383,8 +378,7 @@ def sym(n: int) -> TableGroup:
     """The symmetric group on {0..n-1}; elements are the permutations in
     lexicographic order, composed left-to-right as functions (p*q maps i to
     p[q[i]])."""
-    if n < 1:
-        raise ParameterError(f"sym needs n >= 1, got {n}")
+    n = _integer("sym n", n, 1)
     _dense(f"sym({n})", math.factorial(n) if n < 7 else None)  # 7! = 5040
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     if n == 1:
@@ -407,8 +401,7 @@ def _parity(p: tuple[int, ...]) -> int:
 
 def alt(n: int) -> TableGroup:
     """The alternating group on {0..n-1} (even permutations, lex order)."""
-    if n < 1:
-        raise ParameterError(f"alt needs n >= 1, got {n}")
+    n = _integer("alt n", n, 1)
     # 7!/2 = 2520 is over the limit: never compute a larger factorial
     _dense(f"alt({n})", None if n >= 7 else 1 if n < 3 else math.factorial(n) // 2)
     if n < 3:
@@ -435,6 +428,7 @@ def heis(p: int) -> TableGroup:
     """The nonabelian group of order p^3 and exponent p (p an odd prime),
     realized as unitriangular 3x3 matrices: (a,b,c)*(a',b',c') =
     (a+a', b+b', c+c'+a*b') with index a*p^2 + b*p + c."""
+    p = _integer("heis p", p)
     n = p**3
     _dense(f"heis({p})", n)
     if not _is_prime(p) or p == 2:
@@ -453,6 +447,7 @@ def modmax(p: int) -> TableGroup:
     """The nonabelian group of order p^3 and exponent p^2 (p an odd prime):
     <x, t | x^{p^2} = t^p = 1, t x t^{-1} = x^{1+p}>, index of x^i t^j being
     i*p + j."""
+    p = _integer("modmax p", p)
     n = p**3
     _dense(f"modmax({p})", n)
     if not _is_prime(p) or p == 2:
@@ -852,12 +847,7 @@ _CATALOG = [
 
 def catalog_up_to(max_order: int) -> list[GroupCarrier]:
     """One carrier per isomorphism class of order <= max_order (max 15)."""
-    if max_order < 1:
-        raise ParameterError(f"max_order must be >= 1, got {max_order}")
-    if max_order > 15:
-        raise ParameterError(
-            "the classification catalog is hard-coded up to order 15"
-        )
+    max_order = _integer("max_order", max_order, 1, 15)
     # listed by order, so the builds stop at the first group too large
     groups = map(build_group, _CATALOG)
     return list(itertools.takewhile(lambda g: g.order <= max_order, groups))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ScopeError
+from .errors import CapacityError, ParameterError, ScopeError, _integer
 from .groups import MAX_TABLE_CELLS, GroupCarrier, _is_prime
 from .morphisms import GroupFunction
 
@@ -72,19 +72,18 @@ SIGMA_CHUNK = 64
 
 @dataclass(frozen=True)
 class JKParams:
-    """Construction parameters: an odd prime p and the pair lambda."""
+    """Construction parameters: an odd prime p and the pair lambda of
+    residues mod p, each held as a Python int."""
 
     p: int
     lam1: int
     lam2: int
 
     def __post_init__(self):
-        _jk_prime(self.p)
-        for v in (self.lam1, self.lam2):
-            if not 0 <= v < self.p:
-                raise ParameterError(
-                    f"lambda entries must be residues mod {self.p}, got {v}"
-                )
+        object.__setattr__(self, "p", _jk_prime(self.p))
+        for name in ("lam1", "lam2"):
+            value = _integer(name, getattr(self, name), 0, self.p - 1)
+            object.__setattr__(self, name, value)
         if self.lam2 != 1 and (self.lam1, self.lam2) != (1, 0):
             raise ParameterError(
                 "lambda must be (1, 0) or have second entry 1, got "
@@ -100,15 +99,17 @@ class JKParams:
             )
 
 
-def _jk_prime(p: int) -> None:
-    """The one gate on p of J(p, lambda) and its twists: the p^8 cells of
-    each of a carrier's two p^4 x p^4 tables fit MAX_TABLE_CELLS (p = 7
-    does), tested first so no p past it is trial-divided, and p is an odd
-    prime."""
+def _jk_prime(p: int) -> int:
+    """The one gate on p of J(p, lambda) and its twists, returning p as an
+    int: the p^8 cells of each of a carrier's two p^4 x p^4 tables fit
+    MAX_TABLE_CELLS (p = 7 does), tested first so no p past it is
+    trial-divided, and p is an odd prime."""
+    p = _integer("p", p)
     if p > 0 and p**8 > MAX_TABLE_CELLS:
         raise CapacityError(f"jk needs {p}**8 table cells > {MAX_TABLE_CELLS}")
     if not _is_prime(p) or p == 2:
         raise ParameterError(f"p must be an odd prime, got {p}")
+    return p
 
 
 def _digits(x, p: int, width: int) -> np.ndarray:
@@ -280,7 +281,7 @@ class JKGroup(GroupCarrier):
             return False  # an entry that is no code; past here every index is in range
         codes = np.arange(p4, dtype=np.int64)
         digits = _digits(codes, p, 4)
-        q_s = int(s) // p4
+        q_s = s // p4
         s_plus, c_s = add[pair(q_s, codes)], c[pair(q_s, codes)]
         rows = max(1, SCAN_BLOCK // p4)
         for lo in range(0, p4, rows):
@@ -302,7 +303,7 @@ def jk_group(p: int, lam1: int, lam2: int, *, allow_large: bool = False) -> JKGr
     """Build J(p, lambda) for every p that _jk_prime admits (3, 5 and 7).
     ``allow_large`` is read nowhere: it stays only for the benchmark's
     call and goes with ROADMAP item 1 (the benchmark change)."""
-    return JKGroup(JKParams(int(p), int(lam1), int(lam2)))
+    return JKGroup(JKParams(p, lam1, lam2))
 
 
 def jk_pth_power(g: JKGroup, x) -> np.ndarray | int:
@@ -335,7 +336,7 @@ def make_sigma(p: int, matrix) -> SigmaMap:
     """Validate a 4x4 matrix mod p as invertible and fixed-point-free, read
     off its ``_linear_codes`` table: v -> M v is injective, and code 0 is its
     only fixed point, so M - I is injective too.  p must pass _jk_prime."""
-    _jk_prime(p)
+    p = _jk_prime(p)
     arr = np.asarray(matrix, dtype=np.int64) % p
     if arr.shape != (4, 4):
         raise ParameterError(f"sigma must be a 4x4 matrix, got shape {arr.shape}")
@@ -385,7 +386,7 @@ def singer_sigma(p: int) -> SigmaMap:
     (_mat_powers): order dividing p^4 - 1, and by no (p^4 - 1)/q for a prime
     q.  The first primitive quartic of the first chunk that holds one is the
     lexicographically first."""
-    _jk_prime(p)
+    p = _jk_prime(p)
     full = p**4 - 1
     exponents = [full // q for q in _prime_factors(full)]
     coeffs = _digits(np.arange(p**4), p, 4)  # (a0, a1, a2, a3), lex order
@@ -716,14 +717,8 @@ def verify_affapp_one(
             f"full verification is limited to p = {FULL_SCAN_PRIME}: use "
             "mode='sampled' in Python, --mode sampled with verify-jk"
         )
-    for name, value in (("samples", samples), ("seed", seed)):
-        # a bool or a float is refused, not read as an int: nothing is coerced
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if mode == "sampled" and samples < 1:
-        raise ParameterError(f"a sampled scan needs samples >= 1, got {samples}")
-    if seed < 0:  # np.random.default_rng refuses it with a bare ValueError
-        raise ParameterError(f"the seed must be >= 0, got {seed}")
+    samples = _integer("samples", samples, 1 if mode == "sampled" else None)
+    seed = _integer("seed", seed, 0)  # np.random.default_rng refuses a negative one
     if sigma is None:
         sigma = singer_sigma(g.p)
     _require_modulus(g, sigma)

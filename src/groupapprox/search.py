@@ -19,7 +19,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .bounds import _min_max, _Rows, worst_case_upper_bounds
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, _integer
 from .groups import GroupCarrier, _generated, _per_carrier
 from .morphisms import (
     AffinePairs,
@@ -202,8 +202,7 @@ def _universal_tuples(g: GroupCarrier):
 def find_universal_tuple(g: GroupCarrier, l: int) -> tuple[int, ...] | None:
     """The lexicographically first universal l-tuple (u1..ul), with u1
     leading its automorphism orbit, or None (see ``_universal_tuples``)."""
-    if l < 1:
-        raise ParameterError(f"tuple length must be >= 1, got {l}")
+    l = _integer("tuple length", l, 1)
     for tup in _universal_tuples(g):
         if len(tup) == l:
             return tup
@@ -334,11 +333,11 @@ def worst_case_value(
     through ``_family``: an affine family counted along the search path
     (``morphisms.PATH_COUNT_ENDOS``) reads no column and meets no cap, and
     any other past the table cap raises CapacityError when the search
-    first reads values with ``at``.  A negative budget raises ParameterError.
+    first reads values with ``at``.  A budget that is not an integer >= 0
+    raises ParameterError.
     """
     _check_metric(metric)
-    if budget < 0:
-        raise ParameterError(f"the search budget must be >= 0, got {budget}")
+    budget = _integer("the search budget", budget, 0)
     t0 = time.perf_counter()
     family = _family(g, metric)
     lb = lower_bound_certificates(g)[metric]

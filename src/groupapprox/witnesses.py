@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .groups import (
     GroupCarrier, _dense, _is_prime, _prime_power, cyclic, dihedral, direct_product,
     elemabelian,
@@ -44,9 +44,8 @@ def cyclic_enapp_witness(n: int) -> GroupFunction:
     not) forces a contradiction, so no endomorphism agrees twice.  (For
     n = 1 the only self-map has agreement exactly 1 as well.)
     """
-    if n < 1:
-        raise ParameterError(f"needs a cyclic group, got order {n}")
     g = cyclic(n)
+    n = g.order
     images = tuple(
         (x * x) % n if math.gcd(x, n) == 1 else 1 for x in range(n)
     )
@@ -56,17 +55,16 @@ def cyclic_enapp_witness(n: int) -> GroupFunction:
 def prime_square_witness(p: int) -> GroupFunction:
     """x -> x^2 on Z/p (p prime): affine agreement at most 2, since
     x^2 = ax + b has at most two roots in the field."""
-    _dense(f"cyclic({p})", p)
+    g = cyclic(p)  # refuses an oversize p before the prime test
+    p = g.order
     if not _is_prime(p):
         raise ParameterError(f"needs a prime, got {p}")
-    g = cyclic(p)
     return GroupFunction(g, tuple((x * x) % p for x in range(p)))
 
 
 def rem_quot_witness(p: int, k: int) -> GroupFunction:
     """x -> (x mod p) + (x div p) on Z/p^k: affine agreement at most p."""
-    if k < 1:
-        raise ParameterError(f"needs an exponent >= 1, got {k}")
+    p, k = _integer("p", p), _integer("exponent", k, 1)
     _dense(f"cyclic({p}**{k})", _prime_power(p, k))
     if not _is_prime(p):
         raise ParameterError(f"needs a prime, got {p}")
@@ -104,7 +102,8 @@ def _validate_partition(classes) -> tuple[list[list[int]], int]:
     cleaned = []
     seen: set[int] = set()
     for ci, cls in enumerate(classes):
-        cls = sorted({int(x) for x in cls})
+        entry = f"an entry of class {ci}"
+        cls = sorted({_integer(entry, x) for x in cls})
         if not cls:
             raise ParameterError(f"class {ci} is empty")
         overlap = seen.intersection(cls)

@@ -29,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 BOUNDS = "src/groupapprox/bounds.py"
+ERRORS = "src/groupapprox/errors.py"
 GROUPS = "src/groupapprox/groups.py"
 JK = "src/groupapprox/jk.py"
 MORPHISMS = "src/groupapprox/morphisms.py"
@@ -39,6 +40,27 @@ MUTANT_TIMEOUT_S = 300
 
 # (name, file, old text, new text, test files or ids that must fail)
 MUTANTS = (
+    (
+        "integer check: a bool accepted",
+        ERRORS,
+        "if isinstance(value, bool):",
+        "if False:",
+        ("tests/test_errors.py",),
+    ),
+    (
+        "integer check: the low bound read as low - 1",
+        ERRORS,
+        "if low is not None and n < low:",
+        "if low is not None and n < low - 1:",
+        ("tests/test_errors.py",),
+    ),
+    (
+        "integer check: the high bound ignored",
+        ERRORS,
+        "if high is not None and not low <= n <= high:",
+        "if False:",
+        ("tests/test_errors.py",),
+    ),
     (
         "is_abelian: both generator products taken in the same order",
         GROUPS,

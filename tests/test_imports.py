@@ -68,17 +68,23 @@ def test_every_private_helper_is_read_in_src():
 # the private names a module imports from a sibling, each a seam between
 # two modules: a new one fails here, so it is seen in review
 PRIVATE_IMPORTS = {
+    ("bounds", "errors", "_integer"),
+    ("cli", "errors", "_integer"),
     ("cli", "groups", "_INT_TOKEN"),
     ("cli", "groups", "_int_list"),
     ("cli", "groups", "_read_text"),
     ("cli", "groups", "_shown"),
+    ("groups", "errors", "_integer"),
+    ("jk", "errors", "_integer"),
     ("jk", "groups", "_is_prime"),
     ("morphisms", "groups", "_per_carrier"),
     ("reporting", "groups", "_spec_files"),
     ("search", "bounds", "_min_max"),
     ("search", "bounds", "_Rows"),
+    ("search", "errors", "_integer"),
     ("search", "groups", "_generated"),
     ("search", "groups", "_per_carrier"),
+    ("witnesses", "errors", "_integer"),
     ("witnesses", "groups", "_dense"),
     ("witnesses", "groups", "_is_prime"),
     ("witnesses", "groups", "_prime_power"),
